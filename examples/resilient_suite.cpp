@@ -18,7 +18,7 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/config.hh"
@@ -39,9 +39,9 @@ const std::vector<fo4::util::KeyDoc> kKeys = {
 };
 
 /**
- * Record a short trace, then overwrite one record's op-class byte with
- * a value no ISA defines — the kind of damage a bad disk or truncated
- * copy produces.
+ * Record a short capture, then overwrite one byte inside its op frame
+ * — the kind of damage a bad disk or truncated copy produces.  The
+ * frame fails its CRC, so replay refuses it with a typed TraceCorrupt.
  */
 std::string
 makeCorruptTrace(const std::string &dir)
@@ -58,7 +58,8 @@ makeCorruptTrace(const std::string &dir)
             util::ErrorCode::TraceIo,
             "cannot reopen " + path + " for corruption");
     }
-    // Record layout: 16-byte header, 32-byte records, cls at offset 30.
+    // Capture layout: 32-byte header, a short 'M' frame, then the first
+    // 'O' frame's records — this offset lands inside that frame.
     std::fseek(f, 16 + 32 * 100 + 30, SEEK_SET);
     std::fputc(0xEE, f);
     std::fclose(f);

@@ -207,25 +207,9 @@ hashSpec(IdentityHasher &h, const RunSpec &spec)
 // ---------------------------------------------------------------------
 
 void
-putU32(std::string &out, std::uint32_t v)
-{
-    out.push_back(static_cast<char>(v));
-    out.push_back(static_cast<char>(v >> 8));
-    out.push_back(static_cast<char>(v >> 16));
-    out.push_back(static_cast<char>(v >> 24));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    putU32(out, static_cast<std::uint32_t>(v));
-    putU32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void
 putStr(std::string &out, const std::string &s)
 {
-    putU32(out, static_cast<std::uint32_t>(s.size()));
+    util::appendU32(out, static_cast<std::uint32_t>(s.size()));
     out += s;
 }
 
@@ -243,10 +227,7 @@ class Cursor
     u32()
     {
         need(4);
-        const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
-                                static_cast<std::uint32_t>(p[1]) << 8 |
-                                static_cast<std::uint32_t>(p[2]) << 16 |
-                                static_cast<std::uint32_t>(p[3]) << 24;
+        const std::uint32_t v = util::getU32(p);
         p += 4;
         remaining -= 4;
         return v;
@@ -255,8 +236,11 @@ class Cursor
     std::uint64_t
     u64()
     {
-        const std::uint64_t lo = u32();
-        return lo | static_cast<std::uint64_t>(u32()) << 32;
+        need(8);
+        const std::uint64_t v = util::getU64(p);
+        p += 8;
+        remaining -= 8;
+        return v;
     }
 
     std::string
@@ -334,34 +318,34 @@ encodeCellRecord(const CellRecord &cell)
     const BenchResult &r = cell.result;
     std::string out;
     out.reserve(240 + r.name.size() + r.error.message().size());
-    putU32(out, static_cast<std::uint32_t>(cell.point));
-    putU32(out, static_cast<std::uint32_t>(cell.job));
+    util::appendU32(out, static_cast<std::uint32_t>(cell.point));
+    util::appendU32(out, static_cast<std::uint32_t>(cell.job));
     putStr(out, r.name);
-    putU32(out, static_cast<std::uint32_t>(r.cls));
-    putU64(out, r.sim.instructions);
-    putU64(out, r.sim.cycles);
-    putU64(out, r.sim.branches);
-    putU64(out, r.sim.mispredicts);
-    putU64(out, r.sim.loads);
-    putU64(out, r.sim.stores);
-    putU64(out, r.sim.dl1Misses);
-    putU64(out, r.sim.l2Misses);
+    util::appendU32(out, static_cast<std::uint32_t>(r.cls));
+    util::appendU64(out, r.sim.instructions);
+    util::appendU64(out, r.sim.cycles);
+    util::appendU64(out, r.sim.branches);
+    util::appendU64(out, r.sim.mispredicts);
+    util::appendU64(out, r.sim.loads);
+    util::appendU64(out, r.sim.stores);
+    util::appendU64(out, r.sim.dl1Misses);
+    util::appendU64(out, r.sim.l2Misses);
     // Observability fields (journal format v2): stall attribution,
     // dispatch-block counters and occupancy sums are results too, so a
     // replayed cell must restore them bit-for-bit.
-    putU64(out, r.sim.stallCycles);
+    util::appendU64(out, r.sim.stallCycles);
     for (const auto v : r.sim.stalls.byCause)
-        putU64(out, v);
-    putU64(out, r.sim.dispatchWindowFull);
-    putU64(out, r.sim.dispatchRobFull);
-    putU64(out, r.sim.dispatchLsqFull);
-    putU64(out, r.sim.occupancy.cycles);
-    putU64(out, r.sim.occupancy.frontSum);
-    putU64(out, r.sim.occupancy.windowSum);
-    putU64(out, r.sim.occupancy.robSum);
-    putU64(out, r.sim.occupancy.lsqSum);
-    putU64(out, doubleBits(r.bips));
-    putU32(out, static_cast<std::uint32_t>(r.error.code()));
+        util::appendU64(out, v);
+    util::appendU64(out, r.sim.dispatchWindowFull);
+    util::appendU64(out, r.sim.dispatchRobFull);
+    util::appendU64(out, r.sim.dispatchLsqFull);
+    util::appendU64(out, r.sim.occupancy.cycles);
+    util::appendU64(out, r.sim.occupancy.frontSum);
+    util::appendU64(out, r.sim.occupancy.windowSum);
+    util::appendU64(out, r.sim.occupancy.robSum);
+    util::appendU64(out, r.sim.occupancy.lsqSum);
+    util::appendU64(out, doubleBits(r.bips));
+    util::appendU32(out, static_cast<std::uint32_t>(r.error.code()));
     putStr(out, r.error.message());
     return out;
 }

@@ -1,7 +1,6 @@
 #include "study/runner.hh"
 
 #include "trace/decoded_trace.hh"
-#include "trace/file_trace.hh"
 #include "trace/generator.hh"
 #include "trace/recorded_trace.hh"
 #include "util/logging.hh"

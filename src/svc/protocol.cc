@@ -4,7 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/journal.hh"
+#include "util/frame.hh"
 #include "util/logging.hh"
 
 namespace fo4::svc
@@ -16,37 +16,9 @@ namespace
 using util::ErrorCode;
 using util::SvcError;
 
-void
-putU16(unsigned char *p, std::uint16_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-}
-
-void
-putU32(unsigned char *p, std::uint32_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-    p[2] = static_cast<unsigned char>(v >> 16);
-    p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-std::uint16_t
-getU16(const unsigned char *p)
-{
-    return static_cast<std::uint16_t>(
-        p[0] | static_cast<std::uint16_t>(p[1]) << 8);
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
+/** Wire payload bounds: room for the version and type words, and no
+ *  more than kMaxPayloadBytes. */
+constexpr util::FrameLimits kWireLimits{4, kMaxPayloadBytes};
 
 [[noreturn]] void
 throwProtocol(const std::string &what)
@@ -178,41 +150,39 @@ encodeFrame(MsgType type, std::string_view body)
 {
     FO4_ASSERT(body.size() + 4 <= kMaxPayloadBytes,
                "frame body too large (%zu bytes)", body.size());
-    std::string payload;
-    payload.resize(4);
-    auto *words = reinterpret_cast<unsigned char *>(payload.data());
-    putU16(words, kProtocolVersion);
-    putU16(words + 2, static_cast<std::uint16_t>(type));
-    payload.append(body);
-
+    unsigned char words[4];
+    util::putU16(words, kProtocolVersion);
+    util::putU16(words + 2, static_cast<std::uint16_t>(type));
     std::string frame;
-    frame.resize(kFrameHeaderBytes);
-    auto *head = reinterpret_cast<unsigned char *>(frame.data());
-    putU32(head, static_cast<std::uint32_t>(payload.size()));
-    putU32(head + 4, util::crc32(payload.data(), payload.size()));
-    frame.append(payload);
+    util::appendFrame(
+        frame,
+        std::string_view(reinterpret_cast<const char *>(words), sizeof(words)),
+        body);
     return frame;
 }
 
 FrameHeader
 decodeFrameHeader(const unsigned char (&header)[kFrameHeaderBytes])
 {
-    FrameHeader h;
-    h.payloadBytes = getU32(header);
-    h.crc = getU32(header + 4);
     // Bound-check before anyone allocates: a corrupt length word must
-    // cost a typed error, not a 4 GiB allocation.
-    if (h.payloadBytes > kMaxPayloadBytes) {
-        throwProtocol(util::strprintf(
-            "oversize frame: length word %u exceeds the %u-byte limit",
-            h.payloadBytes, kMaxPayloadBytes));
-    }
-    if (h.payloadBytes < 4) {
+    // cost a typed error, not a 4 GiB allocation.  A well-formed head
+    // scans as a torn tail — its payload has not been read yet.
+    const util::ScannedFrame head = util::scanFrame(
+        std::string_view(reinterpret_cast<const char *>(header),
+                         kFrameHeaderBytes),
+        kWireLimits);
+    if (head.verdict == util::FrameVerdict::Oversize) {
+        if (head.length > kMaxPayloadBytes) {
+            throwProtocol(util::strprintf(
+                "oversize frame: length word %u exceeds the %u-byte "
+                "limit",
+                head.length, kMaxPayloadBytes));
+        }
         throwProtocol(util::strprintf(
             "runt frame: %u-byte payload cannot hold version and type",
-            h.payloadBytes));
+            head.length));
     }
-    return h;
+    return FrameHeader{head.length, head.storedCrc};
 }
 
 Frame
@@ -223,22 +193,22 @@ decodePayload(const FrameHeader &header, std::string_view payload)
             "payload size %zu does not match the header's %u",
             payload.size(), header.payloadBytes));
     }
-    if (const std::uint32_t computed =
-            util::crc32(payload.data(), payload.size());
-        computed != header.crc) {
+    if (const util::ScannedFrame checked =
+            util::verifyFramePayload(header.crc, payload);
+        checked.verdict != util::FrameVerdict::Ok) {
         throwProtocol(util::strprintf(
             "payload CRC mismatch (stored %08x, computed %08x)",
-            header.crc, computed));
+            header.crc, checked.computedCrc));
     }
     const auto *words =
         reinterpret_cast<const unsigned char *>(payload.data());
-    if (const std::uint16_t version = getU16(words);
+    if (const std::uint16_t version = util::getU16(words);
         version != kProtocolVersion) {
         throwProtocol(util::strprintf(
             "protocol version %u, this build speaks %u", version,
             kProtocolVersion));
     }
-    const std::uint16_t rawType = getU16(words + 2);
+    const std::uint16_t rawType = util::getU16(words + 2);
     if (!msgTypeKnown(rawType))
         throwProtocol(util::strprintf("unknown record type %u", rawType));
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Wire protocol of the sweep service: versioned, CRC-framed,
- * length-prefixed typed records over TCP — the util::Journal framing
- * discipline, pointed at a socket instead of a file.
+ * length-prefixed typed records over TCP — the util/frame.hh frames
+ * that journals and captures use, pointed at a socket instead of a
+ * file.
  *
  * Frame layout (little-endian, mirroring a journal record):
  *

@@ -1,14 +1,9 @@
 #include "trace/capture.hh"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "trace/trace_codec.hh"
-#include "util/journal.hh"
+#include "util/frame.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 
@@ -19,106 +14,18 @@ namespace
 {
 
 constexpr char kMagic[8] = {'F', 'O', '4', 'C', 'A', 'P', 'T', 'R'};
-constexpr std::size_t kHeaderBytes = 32;
-constexpr std::size_t kFrameHeadBytes = 8; // u32 len | u32 crc
-
-void
-putU32(unsigned char *p, std::uint32_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-    p[2] = static_cast<unsigned char>(v >> 16);
-    p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void
-putU64(unsigned char *p, std::uint64_t v)
-{
-    putU32(p, static_cast<std::uint32_t>(v));
-    putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    return static_cast<std::uint64_t>(getU32(p)) |
-           static_cast<std::uint64_t>(getU32(p + 4)) << 32;
-}
-
-/**
- * Header layout (mirrors the journal):
- *   [0, 8)   magic "FO4CAPTR"
- *   [8, 12)  format version
- *   [12, 16) flags (zero)
- *   [16, 24) reserved (zero)
- *   [24, 28) CRC32 of bytes [0, 24)
- *   [28, 32) reserved (zero)
- */
-void
-encodeHeader(unsigned char *h)
-{
-    std::memset(h, 0, kHeaderBytes);
-    std::memcpy(h, kMagic, sizeof(kMagic));
-    putU32(h + 8, kCaptureVersion);
-    putU32(h + 24, util::crc32(h, 24));
-}
+constexpr util::FrameLimits kCaptureLimits{1, kMaxCaptureFrame};
 
 [[noreturn]] void
-throwIo(const std::string &path, const char *what)
+throwIo(const std::string &message)
 {
-    throw util::TraceError(
-        util::ErrorCode::TraceIo,
-        util::strprintf("%s capture file '%s': %s", what, path.c_str(),
-                        std::strerror(errno)));
+    throw util::TraceError(util::ErrorCode::TraceIo, "capture " + message);
 }
 
 [[noreturn]] void
 throwCorrupt(const std::string &message)
 {
     throw util::TraceError(util::ErrorCode::TraceCorrupt, message);
-}
-
-struct FdCloser
-{
-    int fd;
-    ~FdCloser()
-    {
-        if (fd >= 0)
-            ::close(fd);
-    }
-};
-
-std::vector<unsigned char>
-readWholeFile(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0)
-        throwIo(path, "cannot open");
-    FdCloser closer{fd};
-
-    std::vector<unsigned char> data;
-    unsigned char buf[1 << 16];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            throwIo(path, "cannot read");
-        }
-        if (n == 0)
-            break;
-        data.insert(data.end(), buf, buf + n);
-    }
-    return data;
 }
 
 std::string
@@ -172,111 +79,54 @@ parseMeta(const unsigned char *body, std::size_t size,
 
 } // namespace
 
-bool
-isCaptureFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    char m[sizeof(kMagic)];
-    const bool got = std::fread(m, sizeof(m), 1, f) == 1;
-    std::fclose(f);
-    return got && std::memcmp(m, kMagic, sizeof(kMagic)) == 0;
-}
-
 CaptureContents
 readCapture(const std::string &path)
 {
-    const std::vector<unsigned char> data = readWholeFile(path);
+    const util::WholeFile file = util::readWholeFile(path);
+    if (!file.ok()) {
+        throw util::TraceError(
+            util::ErrorCode::TraceIo,
+            util::strprintf("%s capture file '%s': %s",
+                            file.opened ? "cannot read" : "cannot open",
+                            path.c_str(), std::strerror(file.error)));
+    }
+    const std::string &data = file.bytes;
 
-    // Header ladder: size, magic, version, then CRC.  Version is
-    // checked before the CRC so genuine version skew (a file from a
-    // newer build) reports TraceFormat, not bit rot.
-    if (data.size() < kHeaderBytes) {
-        throw util::TraceError(
-            util::ErrorCode::TraceFormat,
-            util::strprintf("capture '%s' is truncated: %zu bytes, "
-                            "shorter than the %zu-byte header",
-                            path.c_str(), data.size(), kHeaderBytes));
-    }
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-        throw util::TraceError(
-            util::ErrorCode::TraceFormat,
-            util::strprintf("'%s' is not a fo4pipe capture file",
-                            path.c_str()));
-    }
-    const std::uint32_t version = getU32(data.data() + 8);
-    if (version != kCaptureVersion) {
-        throw util::TraceError(
-            util::ErrorCode::TraceFormat,
-            util::strprintf("capture '%s' has unsupported version %u "
-                            "(this build speaks %u)",
-                            path.c_str(), version, kCaptureVersion));
-    }
-    const std::uint32_t storedCrc = getU32(data.data() + 24);
-    const std::uint32_t computedCrc = util::crc32(data.data(), 24);
-    if (storedCrc != computedCrc) {
-        throwCorrupt(util::strprintf(
-            "capture '%s': header CRC mismatch (stored %08x, computed "
-            "%08x)",
-            path.c_str(), storedCrc, computedCrc));
+    const util::FileHeader header =
+        util::checkFileHeader(data, kMagic, kCaptureVersion);
+    if (header.verdict != util::HeaderVerdict::Ok) {
+        throw util::TraceError(header.verdict == util::HeaderVerdict::BadCrc
+                                   ? util::ErrorCode::TraceCorrupt
+                                   : util::ErrorCode::TraceFormat,
+                               header.describe("capture", path));
     }
 
     CaptureContents out;
-    std::size_t offset = kHeaderBytes;
     std::size_t frame = 0;
-    while (offset < data.size()) {
-        const std::size_t remaining = data.size() - offset;
-        if (remaining < kFrameHeadBytes) {
-            out.tornTail = true;
-            break;
-        }
-        const std::uint32_t len = getU32(data.data() + offset);
-        // Length plausibility comes before the torn-tail comparison: a
-        // rotted length field must not be misread as "tail cut short".
-        if (len == 0 || len > kMaxCaptureFrame) {
-            throwCorrupt(util::strprintf(
-                "capture '%s': frame %zu declares %u payload bytes, "
-                "outside (0, %u] — refused before allocation",
-                path.c_str(), frame, len, kMaxCaptureFrame));
-        }
-        if (remaining - kFrameHeadBytes < len) {
-            out.tornTail = true;
-            break;
-        }
-        const unsigned char *payload = data.data() + offset +
-                                       kFrameHeadBytes;
-        const std::uint32_t stored = getU32(data.data() + offset + 4);
-        const std::uint32_t computed = util::crc32(payload, len);
-        if (stored != computed) {
-            throwCorrupt(util::strprintf(
-                "capture '%s': frame %zu CRC mismatch at offset %zu "
-                "(stored %08x, computed %08x)",
-                path.c_str(), frame, offset, stored, computed));
-        }
+    const auto onFrame = [&](std::string_view payload) {
         if (out.finalized) {
             throwCorrupt(util::strprintf(
                 "capture '%s': frame %zu follows the end frame",
                 path.c_str(), frame));
         }
-        const char kind = static_cast<char>(payload[0]);
-        const unsigned char *body = payload + 1;
-        const std::size_t bodyLen = len - 1;
-        switch (kind) {
-        case 'M':
+        const auto *body =
+            reinterpret_cast<const unsigned char *>(payload.data()) + 1;
+        const std::size_t bodyLen = payload.size() - 1;
+        switch (payload[0]) {
+          case 'M':
             parseMeta(body, bodyLen, path, out.meta);
             break;
-        case 'O':
+          case 'O':
             appendCheckedRecords(body, bodyLen, path, out.ops);
             break;
-        case 'E': {
+          case 'E': {
             if (bodyLen != 8) {
                 throwCorrupt(util::strprintf(
                     "capture '%s': malformed end frame (%zu body "
                     "bytes, expected 8)",
                     path.c_str(), bodyLen));
             }
-            const std::uint64_t declared = getU64(body);
+            const std::uint64_t declared = util::getU64(body);
             if (declared != out.ops.size()) {
                 throwCorrupt(util::strprintf(
                     "capture '%s': end frame declares %llu records "
@@ -287,14 +137,23 @@ readCapture(const std::string &path)
             }
             out.finalized = true;
             break;
-        }
-        default:
+          }
+          default:
             throwCorrupt(util::strprintf(
                 "capture '%s': unknown frame kind 0x%02x in frame %zu",
-                path.c_str(), static_cast<unsigned>(payload[0]), frame));
+                path.c_str(),
+                static_cast<unsigned>(static_cast<unsigned char>(payload[0])),
+                frame));
         }
-        offset += kFrameHeadBytes + len;
         ++frame;
+    };
+    const util::FrameRun run = util::scanFrames(
+        data, util::kFileHeaderBytes, kCaptureLimits, onFrame);
+    out.tornTail = run.stop.verdict == util::FrameVerdict::TornTail;
+    if (run.stop.verdict == util::FrameVerdict::Corrupt ||
+        run.stop.verdict == util::FrameVerdict::Oversize) {
+        throwCorrupt(util::strprintf("capture '%s': %s", path.c_str(),
+                                     run.describe("frame").c_str()));
     }
     return out;
 }
@@ -307,88 +166,36 @@ CaptureWriter::create(const std::string &path, const CaptureMeta &meta,
         throw util::ConfigError("capture opsPerFrame must be positive");
     const std::string metaText = serializeMeta(meta); // validate first
 
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
-    if (fd < 0)
-        throwIo(path, "cannot create");
-
-    CaptureWriter w(fd, path, tmp, opsPerFrame);
-    unsigned char header[kHeaderBytes];
-    encodeHeader(header);
-    const util::Status st = util::writeAllStatus(fd, header,
-                                                 sizeof(header), tmp);
-    if (!st.isOk()) {
-        w.abandon();
-        throw util::TraceError(util::ErrorCode::TraceIo, st.message());
-    }
-    w.writeFrame('M', metaText.data(), metaText.size());
+    CaptureWriter w(opsPerFrame);
+    if (const util::Status st = w.file.open(path, path + ".tmp");
+        !st.isOk())
+        throwIo(st.message());
+    w.write(util::encodeFileHeader(kMagic, kCaptureVersion));
+    w.writeFrame('M', metaText);
     return w;
 }
 
-CaptureWriter::CaptureWriter(int fd, std::string finalPath,
-                             std::string tmp, std::size_t opsPerFrame)
-    : fd(fd), path(std::move(finalPath)), tmpPath(std::move(tmp)),
-      opsPerFrame(opsPerFrame)
+CaptureWriter::CaptureWriter(std::size_t opsPerFrame)
+    : opsPerFrame(opsPerFrame)
 {
-}
-
-CaptureWriter::CaptureWriter(CaptureWriter &&other) noexcept
-    : fd(other.fd), path(std::move(other.path)),
-      tmpPath(std::move(other.tmpPath)), opsPerFrame(other.opsPerFrame),
-      pending(std::move(other.pending)), count(other.count)
-{
-    other.fd = -1;
-}
-
-CaptureWriter &
-CaptureWriter::operator=(CaptureWriter &&other) noexcept
-{
-    if (this != &other) {
-        abandon();
-        fd = other.fd;
-        path = std::move(other.path);
-        tmpPath = std::move(other.tmpPath);
-        opsPerFrame = other.opsPerFrame;
-        pending = std::move(other.pending);
-        count = other.count;
-        other.fd = -1;
-    }
-    return *this;
-}
-
-CaptureWriter::~CaptureWriter()
-{
-    abandon();
 }
 
 void
-CaptureWriter::abandon() noexcept
+CaptureWriter::write(std::string_view bytes)
 {
-    if (fd < 0)
-        return;
-    ::close(fd);
-    fd = -1;
-    ::unlink(tmpPath.c_str());
+    if (const util::Status st = file.write(bytes); !st.isOk()) {
+        file.abandon();
+        active = false;
+        throwIo(st.message());
+    }
 }
 
 void
-CaptureWriter::writeFrame(char kind, const void *body, std::size_t size)
+CaptureWriter::writeFrame(char kind, std::string_view body)
 {
-    const std::uint32_t len = static_cast<std::uint32_t>(size) + 1;
-    std::vector<unsigned char> frame(kFrameHeadBytes + len);
-    frame[kFrameHeadBytes] = static_cast<unsigned char>(kind);
-    if (size != 0)
-        std::memcpy(frame.data() + kFrameHeadBytes + 1, body, size);
-    putU32(frame.data(), len);
-    putU32(frame.data() + 4,
-           util::crc32(frame.data() + kFrameHeadBytes, len));
-    const util::Status st = util::writeAllStatus(fd, frame.data(),
-                                                 frame.size(), tmpPath);
-    if (!st.isOk()) {
-        abandon();
-        throw util::TraceError(util::ErrorCode::TraceIo, st.message());
-    }
+    std::string frame;
+    util::appendFrame(frame, std::string_view(&kind, 1), body);
+    write(frame);
 }
 
 void
@@ -396,18 +203,20 @@ CaptureWriter::flushOps()
 {
     if (pending.empty())
         return;
-    writeFrame('O', pending.data(), pending.size());
+    writeFrame('O', pending);
     pending.clear();
 }
 
 void
 CaptureWriter::append(const isa::MicroOp &op)
 {
-    if (fd < 0)
+    if (!active)
         throw util::ConfigError("append to a closed capture writer");
     const std::size_t tail = pending.size();
     pending.resize(tail + sizeof(TraceRecord));
-    encodeTraceRecord(packTraceRecord(op), pending.data() + tail);
+    encodeTraceRecord(packTraceRecord(op),
+                      reinterpret_cast<unsigned char *>(pending.data()) +
+                          tail);
     ++count;
     if (pending.size() >= opsPerFrame * sizeof(TraceRecord))
         flushOps();
@@ -416,37 +225,33 @@ CaptureWriter::append(const isa::MicroOp &op)
 void
 CaptureWriter::close()
 {
-    if (fd < 0)
+    if (!active)
         throw util::ConfigError("capture writer already closed");
     if (count == 0) {
-        abandon();
+        file.abandon();
+        active = false;
         throw util::ConfigError("recording an empty trace");
     }
     flushOps();
-    unsigned char body[8];
-    putU64(body, count);
-    writeFrame('E', body, sizeof(body));
+    std::string end;
+    util::appendU64(end, count);
+    writeFrame('E', end);
+    active = false;
+    if (const util::Status st = file.publish(); !st.isOk())
+        throwIo(st.message());
+}
 
-    if (::fsync(fd) != 0) {
-        const int err = errno;
-        abandon();
-        errno = err;
-        throwIo(path, "cannot fsync");
-    }
-    ::close(fd);
-    fd = -1;
-    if (::rename(tmpPath.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        ::unlink(tmpPath.c_str());
-        errno = err;
-        throwIo(path, "cannot publish");
-    }
-    try {
-        util::fsyncParentDirectory(path);
-    } catch (const util::SimError &e) {
-        throw util::TraceError(util::ErrorCode::TraceIo,
-                               e.toStatus().message());
-    }
+void
+recordTrace(const std::string &path, TraceSource &source,
+            std::uint64_t count)
+{
+    if (count == 0)
+        throw util::ConfigError("recording an empty trace");
+    CaptureWriter writer = CaptureWriter::create(path);
+    source.reset();
+    for (std::uint64_t i = 0; i < count; ++i)
+        writer.append(source.next());
+    writer.close();
 }
 
 } // namespace fo4::trace

@@ -7,8 +7,8 @@
  * on-disk contract (after journal, checkpoint, CSV and blob store).
  *
  * A capture stores the microop stream of one recorded run plus a
- * key=value metadata block describing the run it came from.  It reuses
- * the util::Journal framing discipline: a 32-byte CRC-protected header
+ * key=value metadata block describing the run it came from.  Its bytes
+ * are laid out by util/frame.hh: the 32-byte CRC-protected file header
  * followed by `u32 len | u32 crc32(payload) | payload` frames, where
  * payload[0] is a frame kind:
  *
@@ -17,21 +17,25 @@
  *   'E'  end frame — u64 record count; written by close() and marks
  *        the capture finalized
  *
- * Durability matches the journal: the writer builds `path + ".tmp"`,
- * fsyncs, renames over the final path and fsyncs the directory, so a
- * capture is published whole-file-atomically or not at all.  The end
- * frame distinguishes a torn tail (crash before close(): valid prefix
- * recoverable, reported via CaptureContents::tornTail / !finalized)
- * from bit rot inside a complete frame (typed TraceError, TraceCorrupt).
+ * The writer publishes through util::AtomicFile: it builds
+ * `path + ".tmp"`, fsyncs, renames over the final path and fsyncs the
+ * directory, so a capture is published whole-file-atomically or not at
+ * all.  The end frame distinguishes a torn tail (crash before close():
+ * valid prefix recoverable, reported via CaptureContents::tornTail /
+ * !finalized) from bit rot inside a complete frame (typed TraceError,
+ * TraceCorrupt).
  * See DESIGN.md §16 for the full corruption ladder.
  */
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "isa/microop.hh"
+#include "trace/trace.hh"
+#include "util/frame.hh"
 
 namespace fo4::trace
 {
@@ -63,13 +67,6 @@ struct CaptureContents
 };
 
 /**
- * True iff `path` starts with the capture magic.  A missing or
- * unreadable file is simply "not a capture" — the caller's format
- * fallback will produce the typed open error.
- */
-bool isCaptureFile(const std::string &path);
-
-/**
  * Reads and validates a capture file.
  *
  * Lenient about *truncation* (the journal's torn-tail rule): a file
@@ -89,7 +86,8 @@ CaptureContents readCapture(const std::string &path);
  * seals the end frame, fsyncs and renames into place.  A writer
  * destroyed without close() unlinks the tmp file — an aborted
  * recording never publishes a capture.  All I/O failures throw
- * TraceError(TraceIo); write faults injected via
+ * TraceError(TraceIo) — a failed fsync of the directory too, although
+ * the capture is then already in place; write faults injected via
  * util::setDiskFaultHook() surface the same way.
  */
 class CaptureWriter
@@ -103,11 +101,8 @@ class CaptureWriter
                                 const CaptureMeta &meta = {},
                                 std::size_t opsPerFrame = 2048);
 
-    CaptureWriter(CaptureWriter &&other) noexcept;
-    CaptureWriter &operator=(CaptureWriter &&other) noexcept;
-    CaptureWriter(const CaptureWriter &) = delete;
-    CaptureWriter &operator=(const CaptureWriter &) = delete;
-    ~CaptureWriter();
+    CaptureWriter(CaptureWriter &&other) noexcept = default;
+    CaptureWriter &operator=(CaptureWriter &&other) noexcept = default;
 
     void append(const isa::MicroOp &op);
 
@@ -116,26 +111,31 @@ class CaptureWriter
 
     /**
      * Flushes, writes the end frame, fsyncs and atomically publishes
-     * the capture.  Throws ConfigError on an empty capture — the same
-     * refusal recordTrace() makes for the flat format.
+     * the capture.  Throws ConfigError on an empty capture.
      */
     void close();
 
   private:
-    CaptureWriter(int fd, std::string finalPath, std::string tmp,
-                  std::size_t opsPerFrame);
+    explicit CaptureWriter(std::size_t opsPerFrame);
 
-    void writeFrame(char kind, const void *body, std::size_t size);
+    void write(std::string_view bytes);
+    void writeFrame(char kind, std::string_view body);
     void flushOps();
-    void abandon() noexcept;
 
-    int fd = -1;
-    std::string path;
-    std::string tmpPath;
+    util::AtomicFile file;
+    bool active = true;
     std::size_t opsPerFrame = 2048;
-    std::vector<unsigned char> pending;
+    std::string pending;
     std::uint64_t count = 0;
 };
+
+/**
+ * Record the first `count` instructions of `source` (after a reset) as
+ * a capture with no metadata.  Throws ConfigError for count == 0 and
+ * TraceError(TraceIo) on I/O failure.
+ */
+void recordTrace(const std::string &path, TraceSource &source,
+                 std::uint64_t count);
 
 } // namespace fo4::trace
 

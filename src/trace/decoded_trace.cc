@@ -103,8 +103,6 @@ DecodedTraceRegistry::viewForProfile(const BenchmarkProfile &profile)
 std::unique_ptr<DecodedTraceView>
 DecodedTraceRegistry::viewForFile(const std::string &path)
 {
-    // openTraceFile sniffs the format, so capture files and flat v1
-    // trace files both replay through the decoded registry.
     return viewFor("file:" + path,
                    [&path] { return openTraceFile(path); });
 }

@@ -2,12 +2,12 @@
  * @file
  * One-pass trace materialization.  A DecodedTrace pulls a TraceSource's
  * MicroOp stream exactly once and stores it as packed TraceRecords (the
- * file_trace layout), so every grid cell of a sweep column can replay
+ * capture record layout), so every grid cell of a sweep column can replay
  * the same benchmark without regenerating it.  Cells at different clock
  * periods walk different distances into the stream; the cache grows on
  * demand and is safe to read from many simulation threads at once.
  *
- * Identity: both SyntheticTraceGenerator and FileTrace number the ops
+ * Identity: both SyntheticTraceGenerator and RecordedTrace number the ops
  * they emit by stream position (op.seq == index), so a record replayed
  * from the cache is bit-identical to one pulled live — the batched
  * simulation path cannot change bytes by construction.
@@ -30,9 +30,9 @@
 #include <mutex>
 #include <string>
 
-#include "trace/file_trace.hh"
 #include "trace/profile.hh"
 #include "trace/trace.hh"
+#include "trace/trace_codec.hh"
 
 namespace fo4::trace
 {
@@ -128,7 +128,8 @@ class DecodedTraceRegistry
     viewForProfile(const BenchmarkProfile &profile);
 
     /** View over the decoded stream of a recorded trace file.  Throws
-     *  the FileTrace load errors (every failing call — never cached). */
+     *  the openTraceFile load errors (every failing call — never
+     *  cached). */
     std::unique_ptr<DecodedTraceView> viewForFile(const std::string &path);
 
     /** Cached trace count (tests). */

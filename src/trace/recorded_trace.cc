@@ -1,6 +1,5 @@
 #include "trace/recorded_trace.hh"
 
-#include "trace/file_trace.hh"
 #include "util/logging.hh"
 
 namespace fo4::trace
@@ -71,9 +70,7 @@ RecordedTrace::metaValue(const std::string &key,
 std::unique_ptr<TraceSource>
 openTraceFile(const std::string &path)
 {
-    if (isCaptureFile(path))
-        return std::make_unique<RecordedTrace>(path);
-    return std::make_unique<FileTrace>(path);
+    return std::make_unique<RecordedTrace>(path);
 }
 
 } // namespace fo4::trace

@@ -4,7 +4,7 @@
 /**
  * @file
  * trace::RecordedTrace — replays a capture file as a TraceSource, and
- * openTraceFile() — the one place on-disk trace formats are sniffed.
+ * openTraceFile() — the one place a trace path is opened.
  */
 
 #include <cstdint>
@@ -21,13 +21,12 @@ namespace fo4::trace
 
 /**
  * Replays the ops of a finalized capture, cycling when exhausted and
- * renumbering seq by stream position, exactly like FileTrace.
+ * renumbering seq by stream position, like VectorTrace.
  *
  * Refuses unfinalized captures: readCapture() will happily salvage the
  * valid prefix of a torn file for inspection tooling, but *replaying*
  * a truncated stream would silently simulate different instructions
- * than the recorded run — the same reason FileTrace refuses stray
- * trailing bytes — so construction throws TraceError(TraceCorrupt)
+ * than the recorded run, so construction throws TraceError(TraceCorrupt)
  * instead.
  */
 class RecordedTrace final : public TraceSource
@@ -60,11 +59,11 @@ class RecordedTrace final : public TraceSource
 };
 
 /**
- * Opens an on-disk trace by sniffing its magic: a capture file yields
- * a RecordedTrace, anything else is handed to FileTrace (which raises
- * the usual typed errors for non-traces).  Every consumer of trace
- * paths — runJob, the decoded-trace registry, the CLIs — goes through
- * here, so both formats work everywhere a trace path is accepted.
+ * Opens an on-disk trace.  Captures are the one trace file format: a
+ * capture yields a RecordedTrace, anything else fails with the typed
+ * readCapture() errors (TraceFormat for a non-capture, TraceIo for a
+ * missing file).  Every consumer of trace paths — runJob, the
+ * decoded-trace registry, the CLIs — goes through here.
  */
 std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 

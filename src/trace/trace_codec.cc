@@ -9,6 +9,36 @@ namespace fo4::trace
 {
 
 TraceRecord
+packTraceRecord(const isa::MicroOp &op)
+{
+    TraceRecord r;
+    r.seq = op.seq;
+    r.pc = op.pc;
+    r.addr = op.addr;
+    r.src1 = op.src1;
+    r.src2 = op.src2;
+    r.dst = op.dst;
+    r.cls = static_cast<std::uint8_t>(op.cls);
+    r.taken = op.taken ? 1 : 0;
+    return r;
+}
+
+isa::MicroOp
+unpackTraceRecord(const TraceRecord &r)
+{
+    isa::MicroOp op;
+    op.seq = r.seq;
+    op.pc = r.pc;
+    op.addr = r.addr;
+    op.src1 = r.src1;
+    op.src2 = r.src2;
+    op.dst = r.dst;
+    op.cls = static_cast<isa::OpClass>(r.cls);
+    op.taken = r.taken != 0;
+    return op;
+}
+
+TraceRecord
 decodeTraceRecord(const unsigned char *bytes)
 {
     TraceRecord r;

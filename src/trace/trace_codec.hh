@@ -3,15 +3,13 @@
 
 /**
  * @file
- * Shared record codec and corruption matrix for the on-disk trace
- * formats.
+ * The packed 32-byte instruction record and its codec.
  *
- * Two containers store packed TraceRecords: the flat v1 trace file
- * (trace::FileTrace) and the CRC-framed capture container
- * (trace/capture.hh).  Both decoders funnel every record read from an
- * untrusted file through the helpers here, so the two formats accept
- * exactly the same records and reject corruption with the same typed
- * util::TraceError messages — the formats cannot drift apart.
+ * TraceRecord is both the on-disk record of a capture's op frames
+ * (trace/capture.hh) and the in-memory layout of the DecodedTrace
+ * cache, so a materialized stream is exactly what a recorder writes.
+ * Every record read from an untrusted file goes through the range
+ * checks here before it becomes a MicroOp.
  */
 
 #include <cstddef>
@@ -20,10 +18,32 @@
 #include <vector>
 
 #include "isa/microop.hh"
-#include "trace/file_trace.hh"
 
 namespace fo4::trace
 {
+
+/** Fixed-size packed instruction record (little-endian on disk). */
+struct TraceRecord
+{
+    std::uint64_t seq;
+    std::uint64_t pc;
+    std::uint64_t addr;
+    std::int16_t src1;
+    std::int16_t src2;
+    std::int16_t dst;
+    std::uint8_t cls;
+    std::uint8_t taken;
+};
+static_assert(sizeof(TraceRecord) == 32, "trace record must be 32 bytes");
+
+/** Pack a MicroOp into the record layout (no validation needed: a
+ *  MicroOp is in range by construction). */
+TraceRecord packTraceRecord(const isa::MicroOp &op);
+
+/** Unpack a record assumed valid (e.g. produced by packTraceRecord).
+ *  Records read from untrusted files are range-checked by
+ *  checkTraceRecord before they reach this layout. */
+isa::MicroOp unpackTraceRecord(const TraceRecord &r);
 
 /**
  * Decodes one packed 32-byte record from a byte buffer.  The on-disk

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -24,38 +23,6 @@ namespace
 
 constexpr char kBlobMagic[8] = {'F', 'O', '4', 'B', 'L', 'O', 'B', '\n'};
 constexpr std::size_t kBlobHeaderBytes = 32;
-
-void
-putU32(unsigned char *p, std::uint32_t v)
-{
-    p[0] = static_cast<unsigned char>(v);
-    p[1] = static_cast<unsigned char>(v >> 8);
-    p[2] = static_cast<unsigned char>(v >> 16);
-    p[3] = static_cast<unsigned char>(v >> 24);
-}
-
-void
-putU64(unsigned char *p, std::uint64_t v)
-{
-    putU32(p, static_cast<std::uint32_t>(v));
-    putU32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    return static_cast<std::uint64_t>(getU32(p)) |
-           (static_cast<std::uint64_t>(getU32(p + 4)) << 32);
-}
 
 /** One directory entry that is a real blob (never a .tmp leftover). */
 struct BlobFile
@@ -94,24 +61,6 @@ scanBlobs(const std::string &dir, std::vector<BlobFile> &out)
     }
     ::closedir(d);
     return true;
-}
-
-/** Read the whole of `fd` into `out`; false on a read error. */
-bool
-readAll(int fd, std::string &out)
-{
-    char buf[65536];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof(buf));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return true;
-        out.append(buf, static_cast<std::size_t>(n));
-    }
 }
 
 } // namespace
@@ -163,19 +112,13 @@ BlobStore::get(const std::string &key)
     const std::string path = pathFor(key);
     if (hooks.beforeRead)
         hooks.beforeRead(key, path);
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        if (errno != ENOENT)
+    const WholeFile file = readWholeFile(path);
+    if (!file.ok()) {
+        if (file.opened || file.error != ENOENT)
             countDiskError();
         return miss();
     }
-    std::string raw;
-    const bool readOk = readAll(fd, raw);
-    ::close(fd);
-    if (!readOk) {
-        countDiskError();
-        return miss();
-    }
+    const std::string &raw = file.bytes;
     // Verify the frame top to bottom; *any* mismatch quarantines the
     // file (unlink) so a rotten blob costs one recompute, not one
     // failed verification per lookup forever.
@@ -280,50 +223,20 @@ BlobStore::put(const std::string &key, std::string_view payload)
     record.append(payload);
 
     const std::string path = pathFor(key);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    const int fd = ::open(tmp.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (fd < 0) {
+    AtomicFile file;
+    if (!file.open(path, path + ".tmp." + std::to_string(::getpid()))
+             .isOk() ||
+        !file.write(record).isOk()) {
         countDiskError();
         return false;
     }
-    const auto dropTmp = [&] {
-        ::close(fd);
-        ::unlink(tmp.c_str());
+    if (!file.publish().isOk()) {
         countDiskError();
-        return false;
-    };
-    std::optional<DiskFault> fault;
-    if (hooks.onWrite)
-        fault = hooks.onWrite(key);
-    if (fault) {
-        // Model the disk filling mid-record: land a prefix, then fail.
-        const std::size_t partial =
-            std::min(fault->shortWriteBytes, record.size());
-        if (partial)
-            (void)writeAllStatus(fd, record.data(), partial, tmp);
-        return dropTmp();
-    }
-    if (!writeAllStatus(fd, record.data(), record.size(), tmp).isOk())
-        return dropTmp();
-    if (::fsync(fd) != 0)
-        return dropTmp();
-    if (::close(fd) != 0) {
-        ::unlink(tmp.c_str());
-        countDiskError();
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        ::unlink(tmp.c_str());
-        countDiskError();
-        return false;
-    }
-    try {
-        fsyncParentDirectory(path);
-    } catch (const JournalError &) {
-        // The blob is readable already; only its power-loss durability
-        // is in doubt — and a vanished cache entry is just a miss.
-        countDiskError();
+        // Only a failed directory fsync leaves the blob in place: it is
+        // readable already, and a cache entry that vanishes on power
+        // loss is just a miss, so the store still counts.
+        if (!file.renamed())
+            return false;
     }
     if (hooks.afterPublish)
         hooks.afterPublish(key, path);

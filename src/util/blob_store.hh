@@ -14,9 +14,12 @@
  *                         as a different entry)
  *     payload bytes
  *
- * Publication follows the §8 durability discipline: write to
+ * Publication goes through util::AtomicFile (DESIGN.md §8): write to
  * `<final>.tmp.<pid>`, fsync, rename, fsync the parent directory — a
- * reader never observes a half-written blob under its final name.
+ * reader never observes a half-written blob under its final name.  A
+ * failed directory fsync after the rename counts a disk error but
+ * keeps the store: the blob is readable, and losing it to a power cut
+ * only costs a miss.
  *
  * The robustness contract is the whole point (DESIGN.md §15): a cache
  * must *never* betray the byte-identity contract, so every failure
@@ -50,8 +53,9 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
-#include "util/journal.hh"
+#include "util/frame.hh"
 
 namespace fo4::util
 {
@@ -62,14 +66,12 @@ constexpr std::uint32_t kBlobVersion = 1;
 
 /**
  * Fault-injection hooks for the chaos harness (tests only).  All are
- * optional; an empty hook is a no-op.
+ * optional; an empty hook is a no-op.  Write faults (ENOSPC, short
+ * writes) come from util::setDiskFaultHook, which every blob write
+ * consults with the blob's temporary path.
  */
 struct BlobStoreHooks
 {
-    /** Consulted before each payload write; return a fault to make the
-     *  write land short and fail typed (see util::DiskFault). */
-    std::function<std::optional<DiskFault>(const std::string &key)>
-        onWrite;
     /** Runs after a blob is renamed into place (flip bytes, unlink…). */
     std::function<void(const std::string &key, const std::string &path)>
         afterPublish;

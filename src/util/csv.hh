@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "util/frame.hh"
 #include "util/status.hh"
 
 namespace fo4::util
@@ -34,27 +35,24 @@ class CsvWriter
 };
 
 /**
- * Crash-safe CSV output file.  Rows accumulate in `<path>.tmp`; commit()
- * flushes, fsyncs and atomically renames onto `path`, so a reader (or a
- * rerun after a crash) never observes a half-written CSV — it sees either
- * the previous complete file or the new complete file.  Destroying an
- * uncommitted AtomicCsvFile removes the temporary (best effort).
+ * Crash-safe CSV output file over util::AtomicFile.  Rows accumulate in
+ * `<path>.tmp`; commit() fsyncs and atomically renames onto `path`, so a
+ * reader (or a rerun after a crash) never observes a half-written CSV —
+ * it sees either the previous complete file or the new complete file.
+ * Destroying an uncommitted AtomicCsvFile removes the temporary.
  *
  * Failures to create, write, sync or rename throw
  * JournalError(ErrorCode::JournalIo) — the same durability error class
  * the write-ahead journal uses.  The try* variants return the same
  * failures as a typed Status instead, so a caller mid-sweep can treat a
  * full disk as "no CSV today" rather than an aborted run; writes go
- * through writeAllStatus and therefore honour the disk-fault hook.
+ * through util::AtomicFile and therefore honour the disk-fault hook.
  */
 class AtomicCsvFile
 {
   public:
     /** Open `<path>.tmp` for writing (truncating any stale leftover). */
-    explicit AtomicCsvFile(std::string path);
-
-    /** Discards the temporary if commit() was never reached. */
-    ~AtomicCsvFile();
+    explicit AtomicCsvFile(const std::string &path);
 
     AtomicCsvFile(const AtomicCsvFile &) = delete;
     AtomicCsvFile &operator=(const AtomicCsvFile &) = delete;
@@ -73,19 +71,18 @@ class AtomicCsvFile
     void commit();
 
     /** commit() as a Status (no partial final file on failure: the
-     *  rename only happens after a clean fsync of the temporary). */
+     *  rename only happens after a clean fsync of the temporary).  A
+     *  failed directory fsync after the rename is an error too, with
+     *  the CSV already in place. */
     Status tryCommit();
 
     bool committed() const { return done; }
 
     /** Where rows land before commit() (exposed for tests). */
-    const std::string &tempPath() const { return tmp; }
+    const std::string &tempPath() const { return file.tempPath(); }
 
   private:
-    std::string path;
-    std::string tmp;
-    int fd = -1;
-    bool failed = false;
+    AtomicFile file;
     bool done = false;
 };
 

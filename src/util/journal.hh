@@ -9,6 +9,9 @@
  *                        header CRC32
  *     record:            u32 payload length | u32 payload CRC32 | payload
  *
+ * Both layouts, the frame scanner and the atomic publisher come from
+ * util/frame.hh; this file holds the journal's semantics.
+ *
  * Durability discipline:
  *
  *  - the header is created atomically: written to `<path>.tmp`,
@@ -22,9 +25,9 @@
  *    can legitimately leave behind — a *torn trailing record*, i.e. an
  *    incomplete final frame — by discarding it and reporting where the
  *    valid prefix ends.  Damage anywhere else (a CRC mismatch on a
- *    complete record, a bad header) is not a crash artifact and is
- *    rejected with a typed JournalError: a journal is either trusted or
- *    refused, never silently patched.
+ *    complete record, an implausible record length, a bad header) is
+ *    not a crash artifact and is rejected with a typed JournalError: a
+ *    journal is either trusted or refused, never silently patched.
  *
  * The identity fingerprint in the header binds the journal to the exact
  * inputs of the run that produced it; a resume against different inputs
@@ -36,51 +39,15 @@
 #define FO4_UTIL_JOURNAL_HH
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/frame.hh"
 #include "util/status.hh"
 
 namespace fo4::util
 {
-
-// ---------------------------------------------------------------------
-// Disk-fault injection (test seam)
-// ---------------------------------------------------------------------
-
-/**
- * One injected disk fault: the write lands `shortWriteBytes` bytes for
- * real (modelling a partial write as the disk fills), then fails with
- * `failErrno`.  The default is an immediate ENOSPC.
- */
-struct DiskFault
-{
-    int failErrno = 28; // ENOSPC
-    std::size_t shortWriteBytes = 0;
-};
-
-/**
- * Process-wide hook consulted by every durable write path (journal
- * appends, atomic CSV rows, blob-store publication).  Return a fault to
- * inject for writes to `path`, nullopt to let the write proceed.  Test
- * seam only; pass nullptr to clear.  Not thread-safe against concurrent
- * writers — install before the writers start.
- */
-using DiskFaultHook =
-    std::function<std::optional<DiskFault>(const std::string &path)>;
-void setDiskFaultHook(DiskFaultHook hook);
-
-/**
- * Write all `size` bytes to `fd` (EINTR-safe), honouring the disk-fault
- * hook.  Returns Ok or a JournalIo Status naming `path`, the errno text
- * and how many bytes actually landed — the typed surface for ENOSPC and
- * short writes that the journal/CSV durability paths build on.
- */
-Status writeAllStatus(int fd, const void *data, std::size_t size,
-                      const std::string &path);
 
 /**
  * Current journal format version (header field).  v2 widened the cell
@@ -90,19 +57,15 @@ Status writeAllStatus(int fd, const void *data, std::size_t size,
  */
 constexpr std::uint32_t kJournalVersion = 2;
 
-/** CRC-32 (IEEE 802.3, reflected); chainable via `crc`. */
-std::uint32_t crc32(const void *data, std::size_t size,
-                    std::uint32_t crc = 0);
-
 /**
- * fsync the directory containing `path`.  A rename makes a file visible
- * under its final name, but only the *directory entry's* durability —
- * this fsync — guarantees the published file cannot vanish on power
- * loss.  Every tmp→final rename in the repo (journal creation, atomic
- * CSV publication) ends with this call; throws
- * JournalError(JournalIo) on failure.
+ * Largest record payload a journal holds.  A length word above it is
+ * bit rot, not a record: readJournal() refuses it (JournalCorrupt)
+ * before the torn-tail test, so a rotted length cannot pass for a torn
+ * tail and have recovery drop every record behind it.  The writer
+ * refuses a larger record (JournalFormat), so it never writes a journal
+ * its own reader refuses.  Cell records are a few hundred bytes.
  */
-void fsyncParentDirectory(const std::string &path);
+constexpr std::uint32_t kMaxJournalRecord = 1u << 20;
 
 /** Everything recovery learns from an existing journal. */
 struct JournalContents
@@ -125,10 +88,10 @@ struct JournalContents
  *
  *  - JournalIo: the file cannot be opened or read;
  *  - JournalFormat: truncated or non-journal header, or a format
- *    version this build does not speak;
- *  - JournalCorrupt: header CRC mismatch, or a CRC mismatch on a
- *    record whose frame is complete (mid-file bit rot, not a torn
- *    append).
+ *    version this build does not speak (checked before the header CRC);
+ *  - JournalCorrupt: header CRC mismatch, a record length above
+ *    kMaxJournalRecord, or a CRC mismatch on a record whose frame is
+ *    complete (mid-file bit rot, not a torn append).
  */
 JournalContents readJournal(const std::string &path);
 
@@ -176,7 +139,9 @@ class JournalWriter
     ~JournalWriter();
 
     /** Append one record (single write(); fsync if syncEveryRecord).
-     *  Throws JournalError(JournalIo) on write/sync failure. */
+     *  Throws JournalError(JournalIo) on write/sync failure, and
+     *  JournalError(JournalFormat) for a payload above
+     *  kMaxJournalRecord. */
     void append(std::string_view payload);
 
     /**

@@ -21,7 +21,7 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/journal.hh"
@@ -54,7 +54,8 @@ smallSpec()
     return spec;
 }
 
-/** Write a short trace with one record's op-class byte destroyed. */
+/** Write a short capture with one byte inside its op frame destroyed:
+ *  the frame fails its CRC, so loading it is a typed TraceCorrupt. */
 std::string
 makeCorruptTrace(const std::string &name)
 {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,9 +20,11 @@
 #include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
+#include "trace/recorded_trace.hh"
 #include "trace/spec2000.hh"
+#include "util/frame.hh"
 #include "util/random.hh"
 #include "util/status.hh"
 
@@ -63,7 +66,7 @@ writeFile(const std::string &path, const std::vector<char> &bytes)
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Record a small healthy trace and return its raw bytes. */
+/** Record a small healthy capture and return its raw bytes. */
 std::vector<char>
 healthyTraceBytes(const std::string &path, std::uint64_t count = 256)
 {
@@ -73,31 +76,53 @@ healthyTraceBytes(const std::string &path, std::uint64_t count = 256)
     return readFile(path);
 }
 
-/** Expect loading `bytes` (written to a temp file) to raise `code`. */
+/**
+ * Capture layout of healthyTraceBytes(): the 32-byte header, an empty
+ * 'M' frame (8 + 1 bytes), then one 'O' frame whose packed 32-byte
+ * records start after its 8-byte head and kind byte.
+ */
+constexpr std::size_t kOpFrame = 32 + 9;
+constexpr std::size_t kRecords = kOpFrame + 8 + 1;
+
+/** Re-seal the 'O' frame's CRC so a record edit reaches the record
+ *  range checks instead of stopping at the frame CRC. */
 void
+resealOpFrame(std::vector<char> &bytes, std::size_t records)
+{
+    const std::size_t payload = 1 + records * 32;
+    unsigned char crc[4];
+    util::putU32(crc, util::crc32(bytes.data() + kOpFrame + 8, payload));
+    std::memcpy(bytes.data() + kOpFrame + 4, crc, sizeof(crc));
+}
+
+/** Expect loading `bytes` (written to a temp file) to raise `code`;
+ *  returns the error message. */
+std::string
 expectLoadError(const std::vector<char> &bytes, ErrorCode code,
                 const char *what)
 {
-    TempFile tmp("mutated.fo4t");
+    TempFile tmp("mutated.fo4cap");
     writeFile(tmp.path(), bytes);
     try {
-        trace::FileTrace t(tmp.path());
-        FAIL() << what << ": corrupted trace accepted";
+        trace::RecordedTrace t(tmp.path());
+        ADD_FAILURE() << what << ": corrupted trace accepted";
     } catch (const util::TraceError &e) {
         EXPECT_EQ(e.code(), code) << what << ": " << e.what();
+        return e.what();
     }
+    return "";
 }
 
 } // namespace
 
 TEST(TraceCorruption, Matrix)
 {
-    TempFile healthy("healthy.fo4t");
+    TempFile healthy("healthy.fo4cap");
     const auto good = healthyTraceBytes(healthy.path());
-    ASSERT_EQ(good.size(), 16u + 256u * 32u);
+    ASSERT_EQ(good.size(), kRecords + 256u * 32u + 17u);
 
     // Sanity: the unmutated bytes load fine.
-    EXPECT_NO_THROW(trace::FileTrace t(healthy.path()));
+    EXPECT_NO_THROW(trace::RecordedTrace t(healthy.path()));
 
     // Bad magic.
     auto mutated = good;
@@ -109,61 +134,44 @@ TEST(TraceCorruption, Matrix)
     mutated[8] = 2;
     expectLoadError(mutated, ErrorCode::TraceFormat, "version skew");
 
-    // Wrong declared record size (u32 at offset 12).
+    // A fixed header field (the flags word at offset 12) rotted.
     mutated = good;
     mutated[12] = 16;
-    expectLoadError(mutated, ErrorCode::TraceFormat, "record size");
+    expectLoadError(mutated, ErrorCode::TraceCorrupt, "header field");
 
     // Truncated mid-header.
     mutated.assign(good.begin(), good.begin() + 9);
     expectLoadError(mutated, ErrorCode::TraceFormat, "truncated header");
 
-    // Trailing partial record (truncated mid-write).
+    // Trailing partial frame (truncated mid-write).
     mutated.assign(good.begin(), good.end() - 7);
     expectLoadError(mutated, ErrorCode::TraceCorrupt, "partial record");
 
     // Header but no instructions.
-    mutated.assign(good.begin(), good.begin() + 16);
+    mutated.assign(good.begin(), good.begin() + 32);
     expectLoadError(mutated, ErrorCode::TraceCorrupt, "empty body");
 
-    // Invalid op class inside a record (cls is byte 30 of each record).
+    // Invalid op class inside a record (cls is byte 30 of each record),
+    // behind a valid frame CRC.
     mutated = good;
-    mutated[16 + 32 * 17 + 30] = static_cast<char>(0xEE);
-    expectLoadError(mutated, ErrorCode::TraceCorrupt, "bad op class");
+    mutated[kRecords + 32 * 17 + 30] = static_cast<char>(0xEE);
+    resealOpFrame(mutated, 256);
+    auto message =
+        expectLoadError(mutated, ErrorCode::TraceCorrupt, "bad op class");
+    EXPECT_NE(message.find("record 17 has op class 238"), std::string::npos)
+        << message;
 
-    // Register index out of range (src1 is bytes 24-25 of each record).
+    // Register index out of range (src1 is bytes 24-25 of each record),
+    // behind a valid frame CRC.
     mutated = good;
-    mutated[16 + 32 * 5 + 24] = static_cast<char>(0xFF);
-    mutated[16 + 32 * 5 + 25] = 0x7F;
-    expectLoadError(mutated, ErrorCode::TraceCorrupt, "bad register");
-}
-
-TEST(TraceCorruption, RandomBitFlipsNeverCrash)
-{
-    TempFile healthy("flip_base.fo4t");
-    const auto good = healthyTraceBytes(healthy.path());
-
-    util::Rng rng(2002); // deterministic: same flips every run
-    int loaded = 0, rejected = 0;
-    for (int trial = 0; trial < 200; ++trial) {
-        auto mutated = good;
-        const auto byte = rng.below(mutated.size());
-        mutated[byte] ^= static_cast<char>(1u << rng.below(8));
-
-        TempFile tmp("flipped.fo4t");
-        writeFile(tmp.path(), mutated);
-        try {
-            trace::FileTrace t(tmp.path());
-            ++loaded; // flip hit a don't-care field; stream still sane
-        } catch (const util::TraceError &) {
-            ++rejected; // flip hit a checked field; typed rejection
-        }
-    }
-    // Both outcomes must occur: flips in seq/pc/addr are tolerated,
-    // flips in the header or class/register fields are rejected.
-    EXPECT_GT(loaded, 0);
-    EXPECT_GT(rejected, 0);
-    EXPECT_EQ(loaded + rejected, 200);
+    mutated[kRecords + 32 * 5 + 24] = static_cast<char>(0xFF);
+    mutated[kRecords + 32 * 5 + 25] = 0x7F;
+    resealOpFrame(mutated, 256);
+    message =
+        expectLoadError(mutated, ErrorCode::TraceCorrupt, "bad register");
+    EXPECT_NE(message.find("record 5 names register 32767"),
+              std::string::npos)
+        << message;
 }
 
 TEST(ConfigFaults, RandomizedInvalidParamsAlwaysThrowTyped)

@@ -104,20 +104,21 @@ TEST_P(Table3Fus, MatchesPaper)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PaperRows, Table3Fus,
-    ::testing::Values(
-        TableRow{OpClass::IntAlu,
-                 {9, 6, 5, 4, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2}},
-        TableRow{OpClass::IntMult,
-                 {61, 41, 31, 25, 21, 18, 16, 14, 13, 12, 11, 10, 9, 9, 8}},
-        TableRow{OpClass::FpAdd,
-                 {35, 24, 18, 14, 12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 5}},
-        TableRow{OpClass::FpMult,
-                 {35, 24, 18, 14, 12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 5}},
-        TableRow{OpClass::FpDiv,
-                 {105, 70, 53, 42, 35, 30, 27, 24, 21, 19, 18, 17, 15, 14,
-                  14}},
-        TableRow{OpClass::FpSqrt,
-                 {157, 105, 79, 63, 53, 45, 40, 35, 32, 29, 27, 25, 23, 21,
-                  20}}));
+// gtest prints each row's raw bytes into its test name, padding after
+// `cls` included.  A static array is zero-initialised first, so that
+// padding is zero and the names are the same on every build; rows built
+// as temporaries would leak stack garbage into them.
+const TableRow kTable3Rows[] = {
+    {OpClass::IntAlu, {9, 6, 5, 4, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2}},
+    {OpClass::IntMult,
+     {61, 41, 31, 25, 21, 18, 16, 14, 13, 12, 11, 10, 9, 9, 8}},
+    {OpClass::FpAdd, {35, 24, 18, 14, 12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 5}},
+    {OpClass::FpMult, {35, 24, 18, 14, 12, 10, 9, 8, 7, 7, 6, 6, 5, 5, 5}},
+    {OpClass::FpDiv,
+     {105, 70, 53, 42, 35, 30, 27, 24, 21, 19, 18, 17, 15, 14, 14}},
+    {OpClass::FpSqrt,
+     {157, 105, 79, 63, 53, 45, 40, 35, 32, 29, 27, 25, 23, 21, 20}},
+};
+
+INSTANTIATE_TEST_SUITE_P(PaperRows, Table3Fus,
+                         ::testing::ValuesIn(kTable3Rows));

@@ -19,7 +19,6 @@
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
-#include "trace/file_trace.hh"
 #include "trace/generator.hh"
 #include "trace/recorded_trace.hh"
 #include "trace/spec2000.hh"

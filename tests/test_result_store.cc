@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +69,24 @@ fileExists(const std::string &path)
 {
     return std::ifstream(path).is_open();
 }
+
+/** Faults every durable write under `dir`; clears the hook on exit. */
+class ScopedDiskFault
+{
+  public:
+    ScopedDiskFault(std::string dir, util::DiskFault fault)
+    {
+        util::setDiskFaultHook(
+            [dir = std::move(dir),
+             fault](const std::string &path)
+                -> std::optional<util::DiskFault> {
+                if (path.rfind(dir + "/", 0) == 0)
+                    return fault;
+                return std::nullopt;
+            });
+    }
+    ~ScopedDiskFault() { util::setDiskFaultHook(nullptr); }
+};
 
 /** A cell record with recognisable, bit-exact-checkable content. */
 study::CellRecord
@@ -220,18 +239,16 @@ TEST(BlobStore, BadMagicIsQuarantinedMiss)
 TEST(BlobStore, EnospcOnWriteDropsTheStoreNotTheCaller)
 {
     util::BlobStore store(tempDir("blob_enospc"), 0, "test.blob");
-    util::BlobStoreHooks hooks;
-    hooks.onWrite = [](const std::string &) {
-        return util::DiskFault{}; // immediate ENOSPC
-    };
-    store.setHooks(hooks);
-    EXPECT_FALSE(store.put("k", "doomed"));
+    {
+        ScopedDiskFault fault(store.directory(),
+                              util::DiskFault{}); // immediate ENOSPC
+        EXPECT_FALSE(store.put("k", "doomed"));
+    }
     EXPECT_EQ(store.stats().diskErrors.load(), 1u);
     EXPECT_EQ(store.entries(), 0u); // no blob, no tmp leftover
     EXPECT_FALSE(fileExists(store.pathFor("k")));
 
     // Clear the fault: the same store works again.
-    store.setHooks({});
     EXPECT_TRUE(store.put("k", "landed"));
     EXPECT_EQ(store.get("k"), "landed");
 }
@@ -239,13 +256,13 @@ TEST(BlobStore, EnospcOnWriteDropsTheStoreNotTheCaller)
 TEST(BlobStore, ShortWriteNeverPublishesAPartialBlob)
 {
     util::BlobStore store(tempDir("blob_short"), 0, "test.blob");
-    util::BlobStoreHooks hooks;
-    hooks.onWrite = [](const std::string &) {
+    {
         // The disk fills 10 bytes into the record.
-        return util::DiskFault{.failErrno = 28, .shortWriteBytes = 10};
-    };
-    store.setHooks(hooks);
-    EXPECT_FALSE(store.put("k", "a payload that will be cut short"));
+        ScopedDiskFault fault(
+            store.directory(),
+            util::DiskFault{.failErrno = 28, .shortWriteBytes = 10});
+        EXPECT_FALSE(store.put("k", "a payload that will be cut short"));
+    }
     // The partial record lived only in the tmp file, which was dropped:
     // nothing is visible under the final name, so no reader can ever
     // see the torn prefix.

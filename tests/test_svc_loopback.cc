@@ -24,8 +24,8 @@
 #include "svc/client.hh"
 #include "svc/server.hh"
 #include "svc/sweep.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
-#include "trace/file_trace.hh"
 #include "trace/spec2000.hh"
 #include "util/metrics.hh"
 #include "util/net.hh"
@@ -47,9 +47,10 @@ tempPath(const std::string &name)
 }
 
 /**
- * Record a short trace, then overwrite one record's op-class byte with
- * a value no ISA defines — the resilient_suite fault, injected here so
- * the wire sweep carries a deterministically failing row.
+ * Record a short capture, then overwrite one byte inside its op frame
+ * — the resilient_suite fault, injected here so the wire sweep carries
+ * a deterministically failing row (the frame fails its CRC, so the
+ * load is a typed TraceCorrupt).
  */
 std::string
 makeCorruptTrace()
@@ -61,7 +62,8 @@ makeCorruptTrace()
     std::FILE *f = std::fopen(path.c_str(), "rb+");
     if (f == nullptr)
         throw std::runtime_error("cannot reopen " + path);
-    // Record layout: 16-byte header, 32-byte records, cls at offset 30.
+    // Capture layout: 32-byte header, a short 'M' frame, then the first
+    // 'O' frame's records — this offset lands inside that frame.
     std::fseek(f, 16 + 32 * 100 + 30, SEEK_SET);
     std::fputc(0xEE, f);
     std::fclose(f);

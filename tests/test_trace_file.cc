@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for binary trace recording and replay.
+ * Tests for trace-file recording and replay: recordTrace() writes a
+ * capture, and RecordedTrace (what openTraceFile() returns) replays it.
  */
 
 #include <gtest/gtest.h>
@@ -9,8 +10,9 @@
 #include <string>
 
 #include "core/core.hh"
-#include "trace/file_trace.hh"
+#include "trace/capture.hh"
 #include "trace/generator.hh"
+#include "trace/recorded_trace.hh"
 #include "trace/spec2000.hh"
 #include "util/status.hh"
 
@@ -42,12 +44,12 @@ class TempFile
 
 TEST(FileTrace, RoundTripsExactly)
 {
-    TempFile tmp("roundtrip.fo4t");
+    TempFile tmp("roundtrip.fo4cap");
     auto prof = spec2000Profile("164.gzip");
     SyntheticTraceGenerator gen(prof);
     recordTrace(tmp.path(), gen, 5000);
 
-    FileTrace replay(tmp.path());
+    RecordedTrace replay(tmp.path());
     ASSERT_EQ(replay.recordedInstructions(), 5000u);
 
     gen.reset();
@@ -67,24 +69,24 @@ TEST(FileTrace, RoundTripsExactly)
 
 TEST(FileTrace, CyclesWithRenumberedSequence)
 {
-    TempFile tmp("cycle.fo4t");
+    TempFile tmp("cycle.fo4cap");
     auto prof = spec2000Profile("171.swim");
     SyntheticTraceGenerator gen(prof);
     recordTrace(tmp.path(), gen, 100);
 
-    FileTrace replay(tmp.path());
+    RecordedTrace replay(tmp.path());
     for (std::uint64_t i = 0; i < 250; ++i)
         EXPECT_EQ(replay.next().seq, i);
 }
 
 TEST(FileTrace, ResetRewinds)
 {
-    TempFile tmp("reset.fo4t");
+    TempFile tmp("reset.fo4cap");
     auto prof = spec2000Profile("176.gcc");
     SyntheticTraceGenerator gen(prof);
     recordTrace(tmp.path(), gen, 200);
 
-    FileTrace replay(tmp.path());
+    RecordedTrace replay(tmp.path());
     const auto first = replay.next();
     for (int i = 0; i < 57; ++i)
         replay.next();
@@ -97,16 +99,16 @@ TEST(FileTrace, ResetRewinds)
 
 TEST(FileTrace, RejectsGarbageFiles)
 {
-    TempFile tmp("garbage.fo4t");
+    TempFile tmp("garbage.fo4cap");
     std::FILE *f = std::fopen(tmp.path().c_str(), "wb");
     std::fputs("this is definitely not a trace file", f);
     std::fclose(f);
     try {
-        FileTrace t(tmp.path());
+        RecordedTrace t(tmp.path());
         FAIL() << "garbage file accepted";
     } catch (const TraceError &e) {
         EXPECT_EQ(e.code(), ErrorCode::TraceFormat);
-        EXPECT_NE(std::string(e.what()).find("not a fo4pipe trace"),
+        EXPECT_NE(std::string(e.what()).find("not a fo4pipe capture"),
                   std::string::npos);
     }
 }
@@ -114,7 +116,7 @@ TEST(FileTrace, RejectsGarbageFiles)
 TEST(FileTrace, RejectsMissingFiles)
 {
     try {
-        FileTrace t("/nonexistent/path/x.fo4t");
+        RecordedTrace t("/nonexistent/path/x.fo4cap");
         FAIL() << "missing file accepted";
     } catch (const TraceError &e) {
         EXPECT_EQ(e.code(), ErrorCode::TraceIo);
@@ -123,15 +125,15 @@ TEST(FileTrace, RejectsMissingFiles)
 
 TEST(FileTrace, LoadReturnsStatusInsteadOfThrowing)
 {
-    const auto missing = FileTrace::load("/nonexistent/path/x.fo4t");
+    const auto missing = RecordedTrace::load("/nonexistent/path/x.fo4cap");
     ASSERT_FALSE(missing.ok());
     EXPECT_EQ(missing.status().code(), ErrorCode::TraceIo);
 
-    TempFile tmp("load_ok.fo4t");
+    TempFile tmp("load_ok.fo4cap");
     auto prof = spec2000Profile("164.gzip");
     SyntheticTraceGenerator gen(prof);
     recordTrace(tmp.path(), gen, 64);
-    auto loaded = FileTrace::load(tmp.path());
+    auto loaded = RecordedTrace::load(tmp.path());
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(loaded.value().recordedInstructions(), 64u);
 }
@@ -140,7 +142,7 @@ TEST(FileTrace, DrivesTheCore)
 {
     // A recorded trace must produce the same simulation results as the
     // live generator it captured.
-    TempFile tmp("sim.fo4t");
+    TempFile tmp("sim.fo4cap");
     auto prof = spec2000Profile("300.twolf");
     SyntheticTraceGenerator gen(prof);
     recordTrace(tmp.path(), gen, 30000);
@@ -150,7 +152,7 @@ TEST(FileTrace, DrivesTheCore)
     gen.reset();
     const auto live = core->run(gen, 20000);
 
-    FileTrace replay(tmp.path());
+    RecordedTrace replay(tmp.path());
     const auto replayed = core->run(replay, 20000);
 
     EXPECT_EQ(live.cycles, replayed.cycles);

@@ -26,7 +26,6 @@
 #include <unistd.h>
 
 #include "trace/capture.hh"
-#include "trace/file_trace.hh"
 #include "trace/generator.hh"
 #include "trace/recorded_trace.hh"
 #include "trace/recorder.hh"
@@ -405,9 +404,10 @@ TEST(TraceRecord, ImplausibleFrameLengthRefusedBeforeAllocation)
 
 TEST(TraceRecord, StrayBytesInOpFrameRejectedExactlyLikeFileTrace)
 {
-    // Both on-disk containers funnel records through the shared codec;
-    // a frame whose body is not a whole number of records must produce
-    // the same refusal FileTrace gives a flat file with stray bytes.
+    // Named for the flat FileTrace format, which once shared this codec
+    // and is gone.  Records still go through the shared codec; an op
+    // frame whose body is not a whole number of records is refused with
+    // the stray-byte count, behind a valid frame CRC.
     const auto ops = makeOps(1);
     auto body = craftRecordBytes(ops[0]);
     body.push_back(0xAB); // 33 bytes: one record plus one stray
@@ -422,31 +422,16 @@ TEST(TraceRecord, StrayBytesInOpFrameRejectedExactlyLikeFileTrace)
         [&] { trace::readCapture(capPath); },
         util::ErrorCode::TraceCorrupt, "capture stray bytes");
 
-    // Flat v1 file with the same payload: 16-byte header + 33 bytes.
-    const std::string flatPath = tmpPath("stray.fo4t");
-    {
-        trace::VectorTrace vec(ops);
-        trace::recordTrace(flatPath, vec, 1);
-        std::ofstream f(flatPath,
-                        std::ios::binary | std::ios::app);
-        f.put(static_cast<char>(0xAB));
-    }
-    const auto flatMessage = expectTraceError(
-        [&] { trace::FileTrace ft(flatPath); },
-        util::ErrorCode::TraceCorrupt, "flat stray bytes");
-
     const std::string want = "1 stray bytes after 1 complete records";
     EXPECT_NE(capMessage.find(want), std::string::npos) << capMessage;
-    EXPECT_NE(flatMessage.find(want), std::string::npos) << flatMessage;
     std::remove(capPath.c_str());
-    std::remove(flatPath.c_str());
 }
 
 TEST(TraceRecord, InvalidRecordsRejectedExactlyLikeFileTrace)
 {
-    // A record with op class 0xEE, behind a *valid* frame CRC — the
-    // codec's range check is the last line of defense, shared verbatim
-    // with FileTrace.
+    // Named for the flat FileTrace format, which is gone.  A record
+    // with op class 0xEE, behind a *valid* frame CRC — the codec's
+    // range check is the last line of defense.
     auto bad = makeOps(1)[0];
     auto body = craftRecordBytes(bad);
     body[30] = 0xEE; // cls byte of the packed record
@@ -459,24 +444,9 @@ TEST(TraceRecord, InvalidRecordsRejectedExactlyLikeFileTrace)
         [&] { trace::readCapture(capPath); },
         util::ErrorCode::TraceCorrupt, "capture bad class");
 
-    const std::string flatPath = tmpPath("badcls.fo4t");
-    {
-        trace::VectorTrace vec(makeOps(1));
-        trace::recordTrace(flatPath, vec, 1);
-        std::fstream f(flatPath,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(16 + 30);
-        f.put(static_cast<char>(0xEE));
-    }
-    const auto flatMessage = expectTraceError(
-        [&] { trace::FileTrace ft(flatPath); },
-        util::ErrorCode::TraceCorrupt, "flat bad class");
-
     const std::string want = "record 0 has op class 238 out of range";
     EXPECT_NE(capMessage.find(want), std::string::npos) << capMessage;
-    EXPECT_NE(flatMessage.find(want), std::string::npos) << flatMessage;
     std::remove(capPath.c_str());
-    std::remove(flatPath.c_str());
 }
 
 TEST(TraceRecord, EndFrameCountMismatchIsCorrupt)
@@ -552,8 +522,7 @@ TEST(TraceRecord, MalformedMetaLinesAreCorrupt)
 TEST(TraceRecord, FinalizedButEmptyCaptureIsRefusedByReplay)
 {
     // The writer refuses to record zero ops, but a crafted file can
-    // still claim it; replay must refuse it like FileTrace refuses an
-    // empty flat trace.
+    // still claim it; replay must refuse it.
     auto capture = craftHeader();
     craftFrame(capture, 'M', craftMetaBody("benchmark=void\n"));
     craftFrame(capture, 'E', craftEndBody(0));
@@ -625,8 +594,6 @@ TEST(TraceRecord, RecorderReplaysItsCaptureOnReset)
 
 TEST(TraceRecord, OpenTraceFileDispatchesOnMagic)
 {
-    auto prof = trace::spec2000Profile("176.gcc");
-
     // Capture container → RecordedTrace.
     const std::string cap = tmpPath("dispatch.fo4cap");
     const auto ops = makeOps(6);
@@ -635,17 +602,8 @@ TEST(TraceRecord, OpenTraceFileDispatchesOnMagic)
     ASSERT_NE(fromCapture, nullptr);
     EXPECT_TRUE(sameOp(fromCapture->next(), ops[0]));
 
-    // Flat v1 trace → FileTrace.
-    const std::string flat = tmpPath("dispatch.fo4t");
-    {
-        trace::SyntheticTraceGenerator gen(prof);
-        trace::recordTrace(flat, gen, 32);
-    }
-    auto fromFlat = trace::openTraceFile(flat);
-    ASSERT_NE(fromFlat, nullptr);
-    EXPECT_NO_THROW(fromFlat->next());
-
-    // Garbage → the FileTrace format error; missing → typed I/O error.
+    // Anything that is not a capture → the capture format error;
+    // missing → typed I/O error.
     const std::string garbage = tmpPath("dispatch.txt");
     {
         std::ofstream f(garbage, std::ios::binary);
@@ -654,11 +612,10 @@ TEST(TraceRecord, OpenTraceFileDispatchesOnMagic)
     expectTraceError([&] { trace::openTraceFile(garbage); },
                      util::ErrorCode::TraceFormat, "garbage file");
     expectTraceError(
-        [&] { trace::openTraceFile(tmpPath("no_such_file.fo4t")); },
+        [&] { trace::openTraceFile(tmpPath("no_such_file.fo4cap")); },
         util::ErrorCode::TraceIo, "missing file");
 
     std::remove(cap.c_str());
-    std::remove(flat.c_str());
     std::remove(garbage.c_str());
 }
 

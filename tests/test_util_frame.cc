@@ -1,0 +1,644 @@
+/**
+ * @file
+ * One adversarial corpus against the durable-bytes module
+ * (util/frame.hh), which every journal, capture, result-store blob and
+ * wire frame goes through: a framed file truncated at every byte, every
+ * bit flipped, length words at and just past each format's bounds, and
+ * disk faults injected into the atomic publisher.  Every case must land
+ * on exactly one verdict — torn tail with the intact prefix, corrupt,
+ * or oversize — and none may crash, yield a wrong byte, or leave a
+ * published file after a fault.
+ *
+ * The PinnedBytes cases decode committed fixtures written by an earlier
+ * build (tests/data/pinned_*) and re-encode them byte for byte, so a
+ * change to any layout fails here rather than in a user's resume.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include "study/checkpoint.hh"
+#include "svc/protocol.hh"
+#include "trace/capture.hh"
+#include "util/blob_store.hh"
+#include "util/csv.hh"
+#include "util/frame.hh"
+#include "util/journal.hh"
+#include "util/status.hh"
+
+using namespace fo4;
+using util::FrameVerdict;
+using util::HeaderVerdict;
+
+namespace
+{
+
+constexpr char kTestMagic[8] = {'F', 'O', '4', 'T', 'E', 'S', 'T', '\n'};
+
+/** The format bounds every reader applies, by name. */
+struct NamedLimits
+{
+    const char *name;
+    util::FrameLimits limits;
+};
+const NamedLimits kFormatLimits[] = {
+    {"journal", {0, util::kMaxJournalRecord}},
+    {"capture", {1, trace::kMaxCaptureFrame}},
+    {"wire", {4, svc::kMaxPayloadBytes}},
+};
+
+std::string
+tempPath(const std::string &name)
+{
+    const std::string path =
+        std::string(::testing::TempDir()) + "/" + name;
+    std::remove(path.c_str());
+    return path;
+}
+
+bool
+fileExists(const std::string &path)
+{
+    struct stat sb;
+    return ::stat(path.c_str(), &sb) == 0;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.is_open()) << path;
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+spew(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string
+fixture(const std::string &name)
+{
+    return slurp(std::string(FO4_SOURCE_DIR) + "/tests/data/" + name);
+}
+
+/** Payloads of several sizes, an empty one included. */
+std::vector<std::string>
+samplePayloads()
+{
+    return {"alpha", "", std::string(300, 'z'),
+            std::string("\x00\xff\n\x01", 4), "omega"};
+}
+
+/** A header plus one frame per payload. */
+std::string
+framedFile(const std::vector<std::string> &payloads)
+{
+    std::string bytes = util::encodeFileHeader(kTestMagic, 7, 0xabcdef);
+    for (const auto &p : payloads)
+        util::appendFrame(bytes, {}, p);
+    return bytes;
+}
+
+struct Scan
+{
+    util::FileHeader header;
+    util::FrameRun run;
+    std::vector<std::string> payloads;
+};
+
+Scan
+scanAll(const std::string &bytes, util::FrameLimits limits)
+{
+    Scan scan;
+    scan.header = util::checkFileHeader(bytes, kTestMagic, 7);
+    if (scan.header.verdict != HeaderVerdict::Ok)
+        return scan;
+    scan.run = util::scanFrames(bytes, util::kFileHeaderBytes, limits,
+                                [&](std::string_view p) {
+                                    scan.payloads.emplace_back(p);
+                                });
+    return scan;
+}
+
+/** Faults every durable write whose path starts with `prefix`. */
+class ScopedDiskFault
+{
+  public:
+    ScopedDiskFault(std::string prefix, util::DiskFault fault,
+                    std::vector<std::string> *seen = nullptr)
+    {
+        util::setDiskFaultHook(
+            [prefix = std::move(prefix), fault,
+             seen](const std::string &path)
+                -> std::optional<util::DiskFault> {
+                if (seen)
+                    seen->push_back(path);
+                if (path.rfind(prefix, 0) == 0)
+                    return fault;
+                return std::nullopt;
+            });
+    }
+    ~ScopedDiskFault() { util::setDiskFaultHook(nullptr); }
+};
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// Layout primitives
+// ---------------------------------------------------------------------
+
+TEST(Frame, LittleEndianHelpersPinByteOrder)
+{
+    unsigned char b[8];
+    util::putU16(b, 0x0102);
+    EXPECT_EQ(b[0], 0x02);
+    EXPECT_EQ(b[1], 0x01);
+    EXPECT_EQ(util::getU16(b), 0x0102);
+    util::putU32(b, 0x01020304u);
+    EXPECT_EQ(b[0], 0x04);
+    EXPECT_EQ(b[3], 0x01);
+    EXPECT_EQ(util::getU32(b), 0x01020304u);
+    util::putU64(b, 0x0102030405060708ull);
+    EXPECT_EQ(b[0], 0x08);
+    EXPECT_EQ(b[7], 0x01);
+    EXPECT_EQ(util::getU64(b), 0x0102030405060708ull);
+
+    std::string out;
+    util::appendU32(out, 0xdeadbeefu);
+    util::appendU64(out, 0x0123456789abcdefull);
+    ASSERT_EQ(out.size(), 12u);
+    const auto *p = reinterpret_cast<const unsigned char *>(out.data());
+    EXPECT_EQ(util::getU32(p), 0xdeadbeefu);
+    EXPECT_EQ(util::getU64(p + 4), 0x0123456789abcdefull);
+}
+
+TEST(Frame, EncoderChainsTheCrcOverPrefixAndBody)
+{
+    std::string frame;
+    util::appendFrame(frame, "PRE", "body bytes");
+    ASSERT_EQ(frame.size(), util::kFrameHeadBytes + 13);
+    const auto *head = reinterpret_cast<const unsigned char *>(frame.data());
+    EXPECT_EQ(util::getU32(head), 13u);
+    EXPECT_EQ(util::getU32(head + 4), util::crc32("PREbody bytes", 13));
+    EXPECT_EQ(frame.substr(util::kFrameHeadBytes), "PREbody bytes");
+
+    // Appending keeps what was already there.
+    std::string two = frame;
+    util::appendFrame(two, {}, "");
+    EXPECT_EQ(two.substr(0, frame.size()), frame);
+    EXPECT_EQ(two.size(), frame.size() + util::kFrameHeadBytes);
+}
+
+TEST(Frame, HeaderLadderChecksSizeMagicVersionThenCrc)
+{
+    const std::string good = util::encodeFileHeader(kTestMagic, 7, 42);
+    ASSERT_EQ(good.size(), util::kFileHeaderBytes);
+    auto h = util::checkFileHeader(good, kTestMagic, 7);
+    EXPECT_EQ(h.verdict, HeaderVerdict::Ok);
+    EXPECT_EQ(h.tag, 42u);
+
+    EXPECT_EQ(util::checkFileHeader(good.substr(0, 31), kTestMagic, 7)
+                  .verdict,
+              HeaderVerdict::Truncated);
+    EXPECT_EQ(util::checkFileHeader(good, kTestMagic, 8).verdict,
+              HeaderVerdict::BadVersion);
+
+    auto bad = good;
+    bad[0] = 'X';
+    EXPECT_EQ(util::checkFileHeader(bad, kTestMagic, 7).verdict,
+              HeaderVerdict::BadMagic);
+
+    // A rotted version word with the CRC left stale reads as version
+    // skew, not bit rot: version is checked first.
+    bad = good;
+    bad[8] = 9;
+    h = util::checkFileHeader(bad, kTestMagic, 7);
+    EXPECT_EQ(h.verdict, HeaderVerdict::BadVersion);
+    EXPECT_EQ(h.version, 9u);
+
+    bad = good;
+    bad[16] ^= 0x01; // tag: covered by the CRC
+    EXPECT_EQ(util::checkFileHeader(bad, kTestMagic, 7).verdict,
+              HeaderVerdict::BadCrc);
+}
+
+// ---------------------------------------------------------------------
+// The adversarial corpus
+// ---------------------------------------------------------------------
+
+TEST(Frame, TruncationAtEveryByteIsATornTailWithTheIntactPrefix)
+{
+    const auto payloads = samplePayloads();
+    const std::string whole = framedFile(payloads);
+    std::vector<std::size_t> boundaries = {util::kFileHeaderBytes};
+    for (const auto &p : payloads)
+        boundaries.push_back(boundaries.back() + util::kFrameHeadBytes +
+                             p.size());
+    ASSERT_EQ(boundaries.back(), whole.size());
+
+    for (const auto &[name, limits] : kFormatLimits) {
+        if (limits.minBytes > 0)
+            continue; // the sample holds an empty payload
+        for (std::size_t len = 0; len <= whole.size(); ++len) {
+            const Scan scan = scanAll(whole.substr(0, len), limits);
+            if (len < util::kFileHeaderBytes) {
+                EXPECT_EQ(scan.header.verdict, HeaderVerdict::Truncated)
+                    << name << " len=" << len;
+                continue;
+            }
+            ASSERT_EQ(scan.header.verdict, HeaderVerdict::Ok) << len;
+            // The intact prefix is every frame that ends at or before
+            // the cut, byte for byte.
+            std::size_t intact = 0;
+            while (intact + 1 < boundaries.size() &&
+                   boundaries[intact + 1] <= len)
+                ++intact;
+            ASSERT_EQ(scan.payloads.size(), intact) << "len=" << len;
+            for (std::size_t i = 0; i < intact; ++i)
+                ASSERT_EQ(scan.payloads[i], payloads[i]) << "len=" << len;
+            EXPECT_EQ(scan.run.validBytes, boundaries[intact]);
+            EXPECT_EQ(scan.run.stop.verdict,
+                      len == boundaries[intact] ? FrameVerdict::Ok
+                                                : FrameVerdict::TornTail)
+                << "len=" << len;
+        }
+    }
+}
+
+TEST(Frame, EveryBitFlipGetsExactlyOneVerdictAndNoWrongByte)
+{
+    const auto payloads = samplePayloads();
+    const std::string whole = framedFile(payloads);
+    const util::FrameLimits limits = {0, util::kMaxJournalRecord};
+    std::size_t torn = 0, corrupt = 0, oversize = 0, harmless = 0;
+
+    for (std::size_t bit = 0; bit < whole.size() * 8; ++bit) {
+        std::string flipped = whole;
+        flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^
+                                             (1u << (bit % 8)));
+        const std::size_t byte = bit / 8;
+        const Scan scan = scanAll(flipped, limits);
+
+        if (byte < util::kFileHeaderBytes) {
+            // Every checked header byte refuses the file; only the
+            // reserved tail [28, 32) is outside the CRC, and a flip
+            // there must decode to exactly the original frames.
+            if (byte < 28) {
+                EXPECT_NE(scan.header.verdict, HeaderVerdict::Ok)
+                    << "bit " << bit;
+                continue;
+            }
+            ASSERT_EQ(scan.header.verdict, HeaderVerdict::Ok);
+            EXPECT_EQ(scan.run.stop.verdict, FrameVerdict::Ok);
+            EXPECT_EQ(scan.payloads, payloads) << "bit " << bit;
+            ++harmless;
+            continue;
+        }
+
+        // A flip inside the frames never scans clean, and whatever was
+        // delivered before the damage is an exact prefix.
+        ASSERT_EQ(scan.header.verdict, HeaderVerdict::Ok);
+        ASSERT_LE(scan.payloads.size(), payloads.size()) << "bit " << bit;
+        for (std::size_t i = 0; i < scan.payloads.size(); ++i)
+            ASSERT_EQ(scan.payloads[i], payloads[i]) << "bit " << bit;
+        switch (scan.run.stop.verdict) {
+          case FrameVerdict::Ok:
+            ADD_FAILURE() << "bit " << bit << " scanned clean";
+            break;
+          case FrameVerdict::TornTail:
+            ++torn;
+            break;
+          case FrameVerdict::Corrupt:
+            ++corrupt;
+            break;
+          case FrameVerdict::Oversize:
+            ++oversize;
+            EXPECT_GT(scan.run.stop.length, limits.maxBytes);
+            break;
+        }
+    }
+    // All three refusals occur, and rot never outnumbers the bits.
+    EXPECT_GT(torn, 0u);
+    EXPECT_GT(corrupt, 0u);
+    EXPECT_GT(oversize, 0u);
+    EXPECT_EQ(harmless, 32u);
+    EXPECT_EQ(torn + corrupt + oversize + harmless +
+                  28u * 8u, // refused headers
+              whole.size() * 8);
+}
+
+TEST(Frame, RottedLengthWordIsOversizeNeverATornTail)
+{
+    // The journal bug class: a high length bit flips, the frame claims
+    // more bytes than the file holds, and a reader without a bound
+    // would call it a torn tail and drop everything behind it.
+    const std::string whole = framedFile({"one", "two", "three"});
+    for (int bit = 20; bit < 32; ++bit) {
+        std::string flipped = whole;
+        const std::size_t at = util::kFileHeaderBytes + bit / 8;
+        flipped[at] = static_cast<char>(flipped[at] ^ (1u << (bit % 8)));
+        const Scan scan = scanAll(flipped, {0, util::kMaxJournalRecord});
+        EXPECT_EQ(scan.run.stop.verdict, FrameVerdict::Oversize)
+            << "length bit " << bit;
+        EXPECT_TRUE(scan.payloads.empty());
+        EXPECT_EQ(scan.run.validBytes, util::kFileHeaderBytes);
+    }
+}
+
+TEST(Frame, LengthWordsAtAndJustPastEachBound)
+{
+    for (const auto &[name, limits] : kFormatLimits) {
+        const auto scanHead = [&](std::uint32_t length) {
+            std::string head(util::kFrameHeadBytes, '\0');
+            util::putU32(reinterpret_cast<unsigned char *>(head.data()),
+                         length);
+            return util::scanFrame(head, limits);
+        };
+        // At the upper bound the length is plausible: with no payload
+        // bytes present yet, the frame is a torn tail.
+        EXPECT_EQ(scanHead(limits.maxBytes).verdict, FrameVerdict::TornTail)
+            << name;
+        EXPECT_EQ(scanHead(limits.maxBytes + 1).verdict,
+                  FrameVerdict::Oversize)
+            << name;
+        EXPECT_EQ(scanHead(0xFFFFFFFFu).verdict, FrameVerdict::Oversize)
+            << name;
+        if (limits.minBytes > 0) {
+            EXPECT_EQ(scanHead(limits.minBytes - 1).verdict,
+                      FrameVerdict::Oversize)
+                << name;
+        }
+        // At the lower bound a whole frame scans clean.
+        std::string frame;
+        util::appendFrame(frame, {}, std::string(limits.minBytes, 'm'));
+        const auto ok = util::scanFrame(frame, limits);
+        EXPECT_EQ(ok.verdict, FrameVerdict::Ok) << name;
+        EXPECT_EQ(ok.payload, std::string(limits.minBytes, 'm')) << name;
+    }
+
+    // The same bounds as each reader applies them.
+    {
+        const std::string path = tempPath("frame_bound.j");
+        auto writer = util::JournalWriter::create(path, 1);
+        writer.append("record");
+        writer.close();
+        std::string bytes = slurp(path);
+        util::putU32(reinterpret_cast<unsigned char *>(bytes.data()) +
+                         util::kFileHeaderBytes,
+                     util::kMaxJournalRecord + 1);
+        spew(path, bytes);
+        try {
+            util::readJournal(path);
+            ADD_FAILURE() << "oversize journal record accepted";
+        } catch (const util::JournalError &e) {
+            EXPECT_EQ(e.code(), util::ErrorCode::JournalCorrupt);
+        }
+        std::remove(path.c_str());
+    }
+    for (const std::uint32_t length :
+         {svc::kMaxPayloadBytes + 1, std::uint32_t{3}}) {
+        unsigned char head[svc::kFrameHeaderBytes] = {};
+        util::putU32(head, length);
+        EXPECT_THROW(svc::decodeFrameHeader(head), util::SvcError)
+            << length;
+    }
+    unsigned char head[svc::kFrameHeaderBytes] = {};
+    util::putU32(head, svc::kMaxPayloadBytes);
+    EXPECT_EQ(svc::decodeFrameHeader(head).payloadBytes,
+              svc::kMaxPayloadBytes);
+}
+
+TEST(Frame, SeparatelyReadPayloadIsVerifiedLikeAContiguousOne)
+{
+    std::string frame;
+    util::appendFrame(frame, {}, "payload");
+    const auto *head = reinterpret_cast<const unsigned char *>(frame.data());
+    const std::string_view payload =
+        std::string_view(frame).substr(util::kFrameHeadBytes);
+    EXPECT_EQ(util::verifyFramePayload(util::getU32(head + 4), payload)
+                  .verdict,
+              FrameVerdict::Ok);
+    const auto bad =
+        util::verifyFramePayload(util::getU32(head + 4) ^ 1u, payload);
+    EXPECT_EQ(bad.verdict, FrameVerdict::Corrupt);
+    EXPECT_EQ(bad.computedCrc, util::getU32(head + 4));
+}
+
+// ---------------------------------------------------------------------
+// Whole files and the atomic publisher
+// ---------------------------------------------------------------------
+
+TEST(Frame, WholeFileReaderTypesEachFailure)
+{
+    const auto missing = util::readWholeFile(tempPath("frame_missing"));
+    EXPECT_FALSE(missing.ok());
+    EXPECT_FALSE(missing.opened);
+    EXPECT_EQ(missing.error, ENOENT);
+
+    // A directory opens but cannot be read.
+    const auto dir = util::readWholeFile(::testing::TempDir());
+    EXPECT_FALSE(dir.ok());
+    EXPECT_TRUE(dir.opened);
+    EXPECT_EQ(dir.error, EISDIR);
+
+    // Larger than one read buffer, every byte back.
+    std::string big(200000, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>(i * 131 + 7);
+    const std::string path = tempPath("frame_big.bin");
+    spew(path, big);
+    const auto got = util::readWholeFile(path);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.bytes, big);
+    std::remove(path.c_str());
+}
+
+TEST(Frame, PublisherIsAllOrNothing)
+{
+    const std::string path = tempPath("frame_publish.bin");
+    const std::string tmp = path + ".tmp";
+    {
+        util::AtomicFile file;
+        ASSERT_TRUE(file.open(path, tmp).isOk());
+        ASSERT_TRUE(file.write("first ").isOk());
+        ASSERT_TRUE(file.write("version").isOk());
+        EXPECT_TRUE(fileExists(tmp));
+        EXPECT_FALSE(fileExists(path));
+        ASSERT_TRUE(file.publish().isOk());
+        EXPECT_TRUE(file.renamed());
+    }
+    EXPECT_EQ(slurp(path), "first version");
+    EXPECT_FALSE(fileExists(tmp));
+
+    // Abandoned — explicitly or by destruction — publishes nothing and
+    // leaves the previous complete file alone.
+    {
+        util::AtomicFile file;
+        ASSERT_TRUE(file.open(path, tmp).isOk());
+        ASSERT_TRUE(file.write("second").isOk());
+    }
+    EXPECT_EQ(slurp(path), "first version");
+    EXPECT_FALSE(fileExists(tmp));
+
+    // A temporary that cannot be created is a typed error.
+    util::AtomicFile nowhere;
+    const util::Status st =
+        nowhere.open("/nonexistent-dir-fo4/x", "/nonexistent-dir-fo4/x.t");
+    EXPECT_EQ(st.code(), util::ErrorCode::JournalIo);
+    EXPECT_FALSE(nowhere.publish().isOk());
+    std::remove(path.c_str());
+}
+
+TEST(Frame, DiskFaultsNeverLeaveAPublishedFile)
+{
+    const std::string path = tempPath("frame_fault.bin");
+    const std::string tmp = path + ".tmp";
+    const std::string bytes(64, 'q');
+    spew(path, "previous");
+
+    // Every short-write length, on the first write and on a later one.
+    for (std::size_t landed = 0; landed <= bytes.size(); landed += 7) {
+        for (const bool laterWrite : {false, true}) {
+            std::vector<std::string> seen;
+            util::AtomicFile file;
+            ASSERT_TRUE(file.open(path, tmp).isOk());
+            if (laterWrite) {
+                ASSERT_TRUE(file.write("head").isOk());
+            }
+            {
+                ScopedDiskFault fault(
+                    tmp,
+                    util::DiskFault{.failErrno = 28,
+                                    .shortWriteBytes = landed},
+                    &seen);
+                const util::Status st = file.write(bytes);
+                ASSERT_FALSE(st.isOk());
+                EXPECT_EQ(st.code(), util::ErrorCode::JournalIo);
+                EXPECT_NE(st.message().find("No space left"),
+                          std::string::npos);
+            }
+            ASSERT_EQ(seen, std::vector<std::string>{tmp})
+                << "the hook sees the temporary's path";
+            // The torn temporary is never published.
+            EXPECT_FALSE(file.publish().isOk());
+            EXPECT_FALSE(file.renamed());
+            EXPECT_FALSE(fileExists(tmp)) << "landed=" << landed;
+            EXPECT_EQ(slurp(path), "previous") << "landed=" << landed;
+        }
+    }
+
+    // Each owner's publisher goes through the same hook, and none of
+    // them replaces the previous file.
+    {
+        ScopedDiskFault fault(path, util::DiskFault{});
+        EXPECT_THROW(util::JournalWriter::create(path, 1),
+                     util::JournalError);
+        EXPECT_THROW(trace::CaptureWriter::create(path),
+                     util::TraceError);
+        util::AtomicCsvFile csv(path);
+        EXPECT_FALSE(csv.tryWriteRow({"row"}).isOk());
+        EXPECT_FALSE(csv.tryCommit().isOk());
+    }
+    EXPECT_EQ(slurp(path), "previous");
+    EXPECT_FALSE(fileExists(tmp));
+    {
+        const std::string dir = tempPath("frame_fault_blobs");
+        util::BlobStore store(dir, 0, "frame.blob");
+        ScopedDiskFault fault(dir + "/", util::DiskFault{});
+        EXPECT_FALSE(store.put("k", "v"));
+        EXPECT_FALSE(fileExists(store.pathFor("k")));
+        EXPECT_EQ(store.entries(), 0u);
+    }
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Pinned bytes
+// ---------------------------------------------------------------------
+
+TEST(PinnedBytes, JournalOfCellRecordsReencodesByteForByte)
+{
+    const std::string pinned = fixture("pinned_cells.journal");
+    const std::string path = tempPath("pinned_cells.journal");
+    spew(path, pinned);
+    const auto contents = util::readJournal(path);
+    EXPECT_EQ(contents.fingerprint, 0x0123456789abcdefull);
+    EXPECT_FALSE(contents.tornTail);
+    ASSERT_EQ(contents.records.size(), 3u);
+
+    const std::string again = tempPath("pinned_cells_again.journal");
+    auto writer = util::JournalWriter::create(again, contents.fingerprint);
+    for (const auto &record : contents.records) {
+        const auto cell = study::decodeCellRecord(record, path);
+        const std::string reencoded = study::encodeCellRecord(cell);
+        EXPECT_EQ(reencoded, record);
+        writer.append(reencoded);
+    }
+    writer.close();
+    EXPECT_EQ(slurp(again), pinned);
+
+    const auto failed = study::decodeCellRecord(contents.records[2], path);
+    EXPECT_EQ(failed.point, 14u);
+    EXPECT_EQ(failed.job, 17u);
+    EXPECT_EQ(failed.result.error.code(), util::ErrorCode::TraceCorrupt);
+    std::remove(path.c_str());
+    std::remove(again.c_str());
+}
+
+TEST(PinnedBytes, ResultStoreBlobReencodesByteForByte)
+{
+    const std::string pinned = fixture("pinned_cell.blob");
+    const std::string dir = tempPath("pinned_blob_dir");
+    const std::string out = tempPath("pinned_blob_out");
+    std::remove((dir + "/pinned_cell.blob").c_str());
+    std::remove((out + "/pinned_cell.blob").c_str());
+
+    util::BlobStore store(dir, 0, "pinned.blob");
+    spew(store.pathFor("pinned_cell"), pinned);
+    const auto payload = store.get("pinned_cell");
+    ASSERT_TRUE(payload.has_value());
+    const auto cell = study::decodeCellRecord(*payload, "pinned blob");
+    EXPECT_EQ(cell.result.name, "171.swim");
+    const std::string reencoded = study::encodeCellRecord(cell);
+    EXPECT_EQ(reencoded, *payload);
+
+    util::BlobStore fresh(out, 0, "pinned.blob");
+    ASSERT_TRUE(fresh.put("pinned_cell", reencoded));
+    EXPECT_EQ(slurp(fresh.pathFor("pinned_cell")), pinned);
+    fresh.remove("pinned_cell");
+    store.remove("pinned_cell");
+}
+
+TEST(PinnedBytes, WireFrameReencodesByteForByte)
+{
+    const std::string pinned = fixture("pinned_cell_done.frame");
+    ASSERT_GT(pinned.size(), svc::kFrameHeaderBytes);
+    unsigned char head[svc::kFrameHeaderBytes];
+    std::memcpy(head, pinned.data(), sizeof(head));
+    const svc::FrameHeader header = svc::decodeFrameHeader(head);
+    const svc::Frame frame = svc::decodePayload(
+        header, std::string_view(pinned).substr(sizeof(head)));
+    ASSERT_EQ(frame.type, svc::MsgType::CellDone);
+
+    const auto done = svc::CellDoneInfo::decode(frame.body);
+    EXPECT_EQ(done.workerId, 2u);
+    EXPECT_EQ(done.sweep, 0x0123456789abcdefull);
+    const auto cell = study::decodeCellRecord(done.cellPayload, "wire");
+    EXPECT_EQ(study::encodeCellRecord(cell), done.cellPayload);
+    EXPECT_EQ(svc::encodeFrame(svc::MsgType::CellDone, done.encode()),
+              pinned);
+}

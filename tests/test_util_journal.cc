@@ -180,6 +180,43 @@ TEST(Journal, MidFileFlipIsJournalCorruptNotTornTail)
     std::remove(path.c_str());
 }
 
+TEST(Journal, FlippedLengthBitIsJournalCorruptNotTornTail)
+{
+    // Bit 0 of the first record's top length byte rots: the record now
+    // claims 16 MiB more payload than the file holds.  Read as a torn
+    // tail, recovery would report no records and appendTo would
+    // truncate all three acknowledged records away.
+    const auto path = makeJournal("journal_lengthflip.j", 7, 3);
+    auto bytes = slurp(path);
+    bytes[32 + 3] = static_cast<char>(bytes[32 + 3] ^ 0x01);
+    spew(path, bytes);
+    EXPECT_EQ(readError(path), util::ErrorCode::JournalCorrupt);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, WriterRefusesARecordItsReaderWouldRefuse)
+{
+    const auto path = makeJournal("journal_oversize.j", 7, 1);
+    auto recovered = util::readJournal(path);
+    auto writer = util::JournalWriter::appendTo(path, recovered);
+    const util::Status st =
+        writer.tryAppend(std::string(util::kMaxJournalRecord + 1, 'x'));
+    ASSERT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), util::ErrorCode::JournalFormat);
+    EXPECT_THROW(
+        writer.append(std::string(util::kMaxJournalRecord + 1, 'x')),
+        util::JournalError);
+
+    // Nothing landed, and a record at the bound still fits.
+    writer.append(std::string(util::kMaxJournalRecord, 'y'));
+    writer.close();
+    const auto contents = util::readJournal(path);
+    EXPECT_FALSE(contents.tornTail);
+    ASSERT_EQ(contents.records.size(), 2u);
+    EXPECT_EQ(contents.records[1].size(), util::kMaxJournalRecord);
+    std::remove(path.c_str());
+}
+
 TEST(Journal, TornTrailingRecordRecoversAndAppendResumes)
 {
     const auto path = makeJournal("journal_torn.j", 7, 3);
