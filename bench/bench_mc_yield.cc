@@ -216,10 +216,11 @@ mcYield(int argc, char **argv)
         if (verbose) {
             const auto &rep = runner.report();
             std::printf("scale %g: %zu cells total, %zu replayed from "
-                        "checkpoint, %zu simulated, %zu retried "
-                        "attempts%s\n",
+                        "checkpoint, %zu simulated, %zu priced from a "
+                        "shared simulation, %zu retried attempts%s\n",
                         scale, rep.totalCells, rep.replayedCells,
-                        rep.executedCells, rep.retriedAttempts,
+                        rep.executedCells - rep.sharedCells,
+                        rep.sharedCells, rep.retriedAttempts,
                         rep.tornTailDiscarded ? " (torn tail discarded)"
                                               : "");
         }

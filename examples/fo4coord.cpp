@@ -37,7 +37,8 @@ namespace
 
 const std::vector<fo4::util::KeyDoc> kKeys = {
     {"port", "TCP port to listen on; 0 picks an ephemeral port"},
-    {"max_queue", "queued sweeps admitted before Overloaded refusals"},
+    {"max_queue", "queued sweeps admitted before Overloaded refusals; "
+                  "also the finished sweeps whose results are kept"},
     {"checkpoint_dir", "directory for per-sweep journals (empty = none)"},
     {"cache_dir", "persistent result store directory (empty = no cache)"},
     {"cache_max_bytes", "result store size cap in bytes (0 = unlimited)"},

@@ -41,7 +41,8 @@ namespace
 const std::vector<fo4::util::KeyDoc> kKeys = {
     {"port", "TCP port to listen on; 0 picks an ephemeral port"},
     {"jobs", "worker threads per sweep (1 = serial, 0 = all cores)"},
-    {"max_queue", "queued sweeps admitted before Overloaded refusals"},
+    {"max_queue", "queued sweeps admitted before Overloaded refusals; "
+                  "also the finished sweeps whose results are kept"},
     {"checkpoint_dir", "directory for per-sweep journals (empty = none)"},
     {"cache_dir", "persistent result store directory (empty = no cache)"},
     {"cache_max_bytes", "result store size cap in bytes (0 = unlimited)"},
@@ -97,9 +98,10 @@ workerMain(const fo4::util::Config &cfg)
     worker.join();
     if (cfg.getBool("verbose", false))
         util::MetricsRegistry::global().dump(std::cout);
-    std::printf("fo4d worker drained (%llu cells executed, %llu from "
-                "cache)\n",
+    std::printf("fo4d worker drained (%llu cells executed, %llu of them "
+                "priced from a shared simulation, %llu from cache)\n",
                 static_cast<unsigned long long>(worker.cellsExecuted()),
+                static_cast<unsigned long long>(worker.cellsShared()),
                 static_cast<unsigned long long>(worker.cellsFromCache()));
     return 0;
 }

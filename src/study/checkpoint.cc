@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "study/scaling.hh"
 #include "util/journal.hh"
@@ -59,6 +61,9 @@ class IdentityHasher
         text += v;
         text += ';';
     }
+
+    /** The canonical text hash() digests. */
+    const std::string &rendering() const { return text; }
 
     std::uint64_t
     hash() const
@@ -405,6 +410,22 @@ gridFingerprint(const std::vector<GridPoint> &points,
     return h.hash();
 }
 
+std::vector<std::size_t>
+simulationOwners(const std::vector<GridPoint> &points, const RunSpec &spec)
+{
+    std::vector<std::size_t> owners(points.size());
+    std::iota(owners.begin(), owners.end(), std::size_t{0});
+    if (spec.tracer != nullptr || spec.retireSink != nullptr)
+        return owners;
+    std::unordered_map<std::string, std::size_t> first;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        IdentityHasher h;
+        hashCoreParams(h, points[p].params);
+        owners[p] = first.emplace(h.rendering(), p).first->second;
+    }
+    return owners;
+}
+
 bool
 RetryPolicy::transientCode(util::ErrorCode code)
 {
@@ -581,8 +602,10 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
                 : "; rerun with the same checkpoint to resume");
     };
 
-    // --- fan out the incomplete cells ---
-    const auto runCell = [&](std::size_t p, std::size_t j) {
+    // --- complete one cell: simulate it, or price it from `shared`, a
+    // success of the same simulation (see runClass) ---
+    const auto runCell = [&](std::size_t p, std::size_t j,
+                             const BenchResult *shared) {
         const std::uint64_t cellKey = p * nJobs + j;
         const auto cellStart = std::chrono::steady_clock::now();
         BenchResult result;
@@ -591,6 +614,11 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
             attempts = attempt;
             if (opts.onAttempt)
                 opts.onAttempt(p, j, attempt);
+            if (shared) {
+                result = *shared;
+                priceAtClock(result, points[p].clock);
+                break;
+            }
             result = runJobIsolated(points[p].params, points[p].clock,
                                     jobs[j], spec, opts.cancel);
             if (!result.failed() ||
@@ -646,24 +674,83 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
         static util::MetricCounter &cellsExecuted =
             util::MetricsRegistry::global().counter(
                 "study.cells.executed");
+        static util::MetricCounter &cellsShared =
+            util::MetricsRegistry::global().counter("study.cells.shared");
         cellsExecuted.inc();
+        if (shared)
+            cellsShared.inc();
         const double cellMs =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - cellStart)
                 .count();
         std::lock_guard<std::mutex> lock(reportMutex);
         ++lastReport.executedCells;
+        if (shared)
+            ++lastReport.sharedCells;
         lastReport.cellTimings.push_back({p, j, cellMs, attempts});
     };
 
+    // --- run one simulation class: the cells of `members` at job j ---
+    // The first success — replayed, seeded or simulated here — prices
+    // every later cell of the class.  A failure is never shared: once a
+    // cell fails with no success in hand, the rest of the class has no
+    // price to wait for, so its cells go back to the pool as separate
+    // tasks and simulate in parallel, each with its own attempts.
+    const auto runClass = [&](util::TaskGroup &group,
+                              const std::vector<std::size_t> &members,
+                              std::size_t j) {
+        const BenchResult *simulated = nullptr;
+        for (const std::size_t p : members) {
+            if (done[p * nJobs + j] && !results[p].benchmarks[j].failed()) {
+                simulated = &results[p].benchmarks[j];
+                break;
+            }
+        }
+        for (std::size_t k = 0; k < members.size(); ++k) {
+            const std::size_t p = members[k];
+            if (done[p * nJobs + j])
+                continue;
+            // The class is one task; its later cells honour a
+            // cancellation request as queued tasks would.
+            if (opts.cancel && opts.cancel->cancelled())
+                return;
+            runCell(p, j, simulated);
+            if (simulated)
+                continue;
+            if (!results[p].benchmarks[j].failed()) {
+                simulated = &results[p].benchmarks[j];
+                continue;
+            }
+            for (std::size_t r = k + 1; r < members.size(); ++r) {
+                const std::size_t q = members[r];
+                if (!done[q * nJobs + j])
+                    group.submit([&runCell, q, j] {
+                        runCell(q, j, nullptr);
+                    });
+            }
+            return;
+        }
+    };
+
+    // --- fan out one task per class with an incomplete cell ---
+    // Classes go in owner order, so a grid whose points all own
+    // themselves keeps one task per cell, in cell order.
+    const std::vector<std::size_t> owners = simulationOwners(points, spec);
+    std::vector<std::vector<std::size_t>> members(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p)
+        members[owners[p]].push_back(p);
     {
         util::ThreadPool pool(nThreads);
         util::TaskGroup group(pool, opts.cancel);
-        for (std::size_t p = 0; p < points.size(); ++p) {
+        for (std::size_t o = 0; o < points.size(); ++o) {
             for (std::size_t j = 0; j < nJobs; ++j) {
-                if (done[p * nJobs + j])
-                    continue;
-                group.submit([&runCell, p, j] { runCell(p, j); });
+                bool incomplete = false;
+                for (const std::size_t p : members[o])
+                    incomplete |= !done[p * nJobs + j];
+                if (incomplete)
+                    group.submit([&runClass, &group, &members, o, j] {
+                        runClass(group, members[o], j);
+                    });
             }
         }
         try {

@@ -180,8 +180,12 @@ struct CheckpointReport
     std::size_t replayedCells = 0;
     /** Cells landed from CheckpointOptions::seedCells. */
     std::size_t seededCells = 0;
-    /** Cells simulated (to completion) by this run. */
+    /** Cells completed by this run, simulated or priced. */
     std::size_t executedCells = 0;
+    /** Of executedCells, those priced from another cell's simulation
+     *  of the same (CoreParams, job) instead of simulated (see
+     *  simulationOwners); simulations run = executed - shared. */
+    std::size_t sharedCells = 0;
     /** Extra attempts beyond each cell's first (retry activity). */
     std::size_t retriedAttempts = 0;
     /** True if an existing journal was recovered. */
@@ -204,6 +208,15 @@ struct CheckpointReport
 /**
  * Crash-safe drop-in for ParallelRunner::runGrid / study::sweepScaling.
  * See the file comment for the durability contract.
+ *
+ * Each distinct simulation runs once per call: the cells of one
+ * (simulationOwners class, job) form one task, whose first successful
+ * simulation — or replayed or seeded success — prices every other cell
+ * of the class (priceAtClock).  Failures are never shared: a failed
+ * cell keeps its own attempts and retries, and the next cell of its
+ * class simulates afresh.  Every cell is still announced to onAttempt,
+ * journaled and reported; a grid whose points all own themselves runs
+ * exactly one task per cell, in cell order.
  */
 class CheckpointedRunner
 {
@@ -261,6 +274,21 @@ class CheckpointedRunner
 std::uint64_t gridFingerprint(const std::vector<GridPoint> &points,
                               const std::vector<BenchJob> &jobs,
                               const RunSpec &spec);
+
+/**
+ * The simulation each grid point shares: owners[p] is the first point
+ * whose CoreParams render identically to point p's under
+ * gridFingerprint's rendering, so sharing and resume agree on what
+ * counts as the same simulation.  A cell's simulation reads its point's
+ * CoreParams, the job and the spec; the clock only prices IPC into BIPS
+ * (priceAtClock).  Cells (p, j) and (owners[p], j) therefore simulate
+ * identically.  Every point of a deterministic grid owns itself; every
+ * die of a Monte Carlo point is owned by die 0.  A spec carrying a
+ * tracer or retire sink gets owners[p] == p throughout: observers must
+ * see every simulation.
+ */
+std::vector<std::size_t>
+simulationOwners(const std::vector<GridPoint> &points, const RunSpec &spec);
 
 } // namespace fo4::study
 

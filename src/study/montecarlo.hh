@@ -32,6 +32,10 @@
  * jobs=, across checkpoint/resume (the grid fingerprint hashes every
  * sampled clock), and when cells are sharded across the fo4coord
  * fabric (workers re-derive identical sampled grids from the request).
+ * Because a die differs from its point only in the clock, which prices
+ * IPC into BIPS and nothing else, every executor simulates each
+ * (point, job) once and prices the other dice from it
+ * (study::simulationOwners, study::priceAtClock; DESIGN.md §17).
  */
 
 #ifndef FO4_STUDY_MONTECARLO_HH

@@ -201,8 +201,14 @@ runJob(const core::CoreParams &params, const tech::ClockModel &clock,
         core->run(*source, spec.instructions, spec.warmup, spec.prewarm,
                   job.cycleLimit ? *job.cycleLimit : spec.cycleLimit,
                   cancel);
-    result.bips = clock.bips(result.sim.ipc());
+    priceAtClock(result, clock);
     return result;
+}
+
+void
+priceAtClock(BenchResult &result, const tech::ClockModel &clock)
+{
+    result.bips = clock.bips(result.sim.ipc());
 }
 
 BenchResult

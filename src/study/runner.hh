@@ -200,6 +200,15 @@ BenchResult runJob(const core::CoreParams &params,
                    const util::CancelToken *cancel = nullptr);
 
 /**
+ * Set `result.bips` from its simulated IPC at `clock`'s frequency.  The
+ * one place a cell's clock reaches its result: runJob prices every
+ * simulation through it, and the grid executors price a Monte Carlo
+ * die through it from another die's simulation of the same CoreParams
+ * (DESIGN.md §17), so a priced cell cannot drift from a simulated one.
+ */
+void priceAtClock(BenchResult &result, const tech::ClockModel &clock);
+
+/**
  * Run one job with the suite's fault isolation: any SimError (or other
  * exception) is captured in the returned BenchResult instead of
  * propagating.  This is the one per-job code path shared by the serial

@@ -131,7 +131,8 @@ class Coordinator : public SessionServer
                     std::uint64_t fp, FabricTime now)
             : job(std::move(jobIn)), plan(std::move(planIn)),
               fingerprint(fp), requestBody(job->request.encode()),
-              scheduler(plan.points.size(), plan.jobs.size()),
+              scheduler(study::simulationOwners(plan.points, plan.spec),
+                        plan.jobs.size()),
               startedAt(now)
         {
         }

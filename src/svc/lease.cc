@@ -1,17 +1,57 @@
 #include "svc/lease.hh"
 
+#include <numeric>
+
 #include "util/logging.hh"
 
 namespace fo4::svc
 {
 
-CellScheduler::CellScheduler(std::size_t points, std::size_t jobs)
-    : nJobs(jobs), states(points * jobs, State::Pending)
+namespace
 {
-    FO4_ASSERT(points >= 1 && jobs >= 1,
+
+std::vector<std::size_t>
+identityOwners(std::size_t points)
+{
+    std::vector<std::size_t> owners(points);
+    std::iota(owners.begin(), owners.end(), std::size_t{0});
+    return owners;
+}
+
+} // namespace
+
+CellScheduler::CellScheduler(const std::vector<std::size_t> &owners,
+                             std::size_t jobs)
+    : nJobs(jobs), states(owners.size() * jobs, State::Pending),
+      classOf(states.size())
+{
+    FO4_ASSERT(!owners.empty() && jobs >= 1,
                "a sweep grid has at least one cell");
-    for (std::size_t i = 0; i < states.size(); ++i)
+    // Classes are numbered in order of their first cell, so the first
+    // grants walk the grid in FIFO order, one class at a time.  An
+    // owner is the first point of its class, so its cell at the same
+    // job is always numbered before the cells it owns.
+    for (std::size_t i = 0; i < states.size(); ++i) {
         pending.push_back(i);
+        const std::size_t point = i / nJobs;
+        const std::size_t owner = owners[point];
+        FO4_ASSERT(owner <= point && owners[owner] == owner,
+                   "point %zu's owner %zu is not the first point of its "
+                   "class", point, owner);
+        if (owner == point) {
+            classOf[i] = classes.size();
+            unclaimed.push_back(classes.size());
+            classes.emplace_back();
+        } else {
+            classOf[i] = classOf[owner * nJobs + i % nJobs];
+        }
+        classes[classOf[i]].cells.push_back(i);
+    }
+}
+
+CellScheduler::CellScheduler(std::size_t points, std::size_t jobs)
+    : CellScheduler(identityOwners(points), jobs)
+{
 }
 
 std::size_t
@@ -36,17 +76,54 @@ CellScheduler::markDone(std::size_t point, std::size_t job)
     ++nDone;
 }
 
+CellScheduler::CellKey
+CellScheduler::lease(std::size_t i, std::uint64_t workerId,
+                     FabricTime expiry)
+{
+    states[i] = State::Leased;
+    leases[i] = Lease{workerId, expiry};
+    return CellKey{i / nJobs, i % nJobs};
+}
+
+std::optional<std::size_t>
+CellScheduler::takeFrom(CellClass &c)
+{
+    while (c.next < c.cells.size()) {
+        const std::size_t i = c.cells[c.next++];
+        if (states[i] == State::Pending)
+            return i;
+    }
+    return std::nullopt;
+}
+
 std::optional<CellScheduler::CellKey>
 CellScheduler::grant(std::uint64_t workerId, FabricTime expiry)
 {
+    // The worker's own class first, then a fresh claim.
+    if (const auto it = claims.find(workerId); it != claims.end()) {
+        if (const auto i = takeFrom(classes[it->second]))
+            return lease(*i, workerId, expiry);
+        classes[it->second].claimant = 0;
+        claims.erase(it);
+    }
+    while (!unclaimed.empty()) {
+        const std::size_t c = unclaimed.front();
+        unclaimed.pop_front();
+        if (classes[c].claimant != 0)
+            continue; // lazily-removed (claimed since it was queued)
+        if (const auto i = takeFrom(classes[c])) {
+            classes[c].claimant = workerId;
+            claims[workerId] = c;
+            return lease(*i, workerId, expiry);
+        }
+    }
+    // The FIFO: every pending cell is here, whichever class holds it.
     while (!pending.empty()) {
         const std::size_t i = pending.front();
         pending.pop_front();
         if (states[i] != State::Pending)
             continue; // lazily-removed (markDone raced the queue)
-        states[i] = State::Leased;
-        leases[i] = Lease{workerId, expiry};
-        return CellKey{i / nJobs, i % nJobs};
+        return lease(i, workerId, expiry);
     }
     return std::nullopt;
 }
@@ -63,14 +140,24 @@ CellScheduler::complete(std::size_t point, std::size_t job)
     return true;
 }
 
+void
+CellScheduler::requeue(std::size_t i)
+{
+    states[i] = State::Pending;
+    pending.push_back(i);
+    CellClass &c = classes[classOf[i]];
+    c.cells.push_back(i);
+    if (c.claimant == 0)
+        unclaimed.push_front(classOf[i]);
+}
+
 std::size_t
 CellScheduler::reclaimExpired(FabricTime now)
 {
     std::size_t reclaimed = 0;
     for (auto it = leases.begin(); it != leases.end();) {
         if (it->second.expiry <= now) {
-            states[it->first] = State::Pending;
-            pending.push_back(it->first);
+            requeue(it->first);
             it = leases.erase(it);
             ++reclaimed;
         } else {
@@ -83,11 +170,17 @@ CellScheduler::reclaimExpired(FabricTime now)
 std::size_t
 CellScheduler::reclaimWorker(std::uint64_t workerId)
 {
+    // Release the dead worker's class first, so its reclaimed cells
+    // queue it for the survivors ahead of any fresh class.
+    if (const auto it = claims.find(workerId); it != claims.end()) {
+        classes[it->second].claimant = 0;
+        unclaimed.push_front(it->second);
+        claims.erase(it);
+    }
     std::size_t reclaimed = 0;
     for (auto it = leases.begin(); it != leases.end();) {
         if (it->second.workerId == workerId) {
-            states[it->first] = State::Pending;
-            pending.push_back(it->first);
+            requeue(it->first);
             it = leases.erase(it);
             ++reclaimed;
         } else {
@@ -95,20 +188,6 @@ CellScheduler::reclaimWorker(std::uint64_t workerId)
         }
     }
     return reclaimed;
-}
-
-std::vector<CellScheduler::CellKey>
-CellScheduler::drainPending()
-{
-    std::vector<CellKey> drained;
-    while (!pending.empty()) {
-        const std::size_t i = pending.front();
-        pending.pop_front();
-        if (states[i] != State::Pending)
-            continue;
-        drained.push_back(CellKey{i / nJobs, i % nJobs});
-    }
-    return drained;
 }
 
 std::uint64_t

@@ -48,8 +48,21 @@ namespace fo4::svc
 using FabricClock = std::chrono::steady_clock;
 using FabricTime = FabricClock::time_point;
 
-/** One sweep's cell states: pending -> leased -> done, with leases
- *  revocable back to pending.  Cells are indexed (point, job). */
+/**
+ * One sweep's cell states: pending -> leased -> done, with leases
+ * revocable back to pending.  Cells are indexed (point, job).
+ *
+ * Grants are class-affine when cells share simulations: the cells of
+ * one (study::simulationOwners owner, job) class are granted to the
+ * worker that claimed the class, so its per-sweep memo prices every die
+ * after the first.  A worker with no cells left in its class claims the
+ * next unclaimed one; only when none remains does it fall back to the
+ * FIFO of every pending cell, taking cells at the tail of other
+ * workers' classes.  Reclaimed leases re-enter both their class and the
+ * FIFO, and a dead worker's class is released to the survivors, so no
+ * pending cell is ever out of reach of grant().  When every point owns
+ * itself every class is one cell, so first grants walk the FIFO order.
+ */
 class CellScheduler
 {
   public:
@@ -59,6 +72,11 @@ class CellScheduler
         std::size_t job = 0;
     };
 
+    /** Class-affine grants over study::simulationOwners(points, spec)
+     *  (one entry per point). */
+    CellScheduler(const std::vector<std::size_t> &owners, std::size_t jobs);
+
+    /** Every point its own simulation: one class per cell. */
     CellScheduler(std::size_t points, std::size_t jobs);
 
     /** Land a cell completed before scheduling began (journal replay).
@@ -90,14 +108,12 @@ class CellScheduler
      *  pending queue.  Returns the number reclaimed. */
     std::size_t reclaimWorker(std::uint64_t workerId);
 
-    /** Drain the pending queue (local-fallback takeover): no further
-     *  grants happen; in-flight leases may still complete.  Returns
-     *  the keys drained, in queue order. */
-    std::vector<CellKey> drainPending();
-
     std::size_t totalCells() const { return states.size(); }
     std::size_t doneCount() const { return nDone; }
-    std::size_t pendingCount() const { return pending.size(); }
+    std::size_t pendingCount() const
+    {
+        return states.size() - nDone - leases.size();
+    }
     std::size_t leasedCount() const { return leases.size(); }
     bool finished() const { return nDone == states.size(); }
 
@@ -118,13 +134,33 @@ class CellScheduler
         FabricTime expiry;
     };
 
+    /** The cells sharing one simulation, in grant order.  Reclaimed
+     *  cells are appended; `next` skips what was already taken. */
+    struct CellClass
+    {
+        std::vector<std::size_t> cells;
+        std::size_t next = 0;
+        std::uint64_t claimant = 0; ///< 0 = unclaimed (ids start at 1)
+    };
+
     std::size_t index(std::size_t point, std::size_t job) const;
+    CellKey lease(std::size_t i, std::uint64_t workerId, FabricTime expiry);
+    /** Next pending cell of class `c`, if any. */
+    std::optional<std::size_t> takeFrom(CellClass &c);
+    /** A lease on cell `i` was revoked: back to pending, FIFO and
+     *  class. */
+    void requeue(std::size_t i);
 
     std::size_t nJobs;
     std::vector<State> states;
     std::deque<std::size_t> pending; ///< indices, FIFO
     std::map<std::size_t, Lease> leases;
     std::size_t nDone = 0;
+
+    std::vector<std::size_t> classOf; ///< cell index -> class
+    std::vector<CellClass> classes;
+    std::deque<std::size_t> unclaimed; ///< classes, lazily pruned
+    std::map<std::uint64_t, std::size_t> claims; ///< worker -> class
 };
 
 /** The failure detector's view of the registered fleet. */

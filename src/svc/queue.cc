@@ -99,10 +99,9 @@ JobTable::reuseDoneResult(std::uint64_t fingerprint) const
         return std::nullopt;
     std::lock_guard<std::mutex> lock(mutex);
     // Newest first: later Done jobs are more likely still interesting.
-    for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
-        const JobRecord &record = *it->second;
-        if (record.state == JobState::Done &&
-            record.fingerprint == fingerprint)
+    for (auto it = retained.rbegin(); it != retained.rend(); ++it) {
+        const JobRecord &record = *jobs.at(*it);
+        if (record.fingerprint == fingerprint)
             return record.results;
     }
     return std::nullopt;
@@ -144,6 +143,38 @@ JobTable::markDone(std::uint64_t id, std::string results)
     if (running && running->id == id)
         running = nullptr;
     nCompleted.fetch_add(1);
+
+    retained.push_back(id);
+    releaseResultsLocked();
+}
+
+void
+JobTable::releaseResultsLocked()
+{
+    // A job's bytes count against `bound` only once its submitter has
+    // fetched them: a sweep that finished between two polls of its
+    // client must survive any number of other clients' fetched
+    // completions.  Unfetched bytes have their own, larger budget, so
+    // clients that never fetch cannot grow the daemon either.
+    const std::size_t unfetchedBound = kUnfetchedRetention * bound;
+    std::size_t fetched = 0;
+    for (const std::uint64_t id : retained)
+        fetched += jobs.at(id)->fetched ? 1 : 0;
+    std::size_t unfetched = retained.size() - fetched;
+    for (auto it = retained.begin();
+         it != retained.end() &&
+         (fetched > bound || unfetched > unfetchedBound);) {
+        JobRecord &record = *jobs.at(*it);
+        std::size_t &count = record.fetched ? fetched : unfetched;
+        if (count <= (record.fetched ? bound : unfetchedBound)) {
+            ++it;
+            continue;
+        }
+        std::string().swap(record.results);
+        record.resultsReleased = true;
+        --count;
+        it = retained.erase(it);
+    }
 }
 
 void
@@ -221,7 +252,7 @@ JobTable::status(std::uint64_t id) const
 }
 
 std::string
-JobTable::fetchResults(std::uint64_t id) const
+JobTable::fetchResults(std::uint64_t id)
 {
     std::lock_guard<std::mutex> lock(mutex);
     const auto it = jobs.find(id);
@@ -231,10 +262,32 @@ JobTable::fetchResults(std::uint64_t id) const
                                        static_cast<unsigned long long>(
                                            id)));
     }
-    const JobRecord &record = *it->second;
+    JobRecord &record = *it->second;
     switch (record.state) {
       case JobState::Done:
-        return record.results;
+        if (record.resultsReleased) {
+            // Never the emptied string: a released job is a typed
+            // miss, not a sweep with no bytes.
+            throw SvcError(
+                ErrorCode::NotFound,
+                util::strprintf(
+                    "job %llu is Done but its results were released: "
+                    "this daemon keeps the results of its %zu most "
+                    "recently finished sweeps (max_queue) once they "
+                    "have been fetched — resubmit the sweep (with "
+                    "cache_dir= set, an identical resubmission is "
+                    "answered from the result store)",
+                    static_cast<unsigned long long>(id), bound));
+        }
+        {
+            std::string results = record.results;
+            if (!record.fetched) {
+                // From now on the job counts against `bound`.
+                record.fetched = true;
+                releaseResultsLocked();
+            }
+            return results;
+        }
       case JobState::Queued:
       case JobState::Running:
         throw SvcError(ErrorCode::NotReady,

@@ -9,6 +9,16 @@
  * client sees immediately, never a silently growing queue that turns
  * into an OOM kill an hour later.
  *
+ * Retention: the table remembers every job's status for the process's
+ * life, but keeps the result bytes of only the `maxQueue` most recently
+ * finished jobs that have been fetched, plus up to kUnfetchedRetention
+ * x `maxQueue` finished jobs not fetched yet — a long-lived daemon's
+ * memory must not grow with the sweeps it has served, and a sweep that
+ * finished between two polls of its client must not be released before
+ * that client fetches it.  Fetching a released job answers NotFound
+ * naming the bound; resubmitting the sweep recomputes it, or answers it
+ * from the result store when one is configured.
+ *
  * Cancellation semantics (the contract DESIGN.md §10 states):
  *
  *  - a *queued* job is removed from the queue and marked Cancelled —
@@ -59,8 +69,13 @@ struct JobRecord
     /** Cells whose result is in hand — the coordinator bumps this as
      *  worker completions merge; markDone pins it to cellsTotal. */
     std::atomic<std::uint64_t> cellsDone{0};
-    /** Canonical result bytes once state == Done. */
+    /** Canonical result bytes once state == Done, until the retention
+     *  bound releases them. */
     std::string results;
+    /** fetchResults has served `results` at least once. */
+    bool fetched = false;
+    /** The retention bound dropped `results`; fetch answers NotFound. */
+    bool resultsReleased = false;
     /** Failure verdict once state == Failed. */
     util::ErrorCode errorCode = util::ErrorCode::Ok;
     std::string errorMessage;
@@ -96,7 +111,7 @@ class JobTable
                          std::uint64_t fingerprint = 0);
 
     /**
-     * The result bytes of an already-Done job with this fingerprint, if
+     * The result bytes of a retained Done job with this fingerprint, if
      * any — the in-memory single-flight dedup the dispatcher consults
      * before touching the persistent store.  Fingerprint 0 never
      * matches.
@@ -111,7 +126,8 @@ class JobTable
      */
     std::shared_ptr<JobRecord> takeNext(int timeoutMs);
 
-    /** Record a terminal verdict (dispatcher only). */
+    /** Record a terminal verdict (dispatcher only).  markDone retains
+     *  the bytes, releasing older ones beyond the retention bounds. */
     void markDone(std::uint64_t id, std::string results);
     void markFailed(std::uint64_t id, util::ErrorCode code,
                     std::string message);
@@ -128,10 +144,12 @@ class JobTable
 
     /**
      * The result bytes of a Done job; throws SvcError(NotFound) for
-     * unknown ids, SvcError(NotReady) while Queued/Running, and the
-     * job's own failure (or Cancelled) as SvcError once terminal.
+     * unknown ids and for Done jobs whose bytes were released,
+     * SvcError(NotReady) while Queued/Running, and the job's own
+     * failure (or Cancelled) as SvcError once terminal.  The first
+     * fetch moves the job's bytes under the `maxQueue` bound.
      */
-    std::string fetchResults(std::uint64_t id) const;
+    std::string fetchResults(std::uint64_t id);
 
     /** Mark every still-queued job Cancelled (shutdown drain) and wake
      *  the dispatcher; takeNext returns nullopt from now on. */
@@ -157,6 +175,11 @@ class JobTable
     std::uint64_t queuePositionLocked(std::uint64_t id) const;
     /** A queued job left the queue: release its tenant quota slot. */
     void dropQueuedTenantLocked(const JobRecord &record);
+    /** Drop the oldest retained bytes beyond the retention bounds. */
+    void releaseResultsLocked();
+
+    /** Unfetched results retained, in multiples of `bound`. */
+    static constexpr std::size_t kUnfetchedRetention = 4;
 
     const std::size_t bound;
     const std::size_t quota;
@@ -169,6 +192,8 @@ class JobTable
     std::shared_ptr<JobRecord> running;
     /** Queued (not running) jobs per tenant, for quota admission. */
     std::map<std::string, std::size_t> queuedByTenant;
+    /** Done jobs still holding their bytes, oldest first. */
+    std::deque<std::uint64_t> retained;
 
     std::atomic<std::uint64_t> nSubmitted{0};
     std::atomic<std::uint64_t> nRejected{0};

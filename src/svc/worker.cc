@@ -110,6 +110,8 @@ Worker::workLoop()
         "svc.worker.cells_executed");
     auto &cellsFromCache = util::MetricsRegistry::global().counter(
         "svc.worker.cells_from_cache");
+    auto &cellsShared = util::MetricsRegistry::global().counter(
+        "svc.worker.cells_shared");
     auto &reconnects = util::MetricsRegistry::global().counter(
         "svc.worker.reconnects");
 
@@ -169,11 +171,12 @@ Worker::workLoop()
                 }
                 const CellLeaseInfo lease = CellLeaseInfo::decode(r.body);
 
-                // Derive (and cache) the plan this lease's cell lives
-                // in; the fingerprint check catches a coordinator and
-                // worker that disagree about what the request means.
-                auto it = planCache.find(lease.sweep);
-                if (it == planCache.end()) {
+                // Derive the plan this lease's cell lives in, unless it
+                // is the sweep already being served; the fingerprint
+                // check catches a coordinator and worker that disagree
+                // about what the request means.
+                if (!served || served->fingerprint != lease.sweep) {
+                    served.reset(); // the old sweep's plan and memo go
                     SweepPlan plan = planSweep(
                         SweepRequest::decode(lease.requestBody));
                     if (planFingerprint(plan) != lease.sweep) {
@@ -187,11 +190,13 @@ Worker::workLoop()
                                 static_cast<unsigned long long>(
                                     planFingerprint(plan))));
                     }
-                    it = planCache
-                             .emplace(lease.sweep, std::move(plan))
-                             .first;
+                    served.emplace();
+                    served->fingerprint = lease.sweep;
+                    served->owners =
+                        study::simulationOwners(plan.points, plan.spec);
+                    served->plan = std::move(plan);
                 }
-                const SweepPlan &plan = it->second;
+                const SweepPlan &plan = served->plan;
                 if (lease.point >= plan.points.size() ||
                     lease.job >= plan.jobs.size()) {
                     throw SvcError(
@@ -203,15 +208,24 @@ Worker::workLoop()
                             static_cast<unsigned long long>(lease.job),
                             plan.points.size(), plan.jobs.size()));
                 }
+                const auto &gp = plan.points[lease.point];
+                const std::size_t ownerCell =
+                    served->owners[lease.point] * plan.jobs.size() +
+                    lease.job;
 
                 // Warm-cache read path first: a stored cell for this
                 // (fingerprint, point, job) is the same bytes execution
                 // would produce — cells are pure and the fingerprint
                 // pins every input — so a verified hit skips the
                 // simulator entirely.  Every cache fault already
-                // degraded to nullopt inside the store.
+                // degraded to nullopt inside the store.  Then the memo:
+                // a success of the same simulation, priced at this
+                // die's clock.  Only then the simulator.
                 study::CellRecord cell;
+                cell.point = lease.point;
+                cell.job = lease.job;
                 bool fromCache = false;
+                bool fromMemo = false;
                 if (store) {
                     if (std::optional<study::CellRecord> cached =
                             store->fetchCell(lease.sweep, lease.point,
@@ -221,10 +235,17 @@ Worker::workLoop()
                     }
                 }
                 if (!fromCache) {
+                    const auto memo = served->memo.find(ownerCell);
+                    if (memo != served->memo.end()) {
+                        cell.result = memo->second;
+                        study::priceAtClock(cell.result, gp.clock);
+                        fromMemo = true;
+                    }
+                }
+                if (!fromCache && !fromMemo) {
                     // Execute with the same transient-retry discipline
                     // as the local runner (same jitter key, same
                     // verdicts).
-                    const auto &gp = plan.points[lease.point];
                     const std::uint64_t cellKey =
                         lease.point * plan.jobs.size() + lease.job;
                     study::BenchResult result;
@@ -242,10 +263,12 @@ Worker::workLoop()
                         if (!sleepFor(delay))
                             return;
                     }
-                    cell.point = lease.point;
-                    cell.job = lease.job;
                     cell.result = std::move(result);
                 }
+                // Successes only: a failure must keep its own attempts
+                // on every die, as it would in the local runner.
+                if (!cell.result.failed())
+                    served->memo.emplace(ownerCell, cell.result);
                 if (stopping.load())
                     return; // killed: the result never reaches the wire
                 CellDoneInfo done;
@@ -274,13 +297,17 @@ Worker::workLoop()
                     nFromCache.fetch_add(1, std::memory_order_relaxed);
                     cellsFromCache.inc();
                 } else {
-                    // Publish the computed cell for future warm-cache
-                    // runs — clean results only: a transient failure
-                    // must not be replayed from disk later.
+                    // Publish the computed or priced cell for future
+                    // warm-cache runs — clean results only: a transient
+                    // failure must not be replayed from disk later.
                     if (store && !cell.result.failed())
                         store->storeCell(lease.sweep, cell);
                     nExecuted.fetch_add(1, std::memory_order_relaxed);
                     cellsExecuted.inc();
+                    if (fromMemo) {
+                        nShared.fetch_add(1, std::memory_order_relaxed);
+                        cellsShared.inc();
+                    }
                 }
             }
         } catch (const util::CancelledError &) {

@@ -17,7 +17,12 @@
  * runner uses, with the same per-cell transient-retry policy — a cell
  * computed here is byte-identical to one computed anywhere else, which
  * is what makes the coordinator's first-wins duplicate resolution
- * sound.
+ * sound.  A leased cell is answered from the first source that has it:
+ * the warm cell cache, then the per-sweep memo of successful results
+ * (a Monte Carlo die priced from another die's simulation of the same
+ * CoreParams, study::priceAtClock), then simulation.  The worker keeps
+ * the plan and memo of the one sweep it is serving; a lease for any
+ * other sweep re-plans and starts a fresh memo.
  *
  * kill() exists for the chaos harness: it aborts the in-flight cell
  * (cancel token) and guarantees nothing more is sent — the in-process
@@ -31,11 +36,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <vector>
 
 #include "study/checkpoint.hh"
 #include "svc/store.hh"
@@ -95,9 +102,18 @@ class Worker
     /** Wait for both threads; call after stop()/kill(). */
     void join();
 
-    /** Cells this worker has *computed* and reported (cache hits are
-     *  counted separately in cellsFromCache()). */
+    /** Cells this worker has *computed* and reported, simulated or
+     *  priced from its memo (cache hits are counted separately in
+     *  cellsFromCache()). */
     std::uint64_t cellsExecuted() const { return nExecuted.load(); }
+
+    /** Of cellsExecuted(), the cells priced from the memo instead of
+     *  simulated. */
+    std::uint64_t cellsShared() const { return nShared.load(); }
+
+    /** Sweep plans held (at most one: the sweep being served).  Call
+     *  after join(): only the work thread touches the plan. */
+    std::size_t plansHeld() const { return served ? 1 : 0; }
 
     /** Cells answered from the persistent cell cache, skipping
      *  execution entirely. */
@@ -118,6 +134,7 @@ class Worker
     std::atomic<std::uint64_t> heartbeatMs{1000};
     std::atomic<std::uint64_t> nExecuted{0};
     std::atomic<std::uint64_t> nFromCache{0};
+    std::atomic<std::uint64_t> nShared{0};
     util::CancelToken cellCancel;
     /** Persistent cell cache; null when cacheDir is empty. */
     std::unique_ptr<ResultStore> store;
@@ -125,9 +142,18 @@ class Worker
     std::mutex sleepMutex;
     std::condition_variable sleepCv;
 
-    /** Plans already derived, keyed by grid fingerprint — a sweep's
-     *  cells share one plan, not one planSweep call per cell. */
-    std::map<std::uint64_t, SweepPlan> planCache;
+    /** The sweep being served: its cells share one plan (not one
+     *  planSweep call per cell) and one memo of successful results,
+     *  keyed by owner cell (simulationOwners[point] * jobs + job). */
+    struct ServedSweep
+    {
+        std::uint64_t fingerprint = 0;
+        SweepPlan plan;
+        std::vector<std::size_t> owners;
+        std::unordered_map<std::size_t, study::BenchResult> memo;
+    };
+    /** Only the work thread touches it. */
+    std::optional<ServedSweep> served;
 
     std::thread workThread;
     std::thread heartbeatThread;

@@ -5,14 +5,20 @@
  * deterministic sweep, byte for byte; nonzero-sigma runs are
  * byte-identical at any thread count and across kill/resume), the
  * sampling model's invariants (pure-function draws, lognormal
- * positivity, typed rejection of absurd sigmas), and the paper-level
- * property the subsystem exists to compute: variation pushes the
- * yield-weighted optimum toward shallower pipelines.
+ * positivity, typed rejection of absurd sigmas), simulation sharing
+ * (each die priced from its point's one simulation, byte-identical to
+ * simulating it, failures never shared), and the paper-level property
+ * the subsystem exists to compute: variation pushes the yield-weighted
+ * optimum toward shallower pipelines.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,7 +28,10 @@
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
+#include "trace/trace.hh"
+#include "util/journal.hh"
 #include "util/logging.hh"
+#include "util/metrics.hh"
 #include "util/status.hh"
 
 using namespace fo4;
@@ -99,6 +108,28 @@ serializeMc(const study::McSweepResult &r)
             pt.tUseful, pt.stages, pt.all.meanBips, pt.all.stddevBips,
             pt.all.p5Bips, pt.all.p95Bips, pt.yield);
     }
+    return out;
+}
+
+/** The base grid MonteCarloRunner derives for `ts`. */
+std::vector<study::GridPoint>
+baseGrid(const std::vector<double> &ts)
+{
+    std::vector<study::GridPoint> base;
+    for (const double t : ts) {
+        base.push_back({study::scaledCoreParams(t, {}),
+                        study::scaledClock(t, tech::OverheadModel{})});
+    }
+    return base;
+}
+
+/** serializeSuite of every point, in grid order. */
+std::string
+serializeGrid(const std::vector<study::SuiteResult> &suites)
+{
+    std::string out;
+    for (const auto &suite : suites)
+        out += study::serializeSuite(suite);
     return out;
 }
 
@@ -411,4 +442,282 @@ TEST(McRunner, GoldenPinSeedZeroAggregates)
         "mean=%a sd=%a p5=%a p95=%a yield=%a", pt.all.meanBips,
         pt.all.stddevBips, pt.all.p5Bips, pt.all.p95Bips, pt.yield);
     EXPECT_EQ(got, std::string(kGoldenSeedZero));
+}
+
+// ---------------------------------------------------------------------
+// Simulation sharing: one simulation per (point, job), every die priced
+// ---------------------------------------------------------------------
+
+TEST(McSharing, DiceOfOneGridMatchEachDieRunAlone)
+{
+    // Run alone, a die's grid has no repeated CoreParams, so every one
+    // of its cells is simulated; inside the 8-dice grid, dice 1..7 are
+    // priced from die 0.  The bytes must not tell the two apart.
+    const auto base = baseGrid({8.0, 6.0});
+    const auto expanded =
+        study::expandMonteCarloGrid(base, someVariation(8));
+    const auto jobs = twoJobs();
+    const auto spec = smallSpec();
+
+    std::string alone;
+    for (std::size_t s = 0; s < 8; ++s) {
+        const std::vector<study::GridPoint> die(
+            expanded.begin() + static_cast<std::ptrdiff_t>(s * base.size()),
+            expanded.begin() +
+                static_cast<std::ptrdiff_t>((s + 1) * base.size()));
+        study::CheckpointedRunner runner({});
+        alone += serializeGrid(runner.runGrid(die, jobs, spec));
+        EXPECT_EQ(runner.report().sharedCells, 0u);
+    }
+
+    for (const int threads : {1, 2, 8}) {
+        study::CheckpointOptions opts;
+        opts.threads = threads;
+        study::CheckpointedRunner runner(opts);
+        EXPECT_EQ(alone, serializeGrid(runner.runGrid(expanded, jobs, spec)))
+            << "jobs=" << threads;
+        EXPECT_EQ(runner.report().sharedCells, 7u * base.size() * 2u);
+    }
+}
+
+TEST(McSharing, SharedCounterRisesByCellsMinusDistinctSimulations)
+{
+    const bool wasEnabled = util::setMetricsEnabled(true);
+    auto &registry = util::MetricsRegistry::global();
+    const auto base = baseGrid({8.0, 6.0, 4.6});
+    const auto expanded =
+        study::expandMonteCarloGrid(base, someVariation(4));
+    const auto jobs = twoJobs();
+    const std::size_t cells = expanded.size() * jobs.size();
+    const std::size_t distinct = base.size() * jobs.size();
+
+    const std::uint64_t shared0 = registry.value("study.cells.shared");
+    const std::uint64_t executed0 = registry.value("study.cells.executed");
+    study::CheckpointOptions opts;
+    opts.threads = 1;
+    study::CheckpointedRunner runner(opts);
+    runner.runGrid(expanded, jobs, smallSpec());
+    EXPECT_EQ(registry.value("study.cells.shared") - shared0,
+              cells - distinct);
+    EXPECT_EQ(registry.value("study.cells.executed") - executed0, cells)
+        << "executed keeps counting every cell this run completed";
+    EXPECT_EQ(runner.report().sharedCells, cells - distinct);
+    EXPECT_EQ(runner.report().executedCells, cells);
+    EXPECT_EQ(runner.report().cellTimings.size(), cells);
+    util::setMetricsEnabled(wasEnabled);
+}
+
+TEST(McSharing, ResumeHoldingOnlyDieZeroRunsNoSimulation)
+{
+    // A journal holding die 0's cells is a set of simulations: the
+    // resume prices every other die from it and simulates nothing.
+    const auto base = baseGrid({8.0, 6.0});
+    const auto expanded =
+        study::expandMonteCarloGrid(base, someVariation(3));
+    const auto jobs = twoJobs();
+    const auto spec = smallSpec();
+
+    study::CheckpointedRunner reference({});
+    const std::string expected =
+        serializeGrid(reference.runGrid(expanded, jobs, spec));
+
+    const std::string journal = tempPath("mc_die_zero.journal");
+    {
+        const std::vector<study::GridPoint> dieZero(
+            expanded.begin(),
+            expanded.begin() + static_cast<std::ptrdiff_t>(base.size()));
+        study::CheckpointedRunner runner({});
+        const auto suites = runner.runGrid(dieZero, jobs, spec);
+        auto writer = util::JournalWriter::create(
+            journal, study::gridFingerprint(expanded, jobs, spec));
+        for (std::size_t p = 0; p < suites.size(); ++p) {
+            for (std::size_t j = 0; j < jobs.size(); ++j)
+                writer.append(study::encodeCellRecord(
+                    {p, j, suites[p].benchmarks[j]}));
+        }
+        writer.close();
+    }
+
+    std::atomic<int> attempts{0};
+    study::CheckpointOptions opts;
+    opts.journalPath = journal;
+    opts.threads = 2;
+    opts.onAttempt = [&](std::size_t, std::size_t, int attempt) {
+        EXPECT_EQ(attempt, 1);
+        ++attempts;
+    };
+    study::CheckpointedRunner resumed(opts);
+    EXPECT_EQ(expected, serializeGrid(resumed.runGrid(expanded, jobs, spec)));
+    const auto &report = resumed.report();
+    EXPECT_TRUE(report.resumed);
+    EXPECT_EQ(report.replayedCells, base.size() * jobs.size());
+    EXPECT_EQ(report.executedCells, 2u * base.size() * jobs.size());
+    EXPECT_EQ(report.sharedCells, report.executedCells)
+        << "every executed cell was priced: no simulation ran";
+    EXPECT_EQ(attempts.load(), static_cast<int>(report.executedCells))
+        << "priced cells are still announced, once each";
+    std::remove(journal.c_str());
+}
+
+TEST(McSharing, CancelMidClassResumesByteIdentical)
+{
+    // One point x 4 dice x 1 job is one class: die 0 simulates, dice
+    // 1..3 are priced.  Cancelling as die 2 is announced stops the class
+    // part-way; the resume prices what is left from the journal.
+    const auto base = baseGrid({6.0});
+    const auto expanded =
+        study::expandMonteCarloGrid(base, someVariation(4));
+    const std::vector<study::BenchJob> jobs = {
+        study::BenchJob::fromProfile(trace::spec2000Profile("164.gzip"))};
+    const auto spec = smallSpec();
+
+    study::CheckpointedRunner reference({});
+    const std::string expected =
+        serializeGrid(reference.runGrid(expanded, jobs, spec));
+
+    const std::string journal = tempPath("mc_mid_class.journal");
+    util::CancelToken cancel;
+    int started = 0;
+    study::CheckpointOptions opts;
+    opts.journalPath = journal;
+    opts.cancel = &cancel;
+    opts.onAttempt = [&](std::size_t, std::size_t, int) {
+        if (++started == 3)
+            cancel.requestCancel();
+    };
+    study::CheckpointedRunner killed(opts);
+    EXPECT_THROW(killed.runGrid(expanded, jobs, spec), util::CancelledError);
+    EXPECT_EQ(killed.report().executedCells, 3u)
+        << "the announced die finishes; the class stops before die 3";
+
+    study::CheckpointOptions again;
+    again.journalPath = journal;
+    study::CheckpointedRunner resumed(again);
+    EXPECT_EQ(expected, serializeGrid(resumed.runGrid(expanded, jobs, spec)));
+    EXPECT_EQ(resumed.report().replayedCells, 3u);
+    EXPECT_EQ(resumed.report().sharedCells, 1u);
+    EXPECT_EQ(resumed.report().executedCells, 1u);
+    std::remove(journal.c_str());
+}
+
+TEST(McSharing, ObservedSpecsSimulateEveryDie)
+{
+    // A retire sink must see every simulation, so a spec carrying one
+    // shares nothing: four dice retire four dice' worth of microops.
+    struct CountingSink : trace::RetireSink
+    {
+        std::uint64_t retired = 0;
+        void onRetire(const isa::MicroOp &) override { ++retired; }
+    };
+    const auto base = baseGrid({6.0});
+    const auto expanded =
+        study::expandMonteCarloGrid(base, someVariation(4));
+    const std::vector<study::BenchJob> jobs = {
+        study::BenchJob::fromProfile(trace::spec2000Profile("164.gzip"))};
+    auto spec = smallSpec();
+    EXPECT_EQ(study::simulationOwners(expanded, spec),
+              (std::vector<std::size_t>{0, 0, 0, 0}));
+
+    CountingSink sink;
+    spec.retireSink = &sink;
+    EXPECT_EQ(study::simulationOwners(expanded, spec),
+              (std::vector<std::size_t>{0, 1, 2, 3}));
+    study::CheckpointedRunner oneDie({});
+    oneDie.runGrid(base, jobs, spec);
+    const std::uint64_t perDie = sink.retired;
+    ASSERT_GT(perDie, 0u);
+
+    sink.retired = 0;
+    study::CheckpointedRunner allDice({});
+    allDice.runGrid(expanded, jobs, spec);
+    EXPECT_EQ(sink.retired, 4 * perDie);
+    EXPECT_EQ(allDice.report().sharedCells, 0u);
+}
+
+TEST(McSharing, FailuresAreNeverSharedEveryDieRetriesOnItsOwn)
+{
+    // A missing trace file fails with TraceIo, a transient code: every
+    // die must spend all its attempts, exactly as if no die shared a
+    // simulation, while the healthy job beside it is still shared.
+    std::vector<study::BenchJob> jobs = {
+        study::BenchJob::fromProfile(trace::spec2000Profile("164.gzip")),
+        study::BenchJob::fromTraceFile(
+            "missing", trace::BenchClass::Integer,
+            std::string(::testing::TempDir()) + "/mc_missing.fo4t")};
+    const auto base = baseGrid({8.0, 6.0});
+    const auto expanded =
+        study::expandMonteCarloGrid(base, someVariation(4));
+
+    std::mutex mutex;
+    std::map<std::size_t, int> missingAttempts; // point -> attempts
+    study::CheckpointOptions opts;
+    opts.threads = 2;
+    opts.retry.maxAttempts = 3;
+    opts.onAttempt = [&](std::size_t point, std::size_t job, int) {
+        if (job != 1)
+            return;
+        std::lock_guard<std::mutex> lock(mutex);
+        ++missingAttempts[point];
+    };
+    study::CheckpointedRunner runner(opts);
+    const auto suites = runner.runGrid(expanded, jobs, smallSpec());
+
+    ASSERT_EQ(missingAttempts.size(), expanded.size());
+    for (std::size_t p = 0; p < expanded.size(); ++p) {
+        EXPECT_EQ(missingAttempts[p], 3) << "point " << p;
+        EXPECT_EQ(suites[p].benchmarks[1].error.code(),
+                  util::ErrorCode::TraceIo);
+        EXPECT_FALSE(suites[p].benchmarks[0].failed());
+    }
+    EXPECT_EQ(runner.report().retriedAttempts, 2u * expanded.size());
+    EXPECT_EQ(runner.report().sharedCells, expanded.size() - base.size())
+        << "only the healthy job's dice are priced";
+}
+
+TEST(McSharing, AFailedClassSimulatesItsRemainingDiceInParallel)
+{
+    // Die 0 of the only class fails with no success to share, so the
+    // other dice go back to the pool as separate tasks.  With spare
+    // threads their retry windows (attempt 1 to attempt 3, across two
+    // 40 ms backoffs) overlap instead of running one after another.
+    const std::vector<study::BenchJob> jobs = {study::BenchJob::fromTraceFile(
+        "missing", trace::BenchClass::Integer,
+        std::string(::testing::TempDir()) + "/mc_missing_parallel.fo4t")};
+    const auto expanded =
+        study::expandMonteCarloGrid(baseGrid({6.0}), someVariation(4));
+
+    using Clock = std::chrono::steady_clock;
+    std::mutex mutex;
+    std::map<std::size_t, std::pair<Clock::time_point, Clock::time_point>>
+        windows; // point -> (attempt 1, last attempt)
+    study::CheckpointOptions opts;
+    opts.threads = 4;
+    opts.retry.maxAttempts = 3;
+    opts.retry.baseDelayMs = 40.0;
+    opts.onAttempt = [&](std::size_t point, std::size_t, int attempt) {
+        const auto now = Clock::now();
+        std::lock_guard<std::mutex> lock(mutex);
+        auto &window = windows[point];
+        if (attempt == 1)
+            window.first = now;
+        window.second = now;
+    };
+    study::CheckpointedRunner runner(opts);
+    const auto suites = runner.runGrid(expanded, jobs, smallSpec());
+
+    ASSERT_EQ(windows.size(), expanded.size());
+    for (std::size_t p = 0; p < expanded.size(); ++p) {
+        EXPECT_EQ(suites[p].benchmarks[0].error.code(),
+                  util::ErrorCode::TraceIo);
+    }
+    EXPECT_EQ(runner.report().retriedAttempts, 2u * expanded.size());
+    EXPECT_EQ(runner.report().sharedCells, 0u);
+    bool overlap = false;
+    for (std::size_t a = 1; a < expanded.size(); ++a) {
+        for (std::size_t b = a + 1; b < expanded.size(); ++b) {
+            overlap |= windows[a].first < windows[b].second &&
+                       windows[b].first < windows[a].second;
+        }
+    }
+    EXPECT_TRUE(overlap) << "the failed class's dice ran one at a time";
 }

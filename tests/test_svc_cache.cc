@@ -9,7 +9,9 @@
  * single-flight dedup without touching the store; a cache corrupted
  * between restarts degrades to recompute — same bytes, corruption
  * counted; a sweep containing failed rows is never cached (transient
- * verdicts must not be replayed from disk).
+ * verdicts must not be replayed from disk); a job whose bytes the
+ * retention bound released is a typed NotFound, and resubmitting it is
+ * answered from the store with the original bytes.
  *
  * Tenant side: per-tenant admission quotas starve the hog and admit the
  * neighbour, with typed Overloaded refusals whose detail names the
@@ -230,6 +232,117 @@ TEST_F(SvcCache, IdenticalResubmissionIsDedupedWithoutAStore)
     EXPECT_EQ(client.fetchResults(first), client.fetchResults(second));
     EXPECT_EQ(counterValue("svc.cache.dedup") - dedup0, 1u);
     EXPECT_EQ(counterValue("study.cells.executed") - cells0, 0u);
+
+    server.stop();
+    server.join();
+}
+
+TEST_F(SvcCache, ReleasedResultsAreNotFoundAndResubmissionServesTheSameBytes)
+{
+    // max_queue=2: the daemon keeps the bytes of its two most recently
+    // finished sweeps.  The third finished sweep releases the first.
+    const std::string cacheDir = tempDir("svc_cache_retention");
+    svc::Server server = makeServer(cacheDir, 0, 2);
+    svc::Client client("127.0.0.1", server.port());
+
+    std::vector<std::uint64_t> ids;
+    std::vector<std::string> bytes;
+    for (const double t : {8.0, 6.0, 4.6}) {
+        svc::SweepRequest request = smallRequest();
+        request.tUseful = {t};
+        const auto [id, cells] = client.submit(request);
+        (void)cells;
+        ASSERT_EQ(client.waitUntilDone(id, 20).state, svc::JobState::Done);
+        ids.push_back(id);
+        bytes.push_back(client.fetchResults(id));
+        ASSERT_FALSE(bytes.back().empty());
+    }
+
+    EXPECT_EQ(client.poll(ids[0]).state, svc::JobState::Done)
+        << "a released job keeps its status";
+    try {
+        client.fetchResults(ids[0]);
+        ADD_FAILURE() << "a released job must not serve bytes";
+    } catch (const SvcError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::NotFound);
+        EXPECT_NE(std::string(e.what()).find("max_queue"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("resubmit"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(client.fetchResults(ids[1]), bytes[1]);
+    EXPECT_EQ(client.fetchResults(ids[2]), bytes[2]);
+
+    // The resubmission misses the in-memory dedup (released) and is
+    // answered from the store: the original bytes, never empty ones.
+    const std::uint64_t hits0 = counterValue("svc.cache.hit");
+    const std::uint64_t cells0 = counterValue("study.cells.executed");
+    svc::SweepRequest again = smallRequest();
+    again.tUseful = {8.0};
+    const auto [id, cells] = client.submit(again);
+    (void)cells;
+    ASSERT_EQ(client.waitUntilDone(id, 20).state, svc::JobState::Done);
+    EXPECT_EQ(client.fetchResults(id), bytes[0]);
+    EXPECT_EQ(counterValue("svc.cache.hit") - hits0, 1u);
+    EXPECT_EQ(counterValue("study.cells.executed") - cells0, 0u);
+
+    server.stop();
+    server.join();
+}
+
+TEST_F(SvcCache, AFinishedSweepSurvivesOtherClientsFetchesUntilItIsFetched)
+{
+    // max_queue=1 and no result store, so the job table holds the only
+    // copy of a finished sweep.  The waiter's sweep finishes; before the
+    // waiter fetches it, another client's sweep and its repeats finish
+    // and are fetched.  Only fetched bytes count against max_queue, so
+    // the waiter still gets its bytes.
+    svc::Server server = makeServer("", 0, 1);
+    svc::Client waiter("127.0.0.1", server.port());
+    svc::Client other("127.0.0.1", server.port());
+
+    svc::SweepRequest fresh = smallRequest();
+    fresh.tUseful = {8.0};
+    const auto [waitId, waitCells] = waiter.submit(fresh);
+    (void)waitCells;
+    ASSERT_EQ(waiter.waitUntilDone(waitId, 20).state, svc::JobState::Done);
+
+    svc::SweepRequest repeat = smallRequest();
+    repeat.tUseful = {6.0};
+    const std::uint64_t dedup0 = counterValue("svc.cache.dedup");
+    std::string repeatBytes;
+    for (int i = 0; i < 4; ++i) {
+        const auto [id, cells] = other.submit(repeat);
+        (void)cells;
+        ASSERT_EQ(other.waitUntilDone(id, 20).state, svc::JobState::Done);
+        const std::string bytes = other.fetchResults(id);
+        ASSERT_FALSE(bytes.empty());
+        if (i == 0)
+            repeatBytes = bytes;
+        EXPECT_EQ(bytes, repeatBytes);
+    }
+    EXPECT_EQ(counterValue("svc.cache.dedup") - dedup0, 3u)
+        << "the newest fetched sweep stays retained for dedup";
+    EXPECT_EQ(waiter.fetchResults(waitId), localBytes(fresh));
+
+    // Unfetched bytes have a bound of their own: a client that never
+    // fetches cannot grow the daemon.  Five completions nobody fetches
+    // release the oldest of them; the newest is still served.
+    std::vector<std::uint64_t> unfetched;
+    for (int i = 0; i < 5; ++i) {
+        const auto [id, cells] = other.submit(repeat);
+        (void)cells;
+        ASSERT_EQ(other.waitUntilDone(id, 20).state, svc::JobState::Done);
+        unfetched.push_back(id);
+    }
+    try {
+        other.fetchResults(unfetched.front());
+        ADD_FAILURE() << "unfetched results must not be kept without bound";
+    } catch (const SvcError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::NotFound);
+    }
+    EXPECT_EQ(other.fetchResults(unfetched.back()), repeatBytes);
 
     server.stop();
     server.join();

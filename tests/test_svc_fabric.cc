@@ -4,8 +4,11 @@
  *
  * Unit layer (fabricated clocks, no sockets, no sleeps): CellScheduler
  * lease lifecycle — grant, first-wins completion, expiry and
- * dead-worker reclaim — and the WorkerTable failure detector's
- * Live -> Suspect -> Dead ladder.
+ * dead-worker reclaim — its class-affine grants over Monte Carlo dice
+ * (a class is never split while an unclaimed one remains, singleton
+ * classes keep the FIFO order, a dead worker's class passes to the
+ * survivor, and grant() always reaches a pending cell), and the
+ * WorkerTable failure detector's Live -> Suspect -> Dead ladder.
  *
  * Integration layer (real coordinator, real in-process workers, real
  * loopback sockets): the headline identity guarantee — a sweep sharded
@@ -25,8 +28,12 @@
 
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "chaos_proxy.hh"
 #include "svc/client.hh"
@@ -89,6 +96,31 @@ chaosRequest()
         req.jobs.push_back(std::move(job));
     }
     return req;
+}
+
+/** Simulation owners of a Monte Carlo grid of `basePoints` x `dice`,
+ *  sample-major: die s of base point p is point s * basePoints + p. */
+std::vector<std::size_t>
+mcOwners(std::size_t basePoints, std::size_t dice)
+{
+    std::vector<std::size_t> owners;
+    for (std::size_t s = 0; s < dice; ++s) {
+        for (std::size_t p = 0; p < basePoints; ++p)
+            owners.push_back(p);
+    }
+    return owners;
+}
+
+/** Latch and die variation over `request`'s grid. */
+svc::SweepRequest
+withDice(svc::SweepRequest request, std::uint64_t dice)
+{
+    request.mcSamples = dice;
+    request.mcDist = "normal";
+    request.mcSigmaLatch = 0.08;
+    request.mcSigmaDie = 0.05;
+    request.mcSeed = 42;
+    return request;
 }
 
 std::string
@@ -223,6 +255,152 @@ TEST(CellScheduler, ReplayedCellsAreNeverGranted)
     EXPECT_EQ(2u, granted) << "only the two unreplayed cells remain";
 }
 
+TEST(CellScheduler, AlternatingWorkersNeverSplitAClassWhileOneIsUnclaimed)
+{
+    // 3 points x 4 dice x 2 jobs: 6 classes of 4 cells.  Worker 1 asks
+    // twice as often as worker 2, so their classes run out at
+    // different times.
+    const std::size_t jobs = 2;
+    const auto owners = mcOwners(3, 4);
+    svc::CellScheduler sched(owners, jobs);
+    const auto now = t0();
+    std::map<std::size_t, std::uint64_t> firstWorker; // class -> worker
+    std::map<std::size_t, int> granted;               // class -> cells
+    std::map<std::uint64_t, std::size_t> lastClass;   // worker -> class
+    const std::uint64_t turns[] = {1, 1, 2};
+    for (std::size_t n = 0;; ++n) {
+        const std::uint64_t worker = turns[n % 3];
+        const bool unclaimedRemains = firstWorker.size() < 6;
+        const auto key = sched.grant(worker, plus(now, 1000));
+        if (!key)
+            break;
+        const std::size_t cls = owners[key->point] * jobs + key->job;
+        const auto first = firstWorker.emplace(cls, worker).first;
+        if (unclaimedRemains) {
+            EXPECT_EQ(first->second, worker)
+                << "grant " << n << " split class " << cls
+                << " while a class was still unclaimed";
+            const auto last = lastClass.find(worker);
+            if (last != lastClass.end() && granted[last->second] < 4) {
+                EXPECT_EQ(cls, last->second)
+                    << "grant " << n << " moved worker " << worker
+                    << " off a class with cells left";
+            }
+        }
+        ++granted[cls];
+        lastClass[worker] = cls;
+        EXPECT_TRUE(sched.complete(key->point, key->job));
+    }
+    EXPECT_EQ(firstWorker.size(), 6u);
+    EXPECT_TRUE(sched.finished());
+}
+
+TEST(CellScheduler, ReclaimedWorkersClassStaysGrantableToTheSurvivor)
+{
+    // 3 points x 4 dice x 1 job: class A = points {0,3,6,9}, B =
+    // {1,4,7,10}, C = {2,5,8,11}.  Worker 1 dies two cells into A.
+    const auto owners = mcOwners(3, 4);
+    svc::CellScheduler sched(owners, 1);
+    const auto now = t0();
+    for (int i = 0; i < 2; ++i) {
+        const auto key = sched.grant(1, plus(now, 1000));
+        ASSERT_TRUE(key.has_value());
+        EXPECT_EQ(owners[key->point], 0u);
+    }
+    const auto first = sched.grant(2, plus(now, 1000));
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(owners[first->point], 1u);
+    EXPECT_TRUE(sched.complete(first->point, first->job));
+
+    EXPECT_EQ(sched.reclaimWorker(1), 2u);
+    // The survivor finishes its own class, then inherits class A whole
+    // — the two reclaimed cells and the two never granted — before it
+    // claims the untouched class C.
+    std::set<std::size_t> inherited;
+    for (int i = 0; i < 11; ++i) {
+        const auto key = sched.grant(2, plus(now, 1000));
+        ASSERT_TRUE(key.has_value());
+        const std::size_t want = i < 3 ? 1 : i < 7 ? 0 : 2;
+        EXPECT_EQ(owners[key->point], want) << "grant " << i;
+        if (want == 0)
+            inherited.insert(key->point);
+        EXPECT_TRUE(sched.complete(key->point, key->job));
+    }
+    EXPECT_EQ(inherited, (std::set<std::size_t>{0, 3, 6, 9}));
+    EXPECT_FALSE(sched.grant(2, plus(now, 1000)).has_value());
+    EXPECT_TRUE(sched.finished());
+}
+
+TEST(CellScheduler, GrantNeverReturnsNothingWhileACellIsPending)
+{
+    // Random grants, completions, expiries and deaths over a Monte
+    // Carlo grid, checked against a model of every cell's state: the
+    // scheduler must grant whenever the model holds a pending cell.
+    enum CellState { Pending, Leased, Done };
+    const std::size_t jobs = 2;
+    const auto owners = mcOwners(3, 4);
+    const std::size_t cells = owners.size() * jobs;
+    std::mt19937 rng(20260417);
+    for (int round = 0; round < 20; ++round) {
+        svc::CellScheduler sched(owners, jobs);
+        std::vector<CellState> model(cells, Pending);
+        std::vector<std::uint64_t> holder(cells, 0);
+        std::vector<std::uint64_t> expiry(cells, 0);
+        std::uint64_t clock = 0;
+        const auto now = t0();
+        const auto pendingInModel = [&] {
+            std::size_t n = 0;
+            for (const CellState st : model)
+                n += st == Pending;
+            return n;
+        };
+        for (int step = 0; step < 400 && !sched.finished(); ++step) {
+            clock += 10;
+            const int op = static_cast<int>(rng() % 10);
+            if (op < 6) {
+                const std::uint64_t worker = 1 + rng() % 3;
+                const std::uint64_t until = clock + 20 + rng() % 200;
+                const bool expectGrant = pendingInModel() > 0;
+                const auto key = sched.grant(worker, plus(now, until));
+                ASSERT_EQ(key.has_value(), expectGrant)
+                    << "round " << round << " step " << step;
+                if (key) {
+                    const std::size_t i = key->point * jobs + key->job;
+                    ASSERT_EQ(model[i], Pending);
+                    model[i] = Leased;
+                    holder[i] = worker;
+                    expiry[i] = until;
+                }
+            } else if (op < 8) {
+                const std::size_t i = rng() % cells;
+                EXPECT_EQ(sched.complete(i / jobs, i % jobs),
+                          model[i] != Done);
+                model[i] = Done;
+            } else if (op < 9) {
+                std::size_t expired = 0;
+                for (std::size_t i = 0; i < cells; ++i) {
+                    if (model[i] == Leased && expiry[i] <= clock) {
+                        model[i] = Pending;
+                        ++expired;
+                    }
+                }
+                EXPECT_EQ(sched.reclaimExpired(plus(now, clock)), expired);
+            } else {
+                const std::uint64_t dead = 1 + rng() % 3;
+                std::size_t held = 0;
+                for (std::size_t i = 0; i < cells; ++i) {
+                    if (model[i] == Leased && holder[i] == dead) {
+                        model[i] = Pending;
+                        ++held;
+                    }
+                }
+                EXPECT_EQ(sched.reclaimWorker(dead), held);
+            }
+            ASSERT_EQ(sched.pendingCount(), pendingInModel());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // WorkerTable failure detector (pure, fabricated time)
 // ---------------------------------------------------------------------
@@ -350,6 +528,64 @@ TEST(Fabric, MonteCarloFleetSweepIsByteIdenticalToLocal)
     w2.join();
     EXPECT_EQ(8u, w1.cellsExecuted() + w2.cellsExecuted());
 
+    coord.stop();
+    coord.join();
+}
+
+TEST(Fabric, MonteCarloSweepWithAWorkerKilledMidSweepStaysByteIdentical)
+{
+    // 8 dice: each class's first die is simulated, the other seven are
+    // priced from the worker's memo.  Killing a worker mid-class hands
+    // its class to the survivor, whose memo starts empty; the bytes
+    // must not notice.
+    const svc::SweepRequest request = withDice(chaosRequest(), 8);
+    const std::string expected = localBytes(request);
+
+    auto opts = fastCoordinator();
+    opts.localFallback = false; // the survivor must finish it all
+    svc::Coordinator coord(opts);
+    svc::Worker victim(workerFor(coord.port(), "victim"));
+    svc::Worker survivor(workerFor(coord.port(), "survivor"));
+
+    svc::Client client("127.0.0.1", coord.port());
+    const auto [id, cells] = client.submit(request);
+    EXPECT_EQ(64u, cells); // 8 dice x 4 depths x 2 benchmarks
+    while (client.poll(id).cellsDone < 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    victim.kill();
+    victim.join();
+
+    const auto status = client.waitUntilDone(id, 50);
+    ASSERT_EQ(svc::JobState::Done, status.state);
+    EXPECT_EQ(expected, client.fetchResults(id));
+
+    survivor.stop();
+    survivor.join();
+    EXPECT_GE(survivor.cellsExecuted() + victim.cellsExecuted(), 64u);
+    EXPECT_GT(survivor.cellsShared(), 0u)
+        << "the survivor priced dice from its memo";
+    coord.stop();
+    coord.join();
+}
+
+TEST(Fabric, WorkerKeepsOnlyThePlanOfTheSweepItServes)
+{
+    svc::Coordinator coord(fastCoordinator());
+    svc::Worker worker(workerFor(coord.port(), "w"));
+    svc::Client client("127.0.0.1", coord.port());
+    for (const double t : {8.0, 6.0, 4.6}) {
+        svc::SweepRequest request = smallRequest();
+        request.tUseful = {t};
+        const auto [id, cells] = client.submit(request);
+        (void)cells;
+        ASSERT_EQ(svc::JobState::Done, client.waitUntilDone(id, 20).state);
+        EXPECT_EQ(localBytes(request), client.fetchResults(id));
+    }
+    worker.stop();
+    worker.join();
+    EXPECT_EQ(6u, worker.cellsExecuted());
+    EXPECT_EQ(1u, worker.plansHeld())
+        << "three sweeps served, one plan held";
     coord.stop();
     coord.join();
 }
