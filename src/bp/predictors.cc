@@ -159,26 +159,60 @@ Tournament::reset()
     history = 0;
 }
 
+namespace
+{
+
+template <class P>
+std::unique_ptr<BranchPredictor>
+make()
+{
+    return std::make_unique<P>();
+}
+
+/** The one list of predictor names, in the order messages give them. */
+const struct
+{
+    const char *name;
+    std::unique_ptr<BranchPredictor> (*make)();
+} kPredictors[] = {
+    {"perfect", make<PerfectPredictor>},
+    {"taken", make<AlwaysTaken>},
+    {"bimodal", make<Bimodal>},
+    {"gshare", make<GShare>},
+    {"local", make<LocalHistory>},
+    {"tournament", make<Tournament>},
+};
+
+} // namespace
+
+util::Status
+checkPredictorName(const std::string &name)
+{
+    for (const auto &known : kPredictors) {
+        if (name == known.name)
+            return util::Status::ok();
+    }
+    std::string names;
+    for (const auto &known : kPredictors) {
+        if (!names.empty())
+            names += ", ";
+        names += known.name;
+    }
+    return util::Status(
+        util::ErrorCode::InvalidConfig,
+        util::strprintf("unknown branch predictor '%s' (expected one of "
+                        "%s)",
+                        name.c_str(), names.c_str()));
+}
+
 std::unique_ptr<BranchPredictor>
 makePredictor(const std::string &name)
 {
-    if (name == "perfect")
-        return std::make_unique<PerfectPredictor>();
-    if (name == "taken")
-        return std::make_unique<AlwaysTaken>();
-    if (name == "bimodal")
-        return std::make_unique<Bimodal>();
-    if (name == "gshare")
-        return std::make_unique<GShare>();
-    if (name == "local")
-        return std::make_unique<LocalHistory>();
-    if (name == "tournament")
-        return std::make_unique<Tournament>();
-    throw util::ConfigError(
-        util::strprintf("unknown branch predictor '%s' (expected one of "
-                        "perfect, taken, bimodal, gshare, local, "
-                        "tournament)",
-                        name.c_str()));
+    for (const auto &known : kPredictors) {
+        if (name == known.name)
+            return known.make();
+    }
+    throw util::ConfigError(checkPredictorName(name).message());
 }
 
 } // namespace fo4::bp

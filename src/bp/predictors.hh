@@ -9,10 +9,12 @@
 #define FO4_BP_PREDICTORS_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bp/predictor.hh"
 #include "util/sat_counter.hh"
+#include "util/status.hh"
 
 namespace fo4::bp
 {
@@ -137,8 +139,12 @@ class Tournament : public BranchPredictor
 };
 
 /** Factory by name: "perfect", "taken", "bimodal", "gshare", "local",
- *  "tournament".  Fatal on unknown names. */
+ *  "tournament".  Throws ConfigError on unknown names. */
 std::unique_ptr<BranchPredictor> makePredictor(const std::string &name);
+
+/** Ok when makePredictor accepts `name`, else the InvalidConfig it
+ *  would throw — so a run can refuse the name before any cell runs. */
+util::Status checkPredictorName(const std::string &name);
 
 } // namespace fo4::bp
 

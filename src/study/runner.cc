@@ -1,5 +1,6 @@
 #include "study/runner.hh"
 
+#include "bp/predictors.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
 #include "trace/recorded_trace.hh"
@@ -122,6 +123,8 @@ RunSpec::validate() const
         errs.addf("instructions must be positive");
     if (predictor.empty())
         errs.addf("no branch predictor named");
+    else if (const auto st = bp::checkPredictorName(predictor); !st.isOk())
+        errs.addf("%s", st.message().c_str());
     return errs.status(util::ErrorCode::InvalidConfig);
 }
 

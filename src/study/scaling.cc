@@ -22,14 +22,13 @@ core::CoreParams
 scaledCoreParams(double tUseful, const ScalingOptions &options,
                  const cacti::StructureModel &model)
 {
-    if (tUseful <= 0.0) {
-        throw util::ConfigError(
-            util::strprintf("t_useful must be positive, got %g", tUseful));
-    }
-
     // Only t_useful matters for cycle quantization; overhead changes the
-    // frequency, not the latencies (paper Section 3.3).
+    // frequency, not the latencies (paper Section 3.3).  The clock's own
+    // range rules refuse a NaN, infinite or vanishing t_useful here,
+    // typed, before any latency is quantised.
     tech::ClockModel clock = scaledClock(tUseful);
+    if (const util::Status st = clock.validate(); !st.isOk())
+        throw util::ConfigError(st.message());
 
     core::CoreParams p = core::CoreParams::alpha21264();
     using SK = cacti::StructureKind;

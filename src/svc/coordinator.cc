@@ -1,7 +1,6 @@
 #include "svc/coordinator.hh"
 
 #include <chrono>
-#include <cmath>
 
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -14,25 +13,6 @@ namespace
 
 using util::ErrorCode;
 using util::SvcError;
-
-/** Same log2 latency bucketing as the daemon (svc/server.cc); both
- *  feed the shared "svc.sweep_wall_ms" histogram. */
-constexpr std::size_t kLatencyBuckets = 24;
-
-std::uint64_t
-latencyBucketOf(double wallMs)
-{
-    if (wallMs < 1.0)
-        return 0;
-    return static_cast<std::uint64_t>(std::log2(wallMs + 1.0));
-}
-
-util::MetricHistogram &
-latencyHistogram()
-{
-    return util::MetricsRegistry::global().histogram("svc.sweep_wall_ms",
-                                                     kLatencyBuckets);
-}
 
 util::MetricCounter &
 fabricCounter(const char *name)
@@ -49,13 +29,8 @@ ms(std::uint64_t v)
 } // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options)
-    : SessionServer(options.port, options.maxQueue, options.tenantQuota),
-      opts(std::move(options)), fleet(opts.detector)
+    : SessionServer(options), opts(std::move(options)), fleet(opts.detector)
 {
-    if (!opts.cacheDir.empty())
-        store = std::make_unique<ResultStore>(opts.cacheDir,
-                                              opts.cacheMaxBytes);
-    dispatchThread = std::thread([this] { dispatchLoop(); });
     startAccepting();
 }
 
@@ -75,47 +50,21 @@ Coordinator::stop()
     fabricCv.notify_all();
 }
 
-void
-Coordinator::join()
-{
-    SessionServer::join();
-    if (dispatchThread.joinable())
-        dispatchThread.join();
-}
-
 // ---------------------------------------------------------------------
 // Sweep execution
 // ---------------------------------------------------------------------
 
 void
-Coordinator::dispatchLoop()
+Coordinator::idleTick()
 {
-    auto &histogram = latencyHistogram();
-    auto &workersDead = fabricCounter("svc.fabric.workers_dead");
-    while (!stopRequested()) {
-        const std::shared_ptr<JobRecord> job = table.takeNext(kTickMs);
-        if (!job) {
-            // Idle tick: the failure detector must keep judging the
-            // fleet between sweeps, or a worker that died after the
-            // last sweep would stay Live in the roster forever (and a
-            // sweep submitted later would wait a full dead interval to
-            // find out).  No active sweep means no leases to reclaim.
-            std::lock_guard<std::mutex> lock(fabricMutex);
-            for (const std::uint64_t id :
-                 fleet.newlyDead(FabricClock::now())) {
-                (void)id;
-                workersDead.inc();
-            }
-            continue;
-        }
-        const auto started = std::chrono::steady_clock::now();
-        runOneSweep(job);
-        const double wallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - started)
-                .count();
-        histogram.sample(latencyBucketOf(wallMs));
-    }
+    // The failure detector must keep judging the fleet between sweeps,
+    // or a worker that died after the last sweep would stay Live in the
+    // roster forever (and a sweep submitted later would wait a full
+    // dead interval to find out).  No active sweep means no leases to
+    // reclaim.
+    std::lock_guard<std::mutex> lock(fabricMutex);
+    fabricCounter("svc.fabric.workers_dead")
+        .add(fleet.newlyDead(FabricClock::now()).size());
 }
 
 void
@@ -156,7 +105,7 @@ Coordinator::replayJournal(ActiveSweep &sweep)
 
 std::string
 Coordinator::assembleResults(ActiveSweep &sweep, bool executeRemainder,
-                             bool *anyFailed)
+                             bool &anyFailed)
 {
     // One code path for assembly: the same CheckpointedRunner a local
     // run uses, seeded with every fabric-merged cell.  With nothing
@@ -178,31 +127,21 @@ Coordinator::assembleResults(ActiveSweep &sweep, bool executeRemainder,
         if (attempt == 1)
             job->cellsStarted.fetch_add(1, std::memory_order_relaxed);
     };
-    study::CheckpointedRunner runner(copts);
-    const auto suites =
-        runner.runGrid(sweep.plan.points, sweep.plan.jobs,
-                       sweep.plan.spec);
-    if (anyFailed) {
-        *anyFailed = false;
-        for (const auto &suite : suites) {
-            for (const auto &bench : suite.benchmarks) {
-                if (bench.failed())
-                    *anyFailed = true;
-            }
-        }
-    }
-    return renderResults(sweep.plan, suites);
+    return runSweep(sweep.plan, std::move(copts), &anyFailed);
 }
 
-void
-Coordinator::runOneSweep(const std::shared_ptr<JobRecord> &job)
+std::string
+Coordinator::computeSweep(const std::shared_ptr<JobRecord> &job,
+                          SweepPlan plan, std::uint64_t fingerprint,
+                          const std::string &journalPath, bool &anyFailed)
 {
     auto &redispatched = fabricCounter("svc.fabric.cells_redispatched");
     auto &workersDead = fabricCounter("svc.fabric.workers_dead");
     auto &fallbacks = fabricCounter("svc.fabric.local_fallbacks");
 
-    // Any exit path must tear the active sweep down (closing the
-    // journal writer) before the table records a verdict.
+    // Every exit — assembled bytes, a drain or an exception — closes
+    // the journal writer and drops the active sweep before the base
+    // records the job's verdict.
     const auto teardown = [this] {
         std::lock_guard<std::mutex> lock(fabricMutex);
         if (active && active->writer)
@@ -211,117 +150,62 @@ Coordinator::runOneSweep(const std::shared_ptr<JobRecord> &job)
     };
 
     try {
-        SweepPlan plan = planSweep(job->request);
-        const std::uint64_t fp = planFingerprint(plan);
-
-        // Zero-compute paths first: an identical sweep already finished
-        // in this process, then the persistent store.  Either way the
-        // bytes are the ones the fabric would compute — the fingerprint
-        // pins every input (DESIGN.md §15).
-        if (std::optional<std::string> prior =
-                table.reuseDoneResult(fp)) {
-            fabricCounter("svc.cache.dedup").inc();
-            table.markDone(job->id, std::move(*prior));
-            return;
-        }
-        if (store) {
-            if (std::optional<std::string> cached =
-                    store->fetchSweep(fp)) {
-                table.markDone(job->id, std::move(*cached));
-                return;
-            }
-        }
-
         auto sweep = std::make_unique<ActiveSweep>(
-            job, std::move(plan), fp, FabricClock::now());
-        if (!opts.checkpointDir.empty()) {
-            sweep->journalPath = util::strprintf(
-                "%s/sweep-%016llx.journal", opts.checkpointDir.c_str(),
-                static_cast<unsigned long long>(fp));
-            if (util::journalExists(sweep->journalPath))
+            job, std::move(plan), fingerprint, FabricClock::now());
+        sweep->journalPath = journalPath;
+        if (!journalPath.empty()) {
+            if (util::journalExists(journalPath))
                 replayJournal(*sweep);
             else
                 sweep->writer.emplace(util::JournalWriter::create(
-                    sweep->journalPath, fp, /*syncEveryRecord=*/true));
+                    journalPath, fingerprint, /*syncEveryRecord=*/true));
         }
         job->cellsDone.store(sweep->scheduler.doneCount());
 
-        std::string resultBytes;
-        bool anyFailed = false;
-        {
-            std::unique_lock<std::mutex> lock(fabricMutex);
-            active = std::move(sweep);
-            // The fabric tick: failure detection, lease expiry,
-            // completion and fallback checks.  Session threads notify
-            // the cv on completions, so a finished sweep finalises
-            // immediately rather than a tick later.
-            for (;;) {
-                ActiveSweep &s = *active;
-                if (job->cancel.cancelled() || stopRequested()) {
-                    if (s.writer)
-                        s.writer->close();
-                    active.reset();
-                    lock.unlock();
-                    table.markCancelled(job->id);
-                    return;
-                }
-                const FabricTime now = FabricClock::now();
-                for (const std::uint64_t id : fleet.newlyDead(now)) {
-                    workersDead.inc();
-                    redispatched.add(s.scheduler.reclaimWorker(id));
-                }
-                redispatched.add(s.scheduler.reclaimExpired(now));
-
-                if (s.scheduler.finished()) {
-                    s.fallback = true; // no further grants or merges
-                    if (s.writer)
-                        s.writer->close();
-                    s.writer.reset();
-                    lock.unlock();
-                    resultBytes = assembleResults(s, false, &anyFailed);
-                    break;
-                }
-                // Graceful degradation: no live worker left (or none
-                // ever arrived within the grace window) — finish the
-                // remainder locally, seeded with every merged cell.
-                const bool noWorkers = fleet.liveCount() == 0;
-                const bool graceOver =
-                    fleet.registeredCount() > 0 ||
-                    now - s.startedAt >= ms(opts.fallbackGraceMs);
-                if (opts.localFallback && noWorkers && graceOver) {
-                    fallbacks.inc();
-                    s.fallback = true;
-                    if (s.writer)
-                        s.writer->close();
-                    s.writer.reset();
-                    lock.unlock();
-                    resultBytes = assembleResults(s, true, &anyFailed);
-                    break;
-                }
-                fabricCv.wait_for(lock, ms(
-                    static_cast<std::uint64_t>(opts.tickMs)));
+        std::unique_lock<std::mutex> lock(fabricMutex);
+        active = std::move(sweep);
+        ActiveSweep &s = *active;
+        // The fabric tick: failure detection, lease expiry, completion
+        // and fallback checks.  Session threads notify the cv on
+        // completions, so a finished sweep finalises immediately rather
+        // than a tick later.
+        for (;;) {
+            if (job->cancel.cancelled() || stopRequested())
+                throw util::CancelledError("sweep cancelled");
+            const FabricTime now = FabricClock::now();
+            for (const std::uint64_t id : fleet.newlyDead(now)) {
+                workersDead.inc();
+                redispatched.add(s.scheduler.reclaimWorker(id));
             }
+            redispatched.add(s.scheduler.reclaimExpired(now));
+
+            // Graceful degradation: no live worker left (or none ever
+            // arrived within the grace window) — finish the remainder
+            // locally, seeded with every merged cell.
+            const bool finished = s.scheduler.finished();
+            const bool fallback =
+                !finished && opts.localFallback &&
+                fleet.liveCount() == 0 &&
+                (fleet.registeredCount() > 0 ||
+                 now - s.startedAt >= ms(opts.fallbackGraceMs));
+            if (finished || fallback) {
+                if (fallback)
+                    fallbacks.inc();
+                s.fallback = true; // no further grants or merges
+                if (s.writer)
+                    s.writer->close();
+                s.writer.reset();
+                lock.unlock();
+                std::string results = assembleResults(s, fallback, anyFailed);
+                teardown();
+                return results;
+            }
+            fabricCv.wait_for(
+                lock, ms(static_cast<std::uint64_t>(opts.tickMs)));
         }
-        {
-            std::lock_guard<std::mutex> lock(fabricMutex);
-            active.reset();
-        }
-        // Only clean sweeps enter the cache: a row's transient failure
-        // must not be replayed to later submissions.
-        if (store && !anyFailed)
-            store->storeSweep(fp, resultBytes);
-        table.markDone(job->id, std::move(resultBytes));
-    } catch (const util::CancelledError &) {
-        // Local fallback drained cooperatively with its journal
-        // flushed: cancelled, not failed, and resumable on resubmit.
+    } catch (...) {
         teardown();
-        table.markCancelled(job->id);
-    } catch (const util::SimError &e) {
-        teardown();
-        table.markFailed(job->id, e.code(), e.what());
-    } catch (const std::exception &e) {
-        teardown();
-        table.markFailed(job->id, ErrorCode::Internal, e.what());
+        throw;
     }
 }
 
@@ -533,37 +417,6 @@ Coordinator::handleWorkers(util::TcpStream &stream)
     }
     writeFrame(stream, MsgType::WorkerReport,
                WorkerSnapshot::encodeList(rows), kFrameTimeoutMs);
-}
-
-StatsSnapshot
-Coordinator::buildStats() const
-{
-    StatsSnapshot s;
-    s.queueDepth = table.queueDepth();
-    s.maxQueue = table.maxQueue();
-    if (const std::shared_ptr<JobRecord> job = table.runningJob()) {
-        s.runningJobs = 1;
-        s.runningCellsStarted = job->cellsStarted.load();
-        s.runningCellsTotal = job->cellsTotal;
-    }
-    s.submitted = table.submitted();
-    s.rejected = table.rejected();
-    s.completed = table.completed();
-    s.failed = table.failed();
-    s.cancelled = table.cancelled();
-    if (store) {
-        s.cacheBytes = store->blobs().sizeBytes();
-        s.cacheEntries = store->blobs().entries();
-    }
-
-    const util::MetricHistogram &histogram = latencyHistogram();
-    for (std::size_t i = 0; i < histogram.bucketCount(); ++i)
-        s.latencyBuckets.push_back(histogram.bucket(i));
-    s.latencySamples = histogram.samples();
-    s.latencyMeanMs = histogram.mean();
-
-    s.counters = util::MetricsRegistry::global().snapshotCounters();
-    return s;
 }
 
 } // namespace fo4::svc

@@ -42,36 +42,18 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "study/checkpoint.hh"
 #include "svc/lease.hh"
 #include "svc/session_server.hh"
-#include "svc/store.hh"
-#include "svc/sweep.hh"
 #include "util/journal.hh"
 
 namespace fo4::svc
 {
 
-/** Knobs of the coordinator. */
-struct CoordinatorOptions
+/** Knobs of the coordinator: the shared DaemonOptions plus the fleet's. */
+struct CoordinatorOptions : DaemonOptions
 {
-    /** Listen port; 0 picks an ephemeral port (see port()). */
-    std::uint16_t port = 0;
-    /** Admission bound: queued (not yet running) jobs. */
-    std::size_t maxQueue = 8;
-    /** Directory for per-sweep journals keyed by grid fingerprint;
-     *  empty disables durability (and restart-resume). */
-    std::string checkpointDir;
-    /** Directory for the persistent result store; empty disables
-     *  caching (see svc/store.hh for the degradation contract). */
-    std::string cacheDir;
-    /** Result-store size cap in bytes (0 = unlimited). */
-    std::uint64_t cacheMaxBytes = 0;
-    /** Max queued sweeps per tenant (0 = unlimited). */
-    std::size_t tenantQuota = 0;
-
     /** Failure-detector timing (heartbeat cadence told to workers,
      *  suspect and dead thresholds). */
     WorkerTable::Timing detector;
@@ -105,9 +87,6 @@ class Coordinator : public SessionServer
     /** Drain: stop accepting, cancel queued and running sweeps. */
     void stop() override;
 
-    /** Wait for every thread; call after stop(). */
-    void join();
-
   private:
     /** Everything the fabric knows about the sweep being executed.
      *  Guarded by fabricMutex. */
@@ -138,8 +117,14 @@ class Coordinator : public SessionServer
         }
     };
 
-    void dispatchLoop();
-    void runOneSweep(const std::shared_ptr<JobRecord> &job);
+    /** The compute step: the fabric tick loop (see the file comment).
+     *  Throws CancelledError on a cancel or drain. */
+    std::string computeSweep(const std::shared_ptr<JobRecord> &job,
+                             SweepPlan plan, std::uint64_t fingerprint,
+                             const std::string &journalPath,
+                             bool &anyFailed) override;
+    /** Between sweeps, the failure detector keeps judging the fleet. */
+    void idleTick() override;
     /** Recover a prior journal into `sweep`; throws JournalError. */
     void replayJournal(ActiveSweep &sweep);
     /** Assemble final bytes from merged cells (plus local execution of
@@ -148,10 +133,9 @@ class Coordinator : public SessionServer
      *  reports whether any cell carries a per-row failure (such a
      *  result must not enter the persistent store). */
     std::string assembleResults(ActiveSweep &sweep, bool executeRemainder,
-                                bool *anyFailed);
+                                bool &anyFailed);
 
     void handleFrame(util::TcpStream &stream, const Frame &frame) override;
-    StatsSnapshot buildStats() const override;
 
     void handleWorkerHello(util::TcpStream &stream, const Frame &frame);
     void handleLeaseRequest(util::TcpStream &stream, const Frame &frame);
@@ -160,9 +144,6 @@ class Coordinator : public SessionServer
     void handleWorkers(util::TcpStream &stream);
 
     CoordinatorOptions opts;
-    /** Persistent result cache; null when cacheDir is empty. */
-    std::unique_ptr<ResultStore> store;
-    std::thread dispatchThread;
 
     mutable std::mutex fabricMutex;
     std::condition_variable fabricCv;

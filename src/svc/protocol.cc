@@ -334,10 +334,10 @@ SweepRequest::encode() const
     out += "\n";
     for (const auto &job : jobs) {
         out += util::strprintf(
-            "job=%s\t%d\t%llu\t%s", job.fromTrace ? "trace" : "profile",
+            "job=%s\t%d\t%llu\t", job.fromTrace ? "trace" : "profile",
             static_cast<int>(job.cls),
-            static_cast<unsigned long long>(job.cycleLimit),
-            escapeField(job.name).c_str());
+            static_cast<unsigned long long>(job.cycleLimit));
+        out += escapeField(job.name);
         if (job.fromTrace) {
             out += '\t';
             out += escapeField(job.tracePath);
@@ -572,9 +572,10 @@ StatsSnapshot::encode() const
     u64("latency_samples", latencySamples);
     out += util::strprintf("latency_mean_ms=%a\n", latencyMeanMs);
     for (const auto &[name, value] : counters) {
-        out += util::strprintf(
-            "counter=%s\t%llu\n", escapeField(name).c_str(),
-            static_cast<unsigned long long>(value));
+        out += "counter=";
+        out += escapeField(name);
+        out += util::strprintf("\t%llu\n",
+                               static_cast<unsigned long long>(value));
     }
     return out;
 }
@@ -645,9 +646,11 @@ StatsSnapshot::decode(std::string_view body)
 std::string
 WorkerHelloInfo::encode() const
 {
-    return util::strprintf("name=%s\nthreads=%llu\n",
-                           escapeField(name).c_str(),
+    std::string out = "name=";
+    out += escapeField(name);
+    out += util::strprintf("\nthreads=%llu\n",
                            static_cast<unsigned long long>(threads));
+    return out;
 }
 
 WorkerHelloInfo
@@ -705,12 +708,14 @@ HelloOkInfo::decode(std::string_view body)
 std::string
 CellLeaseInfo::encode() const
 {
-    return util::strprintf(
-        "sweep=%llu\npoint=%llu\njob=%llu\nrequest=%s\n",
+    std::string out = util::strprintf(
+        "sweep=%llu\npoint=%llu\njob=%llu\nrequest=",
         static_cast<unsigned long long>(sweep),
         static_cast<unsigned long long>(point),
-        static_cast<unsigned long long>(job),
-        escapeField(requestBody).c_str());
+        static_cast<unsigned long long>(job));
+    out += escapeField(requestBody);
+    out += '\n';
+    return out;
 }
 
 CellLeaseInfo
@@ -743,9 +748,7 @@ CellLeaseInfo::decode(std::string_view body)
 std::string
 CellDoneInfo::encode() const
 {
-    // The escaped payload is still binary (escapeField keeps everything
-    // but backslash/newline/tab verbatim, NUL bytes included), so it
-    // must be appended as bytes — %s would stop at the first NUL.
+    // Like every escaped field, the payload is appended as bytes.
     std::string body = util::strprintf(
         "worker_id=%llu\nsweep=%llu\npoint=%llu\njob=%llu\ncell=",
         static_cast<unsigned long long>(workerId),
@@ -816,10 +819,11 @@ WorkerSnapshot::encodeList(const std::vector<WorkerSnapshot> &rows)
 {
     std::string out;
     for (const auto &w : rows) {
+        out += util::strprintf("worker=%llu\t",
+                               static_cast<unsigned long long>(w.id));
+        out += escapeField(w.name);
         out += util::strprintf(
-            "worker=%llu\t%s\t%s\t%llu\t%llu\t%llu\n",
-            static_cast<unsigned long long>(w.id),
-            escapeField(w.name).c_str(), workerStateName(w.state),
+            "\t%s\t%llu\t%llu\t%llu\n", workerStateName(w.state),
             static_cast<unsigned long long>(w.activeLeases),
             static_cast<unsigned long long>(w.cellsCompleted),
             static_cast<unsigned long long>(w.heartbeatAgeMs));

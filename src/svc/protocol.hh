@@ -28,7 +28,9 @@
  * to exactly the doubles it was encoded from, which is what lets the
  * server reproduce a sweep byte-identically.  Free-text fields
  * (benchmark names, error messages, file paths) are escaped so
- * embedded newlines/tabs cannot break the line structure.
+ * embedded newlines/tabs cannot break the line structure, and are
+ * appended as bytes, never through printf's %s: escapeField keeps every
+ * other byte verbatim, NUL included, and %s would stop at the first NUL.
  *
  * The Results record's body is deliberately opaque bytes (the canonical
  * sweep rendering, see svc/sweep.hh): length-prefixed framing means it
@@ -295,7 +297,8 @@ struct StatsSnapshot
     std::uint64_t cacheBytes = 0;
     std::uint64_t cacheEntries = 0;
 
-    /** Sweep wall-time histogram (fixed buckets, see svc/server.cc). */
+    /** Sweep wall-time histogram: fixed log2 buckets, one sample per
+     *  job the dispatcher takes (svc/session_server.cc). */
     std::vector<std::uint64_t> latencyBuckets;
     std::uint64_t latencySamples = 0;
     double latencyMeanMs = 0.0;

@@ -1,55 +1,11 @@
 #include "svc/server.hh"
 
-#include <chrono>
-#include <cmath>
-
-#include "svc/sweep.hh"
-#include "util/logging.hh"
-#include "util/metrics.hh"
-
 namespace fo4::svc
 {
 
-namespace
-{
-
-using util::ErrorCode;
-using util::SvcError;
-
-/**
- * Sweep wall times span four orders of magnitude (a 2-cell smoke sweep
- * to an hour-long grid), so the latency histogram is log2-bucketed:
- * bucket i holds sweeps with wall time in [2^i - 1, 2^(i+1) - 1) ms.
- */
-constexpr std::size_t kLatencyBuckets = 24;
-
-std::uint64_t
-latencyBucketOf(double wallMs)
-{
-    if (wallMs < 1.0)
-        return 0;
-    return static_cast<std::uint64_t>(std::log2(wallMs + 1.0));
-}
-
-util::MetricHistogram &
-latencyHistogram()
-{
-    return util::MetricsRegistry::global().histogram("svc.sweep_wall_ms",
-                                                     kLatencyBuckets);
-}
-
-} // namespace
-
 Server::Server(ServerOptions options)
-    : SessionServer(options.port, options.maxQueue, options.tenantQuota),
-      opts(std::move(options))
+    : SessionServer(options), threads(options.threads)
 {
-    // A bad cache dir throws ConfigError here, at startup — a config
-    // mistake is refused eagerly; only runtime faults degrade to misses.
-    if (!opts.cacheDir.empty())
-        store = std::make_unique<ResultStore>(opts.cacheDir,
-                                              opts.cacheMaxBytes);
-    dispatchThread = std::thread([this] { dispatchLoop(); });
     startAccepting();
 }
 
@@ -59,141 +15,18 @@ Server::~Server()
     join();
 }
 
-void
-Server::stop()
+std::string
+Server::computeSweep(const std::shared_ptr<JobRecord> &job, SweepPlan plan,
+                     std::uint64_t, const std::string &journalPath,
+                     bool &anyFailed)
 {
-    SessionServer::stop();
-}
-
-void
-Server::join()
-{
-    SessionServer::join();
-    if (dispatchThread.joinable())
-        dispatchThread.join();
-}
-
-void
-Server::handleFrame(util::TcpStream &stream, const Frame &frame)
-{
-    if (handleClientFrame(stream, frame))
-        return;
-    // A response record — or a fleet record this daemon does not serve
-    // — arriving at the server is a peer speaking the protocol
-    // backwards; session-fatal like any other protocol violation.
-    throw SvcError(ErrorCode::Protocol,
-                   util::strprintf("record type %u is not a request "
-                                   "this daemon serves",
-                                   static_cast<unsigned>(frame.type)));
-}
-
-void
-Server::dispatchLoop()
-{
-    auto &histogram = latencyHistogram();
-    while (!stopRequested()) {
-        const std::shared_ptr<JobRecord> job = table.takeNext(kTickMs);
-        if (!job)
-            continue;
-
-        const auto started = std::chrono::steady_clock::now();
-        try {
-            // Re-derive the plan from the request: planSweep is a pure
-            // function, and it already passed at submit time.
-            const SweepPlan plan = planSweep(job->request);
-            const std::uint64_t fingerprint = planFingerprint(plan);
-
-            // Single-flight dedup: the dispatcher is the only executor,
-            // so an identical sweep already finished in this process can
-            // be answered from its in-memory record — before the store,
-            // which it seeded anyway.
-            if (std::optional<std::string> prior =
-                    table.reuseDoneResult(fingerprint)) {
-                util::MetricsRegistry::global()
-                    .counter("svc.cache.dedup")
-                    .inc();
-                table.markDone(job->id, std::move(*prior));
-                continue;
-            }
-            // Persistent store: a verified hit is the same bytes the
-            // sweep would compute (the fingerprint pins every input, the
-            // CRC frame pins the bytes); any fault was already degraded
-            // to nullopt inside the store.
-            if (store) {
-                if (std::optional<std::string> cached =
-                        store->fetchSweep(fingerprint)) {
-                    table.markDone(job->id, std::move(*cached));
-                    continue;
-                }
-            }
-
-            std::string journalPath;
-            if (!opts.checkpointDir.empty()) {
-                journalPath = util::strprintf(
-                    "%s/sweep-%016llx.journal",
-                    opts.checkpointDir.c_str(),
-                    static_cast<unsigned long long>(fingerprint));
-            }
-            bool anyFailed = false;
-            std::string results = runSweep(
-                plan, opts.threads, journalPath, &job->cancel,
-                [job](std::size_t, std::size_t, int attempt) {
-                    if (attempt == 1)
-                        job->cellsStarted.fetch_add(
-                            1, std::memory_order_relaxed);
-                },
-                &anyFailed);
-            // Only clean sweeps enter the cache: a row's transient
-            // failure must not be replayed to later submissions.
-            if (store && !anyFailed)
-                store->storeSweep(fingerprint, results);
-            table.markDone(job->id, std::move(results));
-        } catch (const util::CancelledError &) {
-            // Drained cooperatively with the journal flushed: the job
-            // is cancelled, not failed, and resumable on resubmit.
-            table.markCancelled(job->id);
-        } catch (const util::SimError &e) {
-            table.markFailed(job->id, e.code(), e.what());
-        } catch (const std::exception &e) {
-            table.markFailed(job->id, ErrorCode::Internal, e.what());
-        }
-        const double wallMs =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - started)
-                .count();
-        histogram.sample(latencyBucketOf(wallMs));
-    }
-}
-
-StatsSnapshot
-Server::buildStats() const
-{
-    StatsSnapshot s;
-    s.queueDepth = table.queueDepth();
-    s.maxQueue = table.maxQueue();
-    if (const std::shared_ptr<JobRecord> job = table.runningJob()) {
-        s.runningJobs = 1;
-        s.runningCellsStarted = job->cellsStarted.load();
-        s.runningCellsTotal = job->cellsTotal;
-    }
-    s.submitted = table.submitted();
-    s.rejected = table.rejected();
-    s.completed = table.completed();
-    s.failed = table.failed();
-    s.cancelled = table.cancelled();
-    if (store) {
-        s.cacheBytes = store->blobs().sizeBytes();
-        s.cacheEntries = store->blobs().entries();
-    }
-
-    const util::MetricHistogram &histogram = latencyHistogram();
-    for (std::size_t i = 0; i < histogram.bucketCount(); ++i)
-        s.latencyBuckets.push_back(histogram.bucket(i));
-    s.latencySamples = histogram.samples();
-    s.latencyMeanMs = histogram.mean();
-
-    s.counters = util::MetricsRegistry::global().snapshotCounters();
-    return s;
+    return runSweep(
+        plan, threads, journalPath, &job->cancel,
+        [job](std::size_t, std::size_t, int attempt) {
+            if (attempt == 1)
+                job->cellsStarted.fetch_add(1, std::memory_order_relaxed);
+        },
+        &anyFailed);
 }
 
 } // namespace fo4::svc

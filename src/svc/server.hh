@@ -1,19 +1,13 @@
 /**
  * @file
- * The sweep daemon: a SessionServer (TCP listener, one session thread
- * per connection) plus a single dispatcher thread that executes queued
- * sweeps through the crash-safe checkpointed runner.
+ * The sweep daemon: a SessionServer whose compute step runs a sweep
+ * through the crash-safe checkpointed runner on this machine.
  *
  * Why one dispatcher: a sweep already fans its grid across
  * ServerOptions::threads workers, so running two sweeps concurrently
  * would just have them fight over the same cores; FIFO dispatch keeps
  * the latency story simple (queue position is an honest progress
  * indicator) and the checkpoint journals per-job.
- *
- * Fault containment: a malformed or corrupt frame costs its *session*
- * (the client gets a typed Error frame when the transport still works,
- * then the connection closes) — never the daemon.  A failed sweep is a
- * Failed job other clients can inspect; the dispatcher survives.
  *
  * Shutdown (SIGINT in fo4d): stop() closes the listener, marks every
  * queued job Cancelled, and flips the running job's CancelToken; the
@@ -25,37 +19,16 @@
 #ifndef FO4_SVC_SERVER_HH
 #define FO4_SVC_SERVER_HH
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <thread>
-
 #include "svc/session_server.hh"
-#include "svc/store.hh"
 
 namespace fo4::svc
 {
 
-/** Knobs of the daemon. */
-struct ServerOptions
+/** Knobs of the daemon: the shared DaemonOptions plus its threads. */
+struct ServerOptions : DaemonOptions
 {
-    /** Listen port; 0 picks an ephemeral port (see Server::port()). */
-    std::uint16_t port = 0;
     /** Worker threads per sweep; 1 = serial, <= 0 = hardware count. */
     int threads = 1;
-    /** Admission bound: queued (not yet running) jobs. */
-    std::size_t maxQueue = 8;
-    /** Directory for per-job checkpoint journals, keyed by grid
-     *  fingerprint; empty disables durability. */
-    std::string checkpointDir;
-    /** Directory for the persistent result store; empty disables
-     *  caching.  A repeat sweep is then served at zero compute, with
-     *  every store fault degrading to recompute (svc/store.hh). */
-    std::string cacheDir;
-    /** Result-store size cap in bytes (0 = unlimited). */
-    std::uint64_t cacheMaxBytes = 0;
-    /** Max queued sweeps per tenant (0 = unlimited). */
-    std::size_t tenantQuota = 0;
 };
 
 /** The daemon.  Construction binds and starts serving; see stop(). */
@@ -65,21 +38,13 @@ class Server : public SessionServer
     explicit Server(ServerOptions options);
     ~Server() override;
 
-    /** Begin the drain described in the file comment.  Idempotent. */
-    void stop() override;
-
-    /** Wait for every thread; call after stop(). */
-    void join();
-
   private:
-    void dispatchLoop();
-    void handleFrame(util::TcpStream &stream, const Frame &frame) override;
-    StatsSnapshot buildStats() const override;
+    std::string computeSweep(const std::shared_ptr<JobRecord> &job,
+                             SweepPlan plan, std::uint64_t fingerprint,
+                             const std::string &journalPath,
+                             bool &anyFailed) override;
 
-    ServerOptions opts;
-    /** Persistent result cache; null when cacheDir is empty. */
-    std::unique_ptr<ResultStore> store;
-    std::thread dispatchThread;
+    const int threads;
 };
 
 } // namespace fo4::svc

@@ -114,6 +114,13 @@ runSweep(const SweepPlan &plan, int threads,
     options.threads = threads;
     options.cancel = cancel;
     options.onAttempt = std::move(onAttempt);
+    return runSweep(plan, std::move(options), anyFailed);
+}
+
+std::string
+runSweep(const SweepPlan &plan, study::CheckpointOptions options,
+         bool *anyFailed)
+{
     study::CheckpointedRunner runner(std::move(options));
     const std::vector<study::SuiteResult> suites =
         runner.runGrid(plan.points, plan.jobs, plan.spec);

@@ -83,6 +83,12 @@ std::string runSweep(const SweepPlan &plan, int threads,
                          onAttempt,
                      bool *anyFailed = nullptr);
 
+/** runSweep with every CheckpointOptions knob — the fleet coordinator
+ *  assembles its sweeps through this, seeded with the merged cells. */
+std::string runSweep(const SweepPlan &plan,
+                     study::CheckpointOptions options,
+                     bool *anyFailed = nullptr);
+
 /**
  * Canonical rendering shared by the service and local execution: a
  * versioned header, then per sweep point one hexfloat point line and

@@ -1,8 +1,10 @@
 #include "tech/clocking.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hh"
+#include "util/status.hh"
 
 namespace fo4::tech
 {
@@ -50,10 +52,22 @@ util::Status
 ClockModel::validate() const
 {
     util::ErrorCollector errs;
-    if (!(tUsefulFo4 > 0.0))
-        errs.addf("t_useful %.2f FO4 must be positive", tUsefulFo4);
-    if (overhead.latchFo4 < 0.0 || overhead.skewFo4 < 0.0 ||
-        overhead.jitterFo4 < 0.0) {
+    if (!std::isfinite(tUsefulFo4) || !(tUsefulFo4 > 0.0)) {
+        errs.addf("t_useful %g FO4 must be finite and positive",
+                  tUsefulFo4);
+    } else if (tUsefulFo4 < kMinUsefulFo4) {
+        errs.addf("t_useful %g FO4 is below %g FO4, where a %g FO4 "
+                  "latency's cycle count overflows",
+                  tUsefulFo4, kMinUsefulFo4, kMaxLatencyFo4);
+    }
+    if (!std::isfinite(overhead.latchFo4) ||
+        !std::isfinite(overhead.skewFo4) ||
+        !std::isfinite(overhead.jitterFo4)) {
+        errs.addf("overheads must be finite (latch %g, skew %g, jitter "
+                  "%g FO4)",
+                  overhead.latchFo4, overhead.skewFo4, overhead.jitterFo4);
+    } else if (overhead.latchFo4 < 0.0 || overhead.skewFo4 < 0.0 ||
+               overhead.jitterFo4 < 0.0) {
         errs.addf("overheads cannot be negative (latch %.2f, skew %.2f, "
                   "jitter %.2f FO4)",
                   overhead.latchFo4, overhead.skewFo4, overhead.jitterFo4);
@@ -70,8 +84,13 @@ ClockModel::latencyCycles(double latencyFo4) const
 {
     FO4_ASSERT(tUsefulFo4 > 0.0, "t_useful must be positive");
     FO4_ASSERT(latencyFo4 >= 0.0, "negative latency");
-    const int cycles = static_cast<int>(std::ceil(latencyFo4 / tUsefulFo4));
-    return cycles < 1 ? 1 : cycles;
+    const double cycles = std::ceil(latencyFo4 / tUsefulFo4);
+    if (!(cycles <= std::numeric_limits<int>::max())) {
+        throw util::ConfigError(util::strprintf(
+            "a %g FO4 latency at t_useful %g FO4 overflows a cycle count",
+            latencyFo4, tUsefulFo4));
+    }
+    return cycles < 1.0 ? 1 : static_cast<int>(cycles);
 }
 
 } // namespace fo4::tech

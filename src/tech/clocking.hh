@@ -14,6 +14,8 @@
 #ifndef FO4_TECH_CLOCKING_HH
 #define FO4_TECH_CLOCKING_HH
 
+#include <limits>
+
 #include "tech/fo4.hh"
 #include "util/status.hh"
 
@@ -58,6 +60,18 @@ struct OverheadModel
                                               double latchFo4 = 1.0);
 };
 
+/**
+ * Longest latency a ClockModel is meant to quantise, in FO4: a wide
+ * ceiling over the model's longest path (a ~100 ns DRAM access is about
+ * 2,800 FO4 at 100nm).
+ */
+constexpr double kMaxLatencyFo4 = 1.0e6;
+
+/** The smallest t_useful whose cycle count for kMaxLatencyFo4 still
+ *  fits an int; ClockModel::validate() refuses anything below it. */
+constexpr double kMinUsefulFo4 =
+    kMaxLatencyFo4 / std::numeric_limits<int>::max();
+
 /** A clock: useful logic depth plus overhead, at a technology node. */
 struct ClockModel
 {
@@ -72,14 +86,17 @@ struct ClockModel
     /**
      * Pipeline cycles needed for a piece of logic with the given latency
      * (in FO4): ceil(latency / t_useful), minimum one cycle.  Matches the
-     * paper's quantization of Table 3.
+     * paper's quantization of Table 3.  Throws ConfigError when the
+     * count does not fit an int.
      */
     int latencyCycles(double latencyFo4) const;
 
     /** BIPS for a given IPC at this clock. */
     double bips(double ipc) const { return ipc * frequencyGhz(); }
 
-    /** Check every range rule, reporting all violations at once. */
+    /** Check every range rule, reporting all violations at once: a
+     *  finite t_useful of at least kMinUsefulFo4, and finite,
+     *  non-negative overheads. */
     util::Status validate() const;
 };
 

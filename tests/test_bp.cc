@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "bp/predictors.hh"
+#include "study/runner.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 
@@ -159,6 +160,32 @@ TEST(Factory, BuildsEveryPredictor)
         EXPECT_STREQ(bp->name(),
                      std::string(name) == "taken" ? "always-taken" : name);
     }
+}
+
+TEST(Factory, NameCheckAndRunSpecAgreeWithTheFactory)
+{
+    for (const char *name :
+         {"perfect", "taken", "bimodal", "gshare", "local", "tournament"})
+        EXPECT_TRUE(checkPredictorName(name).isOk()) << name;
+
+    const fo4::util::Status st = checkPredictorName("zzz");
+    EXPECT_EQ(st.code(), fo4::util::ErrorCode::InvalidConfig);
+    try {
+        makePredictor("zzz");
+        ADD_FAILURE() << "unknown predictor built";
+    } catch (const fo4::util::ConfigError &e) {
+        EXPECT_EQ(st.message(), e.what());
+    }
+
+    // A run refuses the name eagerly, before any cell builds a core.
+    fo4::study::RunSpec spec;
+    spec.predictor = "zzz";
+    const fo4::util::Status runSt = spec.validate();
+    EXPECT_EQ(runSt.code(), fo4::util::ErrorCode::InvalidConfig);
+    EXPECT_NE(runSt.message().find("unknown branch predictor 'zzz'"),
+              std::string::npos);
+    spec.predictor = "gshare";
+    EXPECT_TRUE(spec.validate().isOk());
 }
 
 // Accuracy ordering on the real synthetic workloads: the tournament

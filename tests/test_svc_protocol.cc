@@ -582,3 +582,46 @@ TEST(SvcBodies, MonteCarloPlanExpandsSampleMajor)
     }
     EXPECT_EQ(svc::planFingerprint(plan), svc::planFingerprint(again));
 }
+
+TEST(SvcBodies, TextFieldsWithNulBytesRoundTripExactly)
+{
+    // escapeField keeps NUL verbatim, so every encoder must append the
+    // escaped text as bytes: a printf %s would cut it at the NUL.
+    svc::SweepRequest req;
+    req.tUseful = {6.0};
+    svc::WireJob job;
+    job.name = std::string("ab\0cd", 5);
+    job.fromTrace = true;
+    job.tracePath = std::string("/tmp/\0\t\n.fo4cap", 15);
+    req.jobs.push_back(job);
+    const auto back = svc::SweepRequest::decode(req.encode());
+    ASSERT_EQ(back.jobs.size(), 1u);
+    EXPECT_EQ(back.jobs[0].name, job.name);
+    EXPECT_EQ(back.jobs[0].tracePath, job.tracePath);
+    EXPECT_EQ(back.encode(), req.encode());
+
+    svc::WorkerHelloInfo hello;
+    hello.name = std::string("w\0x", 3);
+    EXPECT_EQ(svc::WorkerHelloInfo::decode(hello.encode()).name,
+              hello.name);
+
+    // A lease carries the request it was planned from: the worker must
+    // re-plan the same bytes, or it refuses the lease's fingerprint.
+    svc::CellLeaseInfo lease;
+    lease.requestBody = req.encode();
+    EXPECT_EQ(svc::CellLeaseInfo::decode(lease.encode()).requestBody,
+              lease.requestBody);
+
+    svc::WorkerSnapshot row;
+    row.id = 4;
+    row.name = std::string("rack\0" "7", 6);
+    const auto rows =
+        svc::WorkerSnapshot::decodeList(svc::WorkerSnapshot::encodeList({row}));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].name, row.name);
+
+    svc::StatsSnapshot stats;
+    stats.counters = {{std::string("svc.\0x", 6), 3}};
+    EXPECT_EQ(svc::StatsSnapshot::decode(stats.encode()).counters,
+              stats.counters);
+}

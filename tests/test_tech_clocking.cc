@@ -9,6 +9,7 @@
 #include <limits>
 #include <string>
 
+#include "study/scaling.hh"
 #include "tech/clocking.hh"
 #include "tech/fo4.hh"
 
@@ -188,5 +189,81 @@ TEST(OverheadValidated, NamesEveryBadComponentAtOnce)
         EXPECT_NE(what.find("latch"), std::string::npos);
         EXPECT_NE(what.find("skew"), std::string::npos);
         EXPECT_NE(what.find("jitter"), std::string::npos);
+    }
+}
+
+// ---------------------------------------------------------------------
+// ClockModel::validate — the one range rule every clock passes through
+// (scaledCoreParams, planSweep, validateSuiteInputs).
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+ClockModel
+clockAt(double tUseful, OverheadModel overhead = OverheadModel::paperDefault())
+{
+    ClockModel clock;
+    clock.tUsefulFo4 = tUseful;
+    clock.overhead = overhead;
+    return clock;
+}
+
+} // namespace
+
+TEST(ClockValidate, AcceptsPaperClocksAndTheSmallestSafeDepth)
+{
+    for (const double t : {2.0, 6.0, 16.0, 0.25, kMinUsefulFo4})
+        EXPECT_TRUE(clockAt(t).validate().isOk()) << t;
+    // At the floor, the longest latency still fits a cycle count.
+    EXPECT_GT(clockAt(kMinUsefulFo4).latencyCycles(kMaxLatencyFo4), 0);
+}
+
+TEST(ClockValidate, RefusesAUsefulDepthThatIsNotFiniteAndPositive)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double t :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0, -6.0}) {
+        const fo4::util::Status st = clockAt(t).validate();
+        EXPECT_EQ(st.code(), fo4::util::ErrorCode::InvalidConfig) << t;
+        EXPECT_NE(st.message().find("t_useful"), std::string::npos);
+    }
+}
+
+TEST(ClockValidate, RefusesAUsefulDepthWhoseCycleCountOverflows)
+{
+    for (const double t : {std::numeric_limits<double>::denorm_min(),
+                           kMinUsefulFo4 / 2.0}) {
+        const fo4::util::Status st = clockAt(t).validate();
+        EXPECT_EQ(st.code(), fo4::util::ErrorCode::InvalidConfig) << t;
+        EXPECT_NE(st.message().find("overflows"), std::string::npos);
+    }
+    // latencyCycles itself refuses, typed, rather than casting an
+    // infinite quotient to int.
+    EXPECT_THROW(clockAt(1.0).latencyCycles(1e300), fo4::util::ConfigError);
+}
+
+TEST(ClockValidate, RefusesNonFiniteOverheads)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const OverheadModel &m :
+         {OverheadModel::uniform(inf), OverheadModel::uniform(nan),
+          OverheadModel{1.0, -inf, 0.5}, OverheadModel{1.0, 0.3, nan}}) {
+        const fo4::util::Status st = clockAt(6.0, m).validate();
+        EXPECT_EQ(st.code(), fo4::util::ErrorCode::InvalidConfig);
+        EXPECT_NE(st.message().find("finite"), std::string::npos);
+    }
+    EXPECT_FALSE(clockAt(6.0, OverheadModel{-0.1, 0.3, 0.5}).validate().isOk());
+}
+
+TEST(ClockValidate, ScaledCoreParamsRefusesTyped)
+{
+    for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::denorm_min(),
+                           0.0}) {
+        EXPECT_THROW(fo4::study::scaledCoreParams(t), fo4::util::ConfigError)
+            << t;
     }
 }

@@ -95,6 +95,152 @@ fixture(const std::string &name)
     return slurp(std::string(FO4_SOURCE_DIR) + "/tests/data/" + name);
 }
 
+/**
+ * One frame per wire body shape, in the order of
+ * tests/data/pinned_wire_bodies.frames: both kinds of sweep request,
+ * every status and stats shape, the error and fleet records, and each
+ * one-field body.  The fixture was written from exactly these values.
+ */
+std::vector<std::pair<svc::MsgType, std::string>>
+wireBodyShapes()
+{
+    using svc::MsgType;
+    std::vector<std::pair<MsgType, std::string>> shapes;
+
+    svc::SweepRequest plain;
+    plain.instructions = 6000;
+    plain.warmup = 500;
+    plain.prewarm = 20000;
+    plain.tUseful = {8.0, 6.0};
+    svc::WireJob gzip;
+    gzip.name = "164.gzip";
+    plain.jobs.push_back(gzip);
+    svc::WireJob mcf;
+    mcf.name = "181.mcf";
+    mcf.cycleLimit = 5000;
+    plain.jobs.push_back(mcf);
+    shapes.emplace_back(MsgType::SubmitSweep, plain.encode());
+
+    svc::SweepRequest mc;
+    mc.model = "inorder";
+    mc.predictor = "gshare";
+    mc.overheadFo4 = 2.5;
+    mc.tUseful = {6.0, 7.5};
+    mc.tenant = "acme-1";
+    mc.mcSamples = 4;
+    mc.mcDist = "lognormal";
+    mc.mcSigmaLatch = 0.05;
+    mc.mcSigmaSkew = 0.1;
+    mc.mcSigmaJitter = 0.02;
+    mc.mcSigmaDie = 0.03;
+    mc.mcSeed = 7;
+    svc::WireJob swim;
+    swim.name = "171.swim";
+    swim.cls = trace::BenchClass::NonVectorFp;
+    mc.jobs.push_back(swim);
+    svc::WireJob replay;
+    replay.name = "cap\ttured\\1";
+    replay.fromTrace = true;
+    replay.tracePath = "/data/runs\n1.fo4cap";
+    replay.cycleLimit = 90000;
+    mc.jobs.push_back(replay);
+    shapes.emplace_back(MsgType::SubmitSweep, mc.encode());
+
+    svc::JobStatusInfo failed;
+    failed.id = 7;
+    failed.state = svc::JobState::Failed;
+    failed.cellsTotal = 4;
+    failed.cellsStarted = 3;
+    failed.cellsDone = 2;
+    failed.errorCode = util::ErrorCode::TraceCorrupt;
+    failed.errorMessage = "cell (1, 0): bad\nframe";
+    shapes.emplace_back(MsgType::JobStatus, failed.encode());
+
+    svc::JobStatusInfo done;
+    done.id = 8;
+    done.state = svc::JobState::Done;
+    done.cellsTotal = 4;
+    done.cellsStarted = 4;
+    done.cellsDone = 4;
+    shapes.emplace_back(MsgType::JobStatus, done.encode());
+
+    svc::JobStatusInfo cancelled;
+    cancelled.id = 9;
+    cancelled.state = svc::JobState::Cancelled;
+    cancelled.cellsTotal = 12;
+    shapes.emplace_back(MsgType::CancelOk, cancelled.encode());
+
+    svc::StatsSnapshot stats;
+    stats.queueDepth = 2;
+    stats.maxQueue = 8;
+    stats.runningJobs = 1;
+    stats.runningCellsStarted = 3;
+    stats.runningCellsTotal = 12;
+    stats.submitted = 14;
+    stats.rejected = 1;
+    stats.completed = 10;
+    stats.failed = 1;
+    stats.cancelled = 1;
+    stats.cacheBytes = 40960;
+    stats.cacheEntries = 5;
+    stats.latencyBuckets = {0, 3, 1};
+    stats.latencySamples = 4;
+    stats.latencyMeanMs = 12.5;
+    stats.counters = {{"svc.cache.dedup", 2},
+                      {"svc.tenant.acme-1.submitted", 5}};
+    shapes.emplace_back(MsgType::StatsReport, stats.encode());
+    shapes.emplace_back(MsgType::StatsReport, svc::StatsSnapshot{}.encode());
+
+    shapes.emplace_back(
+        MsgType::Error,
+        svc::encodeError(util::ErrorCode::InvalidConfig,
+                         "unknown branch predictor 'zzz'\tline 2"));
+    shapes.emplace_back(MsgType::SubmitOk, svc::encodeSubmitOk(12, 40));
+
+    svc::WorkerHelloInfo hello;
+    hello.name = "w\\1\tA";
+    hello.threads = 2;
+    shapes.emplace_back(MsgType::WorkerHello, hello.encode());
+
+    svc::HelloOkInfo ok;
+    ok.workerId = 3;
+    ok.heartbeatMs = 1000;
+    ok.leaseTimeoutMs = 60000;
+    shapes.emplace_back(MsgType::HelloOk, ok.encode());
+
+    svc::CellLeaseInfo lease;
+    lease.sweep = 0x0123456789abcdefull;
+    lease.point = 5;
+    lease.job = 1;
+    lease.requestBody = plain.encode();
+    shapes.emplace_back(MsgType::CellLease, lease.encode());
+
+    shapes.emplace_back(MsgType::Poll, svc::encodeId(42));
+    shapes.emplace_back(MsgType::LeaseRequest, svc::encodeWorkerId(3));
+    shapes.emplace_back(MsgType::Heartbeat, svc::encodeWorkerId(4));
+    shapes.emplace_back(MsgType::NoWork, svc::encodeRetryMs(20));
+    shapes.emplace_back(MsgType::DoneOk, svc::encodeAccepted(true));
+    shapes.emplace_back(MsgType::HeartbeatOk, svc::encodeKnown(false));
+
+    svc::WorkerSnapshot live;
+    live.id = 1;
+    live.name = "w1";
+    live.activeLeases = 2;
+    live.cellsCompleted = 40;
+    live.heartbeatAgeMs = 15;
+    svc::WorkerSnapshot dead;
+    dead.id = 2;
+    dead.name = "rack\t7\\b";
+    dead.state = svc::WorkerState::Dead;
+    dead.cellsCompleted = 3;
+    dead.heartbeatAgeMs = 12000;
+    shapes.emplace_back(MsgType::WorkerReport,
+                        svc::WorkerSnapshot::encodeList({live, dead}));
+    shapes.emplace_back(MsgType::WorkerReport,
+                        svc::WorkerSnapshot::encodeList({}));
+    return shapes;
+}
+
 /** Payloads of several sizes, an empty one included. */
 std::vector<std::string>
 samplePayloads()
@@ -641,4 +787,103 @@ TEST(PinnedBytes, WireFrameReencodesByteForByte)
     EXPECT_EQ(study::encodeCellRecord(cell), done.cellPayload);
     EXPECT_EQ(svc::encodeFrame(svc::MsgType::CellDone, done.encode()),
               pinned);
+}
+
+TEST(PinnedBytes, EveryWireBodyReencodesByteForByte)
+{
+    const std::string pinned = fixture("pinned_wire_bodies.frames");
+    const auto shapes = wireBodyShapes();
+
+    // The values above still encode to the committed bytes...
+    std::string built;
+    for (const auto &[type, body] : shapes)
+        built += svc::encodeFrame(type, body);
+    EXPECT_EQ(built, pinned);
+
+    // ...and each committed frame decodes and re-encodes unchanged.
+    std::size_t offset = 0;
+    std::size_t index = 0;
+    while (offset < pinned.size()) {
+        ASSERT_LE(offset + svc::kFrameHeaderBytes, pinned.size());
+        unsigned char head[svc::kFrameHeaderBytes];
+        std::memcpy(head, pinned.data() + offset, sizeof(head));
+        const svc::FrameHeader header = svc::decodeFrameHeader(head);
+        const std::size_t end = offset + sizeof(head) + header.payloadBytes;
+        ASSERT_LE(end, pinned.size());
+        const svc::Frame frame = svc::decodePayload(
+            header, std::string_view(pinned).substr(
+                        offset + sizeof(head), header.payloadBytes));
+        ASSERT_LT(index, shapes.size());
+        EXPECT_EQ(frame.type, shapes[index].first) << "frame " << index;
+
+        std::string again;
+        switch (frame.type) {
+          case svc::MsgType::SubmitSweep:
+            again = svc::SweepRequest::decode(frame.body).encode();
+            break;
+          case svc::MsgType::JobStatus:
+          case svc::MsgType::CancelOk:
+            again = svc::JobStatusInfo::decode(frame.body).encode();
+            break;
+          case svc::MsgType::StatsReport:
+            again = svc::StatsSnapshot::decode(frame.body).encode();
+            break;
+          case svc::MsgType::Error: {
+            const auto [code, message] = svc::decodeError(frame.body);
+            again = svc::encodeError(code, message);
+            break;
+          }
+          case svc::MsgType::SubmitOk: {
+            const auto [id, cells] = svc::decodeSubmitOk(frame.body);
+            again = svc::encodeSubmitOk(id, cells);
+            break;
+          }
+          case svc::MsgType::WorkerHello:
+            again = svc::WorkerHelloInfo::decode(frame.body).encode();
+            break;
+          case svc::MsgType::HelloOk:
+            again = svc::HelloOkInfo::decode(frame.body).encode();
+            break;
+          case svc::MsgType::CellLease:
+            again = svc::CellLeaseInfo::decode(frame.body).encode();
+            break;
+          case svc::MsgType::Poll:
+            again = svc::encodeId(svc::decodeId(frame.body));
+            break;
+          case svc::MsgType::LeaseRequest:
+          case svc::MsgType::Heartbeat:
+            again = svc::encodeWorkerId(svc::decodeWorkerId(frame.body));
+            break;
+          case svc::MsgType::NoWork:
+            again = svc::encodeRetryMs(svc::decodeRetryMs(frame.body));
+            break;
+          case svc::MsgType::DoneOk:
+            again = svc::encodeAccepted(svc::decodeAccepted(frame.body));
+            break;
+          case svc::MsgType::HeartbeatOk:
+            again = svc::encodeKnown(svc::decodeKnown(frame.body));
+            break;
+          case svc::MsgType::WorkerReport:
+            again = svc::WorkerSnapshot::encodeList(
+                svc::WorkerSnapshot::decodeList(frame.body));
+            break;
+          default:
+            ADD_FAILURE() << "frame " << index << " has no pinned shape";
+        }
+        EXPECT_EQ(svc::encodeFrame(frame.type, again),
+                  pinned.substr(offset, end - offset))
+            << "frame " << index;
+        offset = end;
+        ++index;
+    }
+    EXPECT_EQ(index, shapes.size());
+
+    // Escaped fields decode to the values they were written from.
+    const auto mc = svc::SweepRequest::decode(shapes[1].second);
+    EXPECT_EQ(mc.tenant, "acme-1");
+    ASSERT_EQ(mc.jobs.size(), 2u);
+    EXPECT_EQ(mc.jobs[1].name, "cap\ttured\\1");
+    EXPECT_EQ(mc.jobs[1].tracePath, "/data/runs\n1.fo4cap");
+    const auto lease = svc::CellLeaseInfo::decode(shapes[11].second);
+    EXPECT_EQ(lease.requestBody, shapes[0].second);
 }
