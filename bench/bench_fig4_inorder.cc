@@ -8,7 +8,7 @@
  */
 
 #include "bench/common.hh"
-#include "study/parallel.hh"
+#include "study/checkpoint.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
@@ -46,8 +46,8 @@ fig4(int argc, char **argv)
     // frequency, not cycle counts (paper Section 3.3).
     study::SweepOptions sweep;
     sweep.overhead = tech::OverheadModel::uniform(0);
-    sweep.threads = bench::jobsFromArgs(argc, argv);
-    const auto points = study::sweepScaling(ts, sweep, profiles, spec);
+    const auto points = bench::runnerFromArgs(argc, argv)
+                            .sweepScaling(ts, sweep, profiles, spec);
 
     std::vector<double> intZero, intPaper;
     for (const auto &point : points) {

@@ -10,7 +10,7 @@
  */
 
 #include "bench/common.hh"
-#include "study/parallel.hh"
+#include "study/checkpoint.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
@@ -42,9 +42,8 @@ fig6(int argc, char **argv)
     const std::vector<double> overheads{0, 1, 2, 3, 4, 5, 6};
 
     // One simulation per t_useful; BIPS recomputed per overhead.
-    study::SweepOptions sweep;
-    sweep.threads = bench::jobsFromArgs(argc, argv);
-    const auto points = study::sweepScaling(ts, sweep, profiles, spec);
+    const auto points = bench::runnerFromArgs(argc, argv)
+                            .sweepScaling(ts, {}, profiles, spec);
     std::vector<double> ipcAt;
     for (const auto &point : points)
         ipcAt.push_back(point.suite.harmonicIpc(trace::BenchClass::Integer));

@@ -7,8 +7,8 @@
  */
 
 #include "bench/common.hh"
+#include "study/checkpoint.hh"
 #include "study/optimizer.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
@@ -42,23 +42,14 @@ fig7(int argc, char **argv)
     t.setHeader({"t_useful", "alpha caps (BIPS)", "optimized (BIPS)",
                  "gain", "dl1(KB)", "l2(KB)", "window"});
 
-    const int jobs = bench::jobsFromArgs(argc, argv);
-    const study::ParallelRunner runner(jobs);
-
-    std::vector<std::vector<std::string>> stats;
-    stats.push_back(bench::statsHeader());
+    auto runner = bench::runnerFromArgs(argc, argv);
+    const auto baselines = runner.sweepScaling(ts, {}, profiles, spec);
 
     std::vector<double> base, tuned;
     double gainSum = 0;
-    for (const double u : ts) {
-        const auto clock = study::scaledClock(u);
-        const auto baseline = runner.runSuite(study::scaledCoreParams(u, {}),
-                                              clock, profiles, spec);
-        for (auto &row :
-             bench::statsRows(util::strprintf("%g", u), baseline))
-            stats.push_back(std::move(row));
-        const auto best = study::optimizeStructures(u, clock, profiles,
-                                                    spec, {}, jobs);
+    for (const auto &[u, clock, baseline] : baselines) {
+        const auto best = study::optimizeStructures(
+            u, clock, profiles, spec, {}, runner.threads());
         base.push_back(baseline.harmonicBipsAll());
         tuned.push_back(best.harmonicBipsAll);
         const double gain = tuned.back() / base.back() - 1.0;
@@ -86,7 +77,7 @@ fig7(int argc, char **argv)
     // stats= / trace=: attribution of the alpha-capacity baselines, and
     // the pipeline timeline at the 6 FO4 point.
     if (obs.wantsStats())
-        bench::writeStats(obs.statsPath, stats);
+        bench::writeStats(obs.statsPath, bench::sweepStatsRows(baselines));
     bench::maybeWriteTrace(obs, study::scaledCoreParams(6, {}),
                            study::scaledClock(6),
                            study::BenchJob::fromProfile(profiles.front()),

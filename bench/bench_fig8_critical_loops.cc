@@ -16,6 +16,7 @@
 
 #include "bench/common.hh"
 #include "core/core.hh"
+#include "study/checkpoint.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
@@ -45,7 +46,7 @@ extendedParams(int loop, int ext)
 } // namespace
 
 const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {bench::specKeys(), bench::observabilityKeys()});
+    {bench::specKeys(), {bench::jobsKey()}, bench::observabilityKeys()});
 
 int
 fig8(int argc, char **argv)
@@ -67,9 +68,17 @@ fig8(int argc, char **argv)
     // converts to BIPS, which this figure never uses.
     const auto clock = study::scaledClock(6);
 
-    const auto baseSuite = study::runSuite(core::CoreParams::alpha21264(),
-                                           clock, profiles, spec);
-    const double baseIpc = baseSuite.harmonicIpcAll();
+    // One grid: the 21264 baseline, then every (extension, loop) cell.
+    std::vector<study::GridPoint> points{
+        {core::CoreParams::alpha21264(), clock}};
+    for (const int ext : extensions) {
+        for (int loop = 0; loop < 3; ++loop)
+            points.push_back({extendedParams(loop, ext), clock});
+    }
+    const auto jobs = study::jobsFromProfiles(profiles);
+    const auto suites =
+        bench::runnerFromArgs(argc, argv).runGrid(points, jobs, spec);
+    const double baseIpc = suites.front().harmonicIpcAll();
 
     std::vector<std::vector<std::string>> stats;
     stats.push_back(bench::statsHeader("config"));
@@ -83,12 +92,12 @@ fig8(int argc, char **argv)
         core::StallCause::WindowFull, core::StallCause::RawLoadUse,
         core::StallCause::BranchMispredict};
     std::vector<std::uint64_t> causeAt0(3), causeAtMax(3);
+    auto next = suites.begin() + 1;
     for (const int ext : extensions) {
         std::vector<std::string> row{util::TextTable::num(
             std::int64_t{ext})};
         for (int loop = 0; loop < 3; ++loop) {
-            const auto suite = study::runSuite(extendedParams(loop, ext),
-                                               clock, profiles, spec);
+            const auto &suite = *next++;
             const double rel = suite.harmonicIpcAll() / baseIpc;
             const auto stalls = suite.aggregateStalls();
             if (ext == 0)

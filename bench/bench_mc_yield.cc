@@ -196,18 +196,19 @@ mcYield(int argc, char **argv)
         mopts.variation.sigmaSkew *= scale;
         mopts.variation.sigmaJitter *= scale;
         mopts.variation.sigmaDie *= scale;
-        mopts.journalPath =
+        auto &copts = mopts.checkpoint;
+        copts.journalPath =
             checkpointPath.empty()
                 ? std::string()
                 : (scales.size() == 1
                        ? checkpointPath
                        : checkpointPath +
                              util::strprintf(".scale%zu", si));
-        if (!mopts.journalPath.empty() && !resume)
-            std::remove(mopts.journalPath.c_str());
-        mopts.threads = bench::jobsFromArgs(argc, argv);
-        mopts.cancel = &cancel;
-        mopts.retry.maxAttempts =
+        if (!copts.journalPath.empty() && !resume)
+            std::remove(copts.journalPath.c_str());
+        copts.threads = bench::jobsFromArgs(argc, argv);
+        copts.cancel = &cancel;
+        copts.retry.maxAttempts =
             static_cast<int>(cfg.getPositiveInt("attempts", 1));
 
         study::MonteCarloRunner runner(mopts);

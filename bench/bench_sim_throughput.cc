@@ -33,8 +33,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "study/batch.hh"
-#include "study/parallel.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
 #include "util/logging.hh"
@@ -174,18 +172,16 @@ simThroughput(int argc, char **argv)
     std::printf("\nsweep: %zu clock periods x %zu benchmarks, jobs=%d\n",
                 ts.size(), profiles.size(), jobs);
 
-    study::SweepOptions options;
-    options.threads = jobs;
+    auto runner = bench::runnerFromArgs(argc, argv);
     auto referenceSpec = spec;
     referenceSpec.impl = study::SimImpl::Reference;
     auto batchedSpec = spec;
     batchedSpec.impl = study::SimImpl::Batched;
     const auto t0 = WallClock::now();
     const auto reference =
-        study::sweepScaling(ts, options, profiles, referenceSpec);
+        runner.sweepScaling(ts, {}, profiles, referenceSpec);
     const auto t1 = WallClock::now();
-    const auto batched =
-        study::sweepScalingBatched(ts, options, profiles, batchedSpec);
+    const auto batched = runner.sweepScaling(ts, {}, profiles, batchedSpec);
     const auto t2 = WallClock::now();
 
     const double referenceSec = seconds(t0, t1);

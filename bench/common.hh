@@ -16,7 +16,7 @@
 #include <string>
 
 #include "cacti/latency_cache.hh"
-#include "study/parallel.hh"
+#include "study/checkpoint.hh"
 #include "study/runner.hh"
 #include "util/cancel.hh"
 #include "util/config.hh"
@@ -109,13 +109,22 @@ keyUnion(std::initializer_list<std::vector<util::KeyDoc>> lists)
  * `--jobs=N`).  Defaults to serial; N must be >= 1 — `jobs=0` and
  * negative values are rejected with a typed ConfigError rather than
  * silently picking a thread count.  Results are identical at any value
- * (see study/parallel.hh).
+ * (see study/checkpoint.hh).
  */
 inline int
 jobsFromArgs(int argc, char **argv)
 {
     return static_cast<int>(
         util::Config::fromArgs(argc, argv).getPositiveInt("jobs", 1));
+}
+
+/** A journalless grid runner on jobsFromArgs() worker threads. */
+inline study::CheckpointedRunner
+runnerFromArgs(int argc, char **argv)
+{
+    study::CheckpointOptions options;
+    options.threads = jobsFromArgs(argc, argv);
+    return study::CheckpointedRunner(std::move(options));
 }
 
 /** The `verbose=`/`--verbose` flag (engineering diagnostics). */

@@ -24,8 +24,8 @@
 #include <fstream>
 #include <map>
 
+#include "study/checkpoint.hh"
 #include "study/goldengen.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
@@ -118,13 +118,11 @@ sweepSerialized(const std::vector<double> &depths,
                 const std::vector<study::BenchJob> &jobs,
                 const study::RunSpec &spec, int threads)
 {
-    std::vector<study::GridPoint> points;
-    points.reserve(depths.size());
-    for (const double t : depths)
-        points.push_back(
-            {study::scaledCoreParams(t, {}), study::scaledClock(t)});
+    study::CheckpointOptions options;
+    options.threads = threads;
     const std::vector<study::SuiteResult> results =
-        study::ParallelRunner(threads).runGrid(points, jobs, spec);
+        study::CheckpointedRunner(std::move(options))
+            .runGrid(study::scalingGrid(depths, {}), jobs, spec);
     std::string out;
     for (std::size_t i = 0; i < results.size(); ++i) {
         out += util::strprintf("# t_useful=%g\n", depths[i]);

@@ -20,7 +20,6 @@
 #include "bench/common.hh"
 #include "study/checkpoint.hh"
 #include "study/montecarlo.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
@@ -129,9 +128,9 @@ explore(int argc, char **argv)
         mopts.variation.seed =
             static_cast<std::uint64_t>(cfg.getInt("mc_seed", 0));
         mopts.variation.samples = mcSamples;
-        mopts.journalPath = checkpoint;
-        mopts.threads = jobs;
-        mopts.cancel = &cancel;
+        mopts.checkpoint.journalPath = checkpoint;
+        mopts.checkpoint.threads = jobs;
+        mopts.checkpoint.cancel = &cancel;
         study::MonteCarloRunner mc(mopts);
 
         std::printf("Monte Carlo sweep: t_useful = 2..16 FO4, overhead "

@@ -15,7 +15,6 @@
 
 #include "bench/common.hh"
 #include "study/checkpoint.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"

@@ -9,7 +9,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "study/scaling.hh"
 #include "util/journal.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
@@ -262,13 +261,18 @@ class Cursor
     void
     done() const
     {
-        if (remaining != 0) {
-            throw util::JournalError(
-                util::ErrorCode::JournalCorrupt,
-                util::strprintf("journal '%s': cell record has %zu "
-                                "trailing bytes",
-                                path.c_str(), remaining));
-        }
+        if (remaining != 0)
+            refuse(util::strprintf("%zu trailing bytes", remaining));
+    }
+
+    /** Refuse the record as corrupt, naming why. */
+    [[noreturn]] void
+    refuse(const std::string &why) const
+    {
+        throw util::JournalError(
+            util::ErrorCode::JournalCorrupt,
+            util::strprintf("journal '%s': cell record has %s",
+                            path.c_str(), why.c_str()));
     }
 
   private:
@@ -305,17 +309,19 @@ doubleFromBits(std::uint64_t bits)
     return v;
 }
 
-std::vector<BenchJob>
-jobsFromProfiles(const std::vector<trace::BenchmarkProfile> &profiles)
-{
-    std::vector<BenchJob> jobs;
-    jobs.reserve(profiles.size());
-    for (const auto &profile : profiles)
-        jobs.push_back(BenchJob::fromProfile(profile));
-    return jobs;
-}
-
 } // namespace
+
+std::vector<GridPoint>
+scalingGrid(const std::vector<double> &tUseful, const SweepOptions &options)
+{
+    std::vector<GridPoint> points;
+    points.reserve(tUseful.size());
+    for (const double u : tUseful) {
+        points.push_back({scaledCoreParams(u, options.scaling),
+                          scaledClock(u, options.overhead)});
+    }
+    return points;
+}
 
 std::string
 encodeCellRecord(const CellRecord &cell)
@@ -363,7 +369,10 @@ decodeCellRecord(const std::string &payload, const std::string &origin)
     cell.point = c.u32();
     cell.job = c.u32();
     cell.result.name = c.str();
-    cell.result.cls = static_cast<trace::BenchClass>(c.u32());
+    const std::uint32_t cls = c.u32();
+    if (cls > static_cast<std::uint32_t>(trace::BenchClass::NonVectorFp))
+        c.refuse(util::strprintf("unknown benchmark class %u", cls));
+    cell.result.cls = static_cast<trace::BenchClass>(cls);
     cell.result.sim.instructions = c.u64();
     cell.result.sim.cycles = c.u64();
     cell.result.sim.branches = c.u64();
@@ -384,12 +393,17 @@ decodeCellRecord(const std::string &payload, const std::string &origin)
     cell.result.sim.occupancy.robSum = c.u64();
     cell.result.sim.occupancy.lsqSum = c.u64();
     cell.result.bips = doubleFromBits(c.u64());
-    const auto code = static_cast<util::ErrorCode>(c.u32());
+    const std::uint32_t code = c.u32();
     const std::string message = c.str();
     c.done();
-    cell.result.error = code == util::ErrorCode::Ok
+    if (code > static_cast<std::uint32_t>(util::ErrorCode::Internal))
+        c.refuse(util::strprintf("unknown error code %u", code));
+    const auto error = static_cast<util::ErrorCode>(code);
+    if (error == util::ErrorCode::Ok && !message.empty())
+        c.refuse("an Ok code carrying a message");
+    cell.result.error = error == util::ErrorCode::Ok
                             ? util::Status::ok()
-                            : util::Status(code, message);
+                            : util::Status(error, message);
     return cell;
 }
 
@@ -781,26 +795,12 @@ CheckpointedRunner::sweepScaling(const std::vector<double> &tUseful,
                                  const std::vector<BenchJob> &jobs,
                                  const RunSpec &spec)
 {
-    std::vector<GridPoint> points;
-    points.reserve(tUseful.size());
-    for (const double u : tUseful) {
-        GridPoint point;
-        point.params = scaledCoreParams(u, options.scaling);
-        point.clock = scaledClock(u, options.overhead);
-        points.push_back(std::move(point));
-    }
-
+    const std::vector<GridPoint> points = scalingGrid(tUseful, options);
     auto suites = runGrid(points, jobs, spec);
-
     std::vector<SweepPointResult> out;
     out.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        SweepPointResult r;
-        r.tUseful = tUseful[i];
-        r.clock = points[i].clock;
-        r.suite = std::move(suites[i]);
-        out.push_back(std::move(r));
-    }
+    for (std::size_t i = 0; i < points.size(); ++i)
+        out.push_back({tUseful[i], points[i].clock, std::move(suites[i])});
     return out;
 }
 

@@ -1,17 +1,22 @@
 /**
  * @file
- * Crash-safe sweep execution: a checkpoint/resume layer over the
- * parallel sweep engine, built on util::Journal.
+ * The grid executor: every sweep in the repo — the figure benches, the
+ * Monte Carlo study, the structure optimizer, the service and the fleet
+ * coordinator — runs its (point x job) grid through CheckpointedRunner.
  *
- * A Fig 5-sized (benchmark x clock-period) grid can represent hours of
- * simulation; this layer makes such a run *durable*.  Every completed
- * grid cell is appended to a write-ahead journal the moment it
- * finishes, so a crash, OOM kill or Ctrl-C loses at most the cells that
- * were in flight.  A restarted run replays the journal, skips the
- * completed cells, simulates only the remainder, and produces output
- * **byte-identical** (study::serializeSuite-equal) to an uninterrupted
- * run at any thread count — the determinism contract of the parallel
- * engine extends across process lifetimes.
+ * Determinism contract: each cell is simulated by study::runJobIsolated,
+ * the exact code path of the serial runSuite, on a private core, trace
+ * source and RNG, and writes only its own preallocated result slot.  The
+ * merged results are therefore ordered by slot, never by completion
+ * order — failed rows included — and are bit-for-bit identical
+ * (serializeSuite-equal) to the serial runSuite at every thread count,
+ * on either core implementation, and across an interrupt/resume cycle.
+ *
+ * Durability: with a journal, every completed cell is appended to a
+ * write-ahead journal the moment it finishes, so a crash, OOM kill or
+ * Ctrl-C loses at most the cells that were in flight.  A restarted run
+ * replays the journal, skips the completed cells and simulates only the
+ * remainder.
  *
  * Resume identity: the journal header carries a fingerprint of every
  * input that can influence a result — each grid point's CoreParams and
@@ -44,12 +49,45 @@
 #include <string>
 #include <vector>
 
-#include "study/parallel.hh"
+#include "cacti/latency_cache.hh"
+#include "study/runner.hh"
+#include "study/scaling.hh"
 #include "util/cancel.hh"
 #include "util/status.hh"
 
 namespace fo4::study
 {
+
+/** One fully-specified sweep point: a core configuration and its clock. */
+struct GridPoint
+{
+    core::CoreParams params;
+    tech::ClockModel clock;
+};
+
+/** One solved point of a scaling sweep. */
+struct SweepPointResult
+{
+    double tUseful = 0.0;
+    tech::ClockModel clock;
+    SuiteResult suite;
+};
+
+/** Knobs of a scaling sweep beyond the t_useful axis. */
+struct SweepOptions
+{
+    /** Structure capacities, memory system, window — per Section 3. */
+    ScalingOptions scaling;
+    /** Clocking overhead applied at every point (Table 1 default). */
+    tech::OverheadModel overhead = tech::OverheadModel::paperDefault();
+};
+
+/**
+ * The paper's standard grid: one point per t_useful, the pipeline
+ * scaled to it (scaledCoreParams) and clocked at it (scaledClock).
+ */
+std::vector<GridPoint> scalingGrid(const std::vector<double> &tUseful,
+                                   const SweepOptions &options);
 
 /**
  * When and how often a failed cell is re-attempted.  Only failures
@@ -115,7 +153,9 @@ std::string encodeCellRecord(const CellRecord &cell);
 
 /** Inverse of encodeCellRecord; `origin` names the journal file or
  *  peer for error text.  Throws JournalError(JournalCorrupt) on a
- *  truncated or oversize payload. */
+ *  truncated or oversize payload, an unknown class or error code, or an
+ *  Ok code carrying a message — so every accepted payload re-encodes
+ *  to itself. */
 CellRecord decodeCellRecord(const std::string &payload,
                             const std::string &origin);
 
@@ -123,10 +163,9 @@ CellRecord decodeCellRecord(const std::string &payload,
 struct CheckpointOptions
 {
     /**
-     * Journal file backing the run.  Empty disables durability: the
-     * runner degrades to the plain parallel engine (plus retry and
-     * cancellation).  If the file exists it is recovered and the run
-     * *resumes*; otherwise it is created.
+     * Journal file backing the run.  Empty disables durability (retry
+     * and cancellation still apply).  If the file exists it is
+     * recovered and the run *resumes*; otherwise it is created.
      */
     std::string journalPath;
 
@@ -206,8 +245,9 @@ struct CheckpointReport
 };
 
 /**
- * Crash-safe drop-in for ParallelRunner::runGrid / study::sweepScaling.
- * See the file comment for the durability contract.
+ * The grid executor; see the file comment for its contracts.
+ * `threads == 1` (the default) is strictly serial; `threads <= 0`
+ * selects the hardware thread count.
  *
  * Each distinct simulation runs once per call: the cells of one
  * (simulationOwners class, job) form one task, whose first successful
@@ -227,11 +267,11 @@ class CheckpointedRunner
     int threads() const { return nThreads; }
 
     /**
-     * Run the (point x job) grid with journaling, retry and
-     * cancellation.  Byte-identical to ParallelRunner::runGrid — and
-     * to itself across an interrupt/resume cycle.  Throws ConfigError
-     * on invalid inputs, JournalError (ResumeMismatch) when an
-     * existing journal's identity does not match, CancelledError when
+     * Run the (point x job) grid: one SuiteResult per GridPoint, in
+     * point order, byte-identical to the serial runSuite of each point.
+     * Throws ConfigError if any point's inputs are invalid (before any
+     * cell simulates), JournalError (ResumeMismatch) when an existing
+     * journal's identity does not match, CancelledError when
      * cancellation is requested (after flushing the journal).
      */
     std::vector<SuiteResult> runGrid(const std::vector<GridPoint> &points,
@@ -239,9 +279,8 @@ class CheckpointedRunner
                                      const RunSpec &spec);
 
     /**
-     * The paper's standard sweep, checkpointed.  Uses `options.scaling`
-     * and `options.overhead` to derive the grid; `options.threads` is
-     * ignored in favour of this runner's thread count.
+     * The paper's standard experiment: run every job on the
+     * scalingGrid of `tUseful` and return the points in sweep order.
      */
     std::vector<SweepPointResult>
     sweepScaling(const std::vector<double> &tUseful,

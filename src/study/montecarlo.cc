@@ -245,52 +245,34 @@ struct BandAccumulator
 } // namespace
 
 MonteCarloRunner::MonteCarloRunner(McOptions options)
-    : opts(std::move(options))
+    : sweep(options.sweep), variation(options.variation),
+      runner(std::move(options.checkpoint))
 {
-    const util::Status st = opts.variation.validate();
+    const util::Status st = variation.validate();
     if (!st.isOk())
         throw util::ConfigError(st.message());
-    nThreads = ParallelRunner(opts.threads).threads();
 }
 
 McSweepResult
 MonteCarloRunner::run(const std::vector<double> &tUseful,
                       const std::vector<BenchJob> &jobs, const RunSpec &spec)
 {
-    // The base grid, derived exactly as study::sweepScaling derives it.
-    std::vector<GridPoint> base;
-    base.reserve(tUseful.size());
-    for (double u : tUseful) {
-        base.push_back({scaledCoreParams(u, opts.sweep.scaling),
-                        scaledClock(u, opts.sweep.overhead)});
-    }
+    const std::vector<GridPoint> base = scalingGrid(tUseful, sweep);
     const std::vector<GridPoint> expanded =
-        expandMonteCarloGrid(base, opts.variation);
-
-    CheckpointOptions copts;
-    copts.journalPath = opts.journalPath;
-    copts.threads = opts.threads;
-    copts.retry = opts.retry;
-    copts.cancel = opts.cancel;
-    copts.onAttempt = opts.onAttempt;
-    CheckpointedRunner runner(copts);
+        expandMonteCarloGrid(base, variation);
     std::vector<SuiteResult> suites = runner.runGrid(expanded, jobs, spec);
-    lastReport = runner.report();
 
     const std::size_t nBase = base.size();
-    const std::size_t nSamples =
-        static_cast<std::size_t>(opts.variation.samples);
+    const std::size_t nSamples = static_cast<std::size_t>(variation.samples);
 
     McSweepResult result;
     result.samples.resize(nSamples);
     for (std::size_t s = 0; s < nSamples; ++s) {
         result.samples[s].reserve(nBase);
         for (std::size_t p = 0; p < nBase; ++p) {
-            SweepPointResult die;
-            die.tUseful = tUseful[p];
-            die.clock = expanded[s * nBase + p].clock;
-            die.suite = std::move(suites[s * nBase + p]);
-            result.samples[s].push_back(std::move(die));
+            result.samples[s].push_back({tUseful[p],
+                                         expanded[s * nBase + p].clock,
+                                         std::move(suites[s * nBase + p])});
         }
     }
 
@@ -338,11 +320,7 @@ MonteCarloRunner::run(const std::vector<double> &tUseful,
                       const std::vector<trace::BenchmarkProfile> &profiles,
                       const RunSpec &spec)
 {
-    std::vector<BenchJob> jobs;
-    jobs.reserve(profiles.size());
-    for (const auto &profile : profiles)
-        jobs.push_back(BenchJob::fromProfile(profile));
-    return run(tUseful, jobs, spec);
+    return run(tUseful, jobsFromProfiles(profiles), spec);
 }
 
 } // namespace fo4::study

@@ -26,12 +26,12 @@
  * splittable (util::RandomStream keyed by (mc_seed, point, sample,
  * attempt, stage)), never stateful, so a sampled grid is a pure
  * function of its inputs.  Samples are therefore *just more grid
- * cells*: the expanded (sample x point, job) grid runs through the
- * same ParallelRunner/CheckpointedRunner engine as every other sweep,
- * and inherits its contracts wholesale — byte-identical results at any
- * jobs=, across checkpoint/resume (the grid fingerprint hashes every
- * sampled clock), and when cells are sharded across the fo4coord
- * fabric (workers re-derive identical sampled grids from the request).
+ * cells*: the expanded (sample x point, job) grid runs through
+ * CheckpointedRunner like every other sweep, and inherits its contracts
+ * wholesale — byte-identical results at any jobs=, across
+ * checkpoint/resume (the grid fingerprint hashes every sampled clock),
+ * and when cells are sharded across the fo4coord fabric (workers
+ * re-derive identical sampled grids from the request).
  * Because a die differs from its point only in the clock, which prices
  * IPC into BIPS and nothing else, every executor simulates each
  * (point, job) once and prices the other dice from it
@@ -42,12 +42,10 @@
 #define FO4_STUDY_MONTECARLO_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "study/checkpoint.hh"
-#include "study/parallel.hh"
 #include "util/means.hh"
 #include "util/random.hh"
 #include "util/status.hh"
@@ -192,20 +190,12 @@ struct McSweepResult
 /** Knobs of the Monte Carlo runner. */
 struct McOptions
 {
-    /** Scaling, nominal overhead and (ignored) threads of the base
-     *  sweep; `threads` below is the one that counts. */
+    /** Scaling and nominal overhead of the base sweep. */
     SweepOptions sweep;
     VariationModel variation;
-    /** Journal file; empty disables durability (see CheckpointOptions). */
-    std::string journalPath;
-    /** Worker threads; 1 = serial, <= 0 = hardware thread count. */
-    int threads = 1;
-    RetryPolicy retry;
-    const util::CancelToken *cancel = nullptr;
-    /** Per-attempt observability hook (see CheckpointOptions::onAttempt);
-     *  used by tests to inject cancellation at exact cell boundaries. */
-    std::function<void(std::size_t point, std::size_t job, int attempt)>
-        onAttempt;
+    /** Threads, journal, retry, cancellation and the onAttempt hook of
+     *  the runner the expanded grid goes through. */
+    CheckpointOptions checkpoint;
 };
 
 /**
@@ -221,7 +211,7 @@ class MonteCarloRunner
     explicit MonteCarloRunner(McOptions options);
 
     /** Actual parallelism this runner fans out to (>= 1). */
-    int threads() const { return nThreads; }
+    int threads() const { return runner.threads(); }
 
     McSweepResult run(const std::vector<double> &tUseful,
                       const std::vector<BenchJob> &jobs,
@@ -233,12 +223,12 @@ class MonteCarloRunner
                       const RunSpec &spec);
 
     /** Accounting for the most recent run() call. */
-    const CheckpointReport &report() const { return lastReport; }
+    const CheckpointReport &report() const { return runner.report(); }
 
   private:
-    McOptions opts;
-    int nThreads = 1;
-    CheckpointReport lastReport;
+    SweepOptions sweep;
+    VariationModel variation;
+    CheckpointedRunner runner;
 };
 
 } // namespace fo4::study

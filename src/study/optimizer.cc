@@ -1,27 +1,10 @@
 #include "study/optimizer.hh"
 
-#include "study/parallel.hh"
+#include "study/checkpoint.hh"
 #include "util/logging.hh"
 
 namespace fo4::study
 {
-
-namespace
-{
-
-double
-evaluate(double tUseful, const tech::ClockModel &clock,
-         const ScalingOptions &options,
-         const std::vector<trace::BenchmarkProfile> &profiles,
-         const RunSpec &spec, const ParallelRunner &runner,
-         SuiteResult &out)
-{
-    const core::CoreParams params = scaledCoreParams(tUseful, options);
-    out = runner.runSuite(params, clock, profiles, spec);
-    return out.harmonicBipsAll();
-}
-
-} // namespace
 
 OptimizedConfig
 optimizeStructures(double tUseful, const tech::ClockModel &clock,
@@ -33,51 +16,44 @@ optimizeStructures(double tUseful, const tech::ClockModel &clock,
                    !space.windowEntries.empty(),
                "empty search space");
 
-    const ParallelRunner runner(threads);
-    OptimizedConfig best;
-    best.harmonicBipsAll = evaluate(tUseful, clock, best.options, profiles,
-                                    spec, runner, best.result);
+    CheckpointOptions options;
+    options.threads = threads;
+    CheckpointedRunner runner(std::move(options));
+    const std::vector<BenchJob> jobs = jobsFromProfiles(profiles);
+    const auto evaluate = [&](const std::vector<ScalingOptions> &configs) {
+        std::vector<GridPoint> points;
+        for (const ScalingOptions &config : configs)
+            points.push_back({scaledCoreParams(tUseful, config), clock});
+        return runner.runGrid(points, jobs, spec);
+    };
 
-    // Greedy passes: DL1, then L2, then window.
-    for (const std::uint64_t dl1 : space.dl1Bytes) {
-        ScalingOptions candidate = best.options;
-        candidate.dl1Bytes = dl1;
-        SuiteResult result;
-        const double bips =
-            evaluate(tUseful, clock, candidate, profiles, spec, runner,
-                     result);
-        if (bips > best.harmonicBipsAll) {
-            best.options = candidate;
-            best.result = std::move(result);
-            best.harmonicBipsAll = bips;
+    OptimizedConfig best;
+    best.result = std::move(evaluate({best.options}).front());
+    best.harmonicBipsAll = best.result.harmonicBipsAll();
+
+    // One greedy pass per structure.  Each candidate is the pass-start
+    // incumbent with `field` replaced, so a pass is one grid; walking it
+    // in candidate order with a strict > keeps the first winner, exactly
+    // as evaluating the candidates one by one would.
+    const auto pass = [&](const auto &values, auto field) {
+        std::vector<ScalingOptions> candidates;
+        for (const auto value : values) {
+            candidates.push_back(best.options);
+            candidates.back().*field = value;
         }
-    }
-    for (const std::uint64_t l2 : space.l2Bytes) {
-        ScalingOptions candidate = best.options;
-        candidate.l2Bytes = l2;
-        SuiteResult result;
-        const double bips =
-            evaluate(tUseful, clock, candidate, profiles, spec, runner,
-                     result);
-        if (bips > best.harmonicBipsAll) {
-            best.options = candidate;
-            best.result = std::move(result);
-            best.harmonicBipsAll = bips;
+        std::vector<SuiteResult> suites = evaluate(candidates);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            const double bips = suites[i].harmonicBipsAll();
+            if (bips > best.harmonicBipsAll) {
+                best.options = candidates[i];
+                best.result = std::move(suites[i]);
+                best.harmonicBipsAll = bips;
+            }
         }
-    }
-    for (const int window : space.windowEntries) {
-        ScalingOptions candidate = best.options;
-        candidate.windowEntries = window;
-        SuiteResult result;
-        const double bips =
-            evaluate(tUseful, clock, candidate, profiles, spec, runner,
-                     result);
-        if (bips > best.harmonicBipsAll) {
-            best.options = candidate;
-            best.result = std::move(result);
-            best.harmonicBipsAll = bips;
-        }
-    }
+    };
+    pass(space.dl1Bytes, &ScalingOptions::dl1Bytes);
+    pass(space.l2Bytes, &ScalingOptions::l2Bytes);
+    pass(space.windowEntries, &ScalingOptions::windowEntries);
     return best;
 }
 

@@ -42,9 +42,10 @@ struct OptimizedConfig
  * (others held fixed), verifying the incumbent against neighbours,
  * exactly as the paper describes its "best configuration" validation.
  *
- * `threads` fans each candidate's suite across that many workers (1 =
- * serial).  The greedy decisions themselves stay sequential, and the
- * per-suite results are thread-count invariant, so the chosen
+ * Each structure's pass runs its candidates as one grid on
+ * study::CheckpointedRunner, fanned across `threads` workers (1 =
+ * serial).  Grid results are thread-count invariant and the pass keeps
+ * the first strictly better candidate in search order, so the chosen
  * configuration is identical at any thread count.
  */
 OptimizedConfig optimizeStructures(double tUseful,

@@ -149,6 +149,16 @@ BenchJob::fromTraceFile(const std::string &name, trace::BenchClass cls,
     return job;
 }
 
+std::vector<BenchJob>
+jobsFromProfiles(const std::vector<trace::BenchmarkProfile> &profiles)
+{
+    std::vector<BenchJob> jobs;
+    jobs.reserve(profiles.size());
+    for (const auto &profile : profiles)
+        jobs.push_back(BenchJob::fromProfile(profile));
+    return jobs;
+}
+
 BenchResult
 runJob(const core::CoreParams &params, const tech::ClockModel &clock,
        const BenchJob &job, const RunSpec &spec,
@@ -282,11 +292,7 @@ runSuite(const core::CoreParams &params, const tech::ClockModel &clock,
          const std::vector<trace::BenchmarkProfile> &profiles,
          const RunSpec &spec)
 {
-    std::vector<BenchJob> jobs;
-    jobs.reserve(profiles.size());
-    for (const auto &profile : profiles)
-        jobs.push_back(BenchJob::fromProfile(profile));
-    return runSuite(params, clock, jobs, spec);
+    return runSuite(params, clock, jobsFromProfiles(profiles), spec);
 }
 
 std::string

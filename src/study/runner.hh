@@ -171,6 +171,10 @@ struct BenchJob
                                   const std::string &path);
 };
 
+/** One plain job per profile, in profile order. */
+std::vector<BenchJob>
+jobsFromProfiles(const std::vector<trace::BenchmarkProfile> &profiles);
+
 /**
  * Run every job on a fresh core built from `params`, converting IPC to
  * BIPS with `clock`.  A job that raises a SimError is recorded as a
@@ -212,8 +216,8 @@ void priceAtClock(BenchResult &result, const tech::ClockModel &clock);
  * Run one job with the suite's fault isolation: any SimError (or other
  * exception) is captured in the returned BenchResult instead of
  * propagating.  This is the one per-job code path shared by the serial
- * runSuite and the parallel sweep engine, which is what makes their
- * results bit-for-bit identical.
+ * runSuite and the grid executor (study::CheckpointedRunner), which
+ * is what makes their results bit-for-bit identical.
  *
  * CancelledError is the one deliberate exception to the isolation: a
  * cancelled job produced no result *by request*, which is not a fault
@@ -229,7 +233,7 @@ BenchResult runJobIsolated(const core::CoreParams &params,
 /**
  * Validate the suite-level inputs of runSuite (job list, spec, params,
  * clock), throwing ConfigError exactly as runSuite would.  Exposed so
- * the parallel engine can fail fast before fanning out.
+ * the grid executor can fail fast before fanning out.
  */
 void validateSuiteInputs(const core::CoreParams &params,
                          const tech::ClockModel &clock,
@@ -240,8 +244,8 @@ void validateSuiteInputs(const core::CoreParams &params,
  * Canonical byte-exact rendering of a suite: every field of every row,
  * doubles in hexfloat so no precision is lost.  Two SuiteResults are
  * bit-for-bit identical iff their serializations compare equal — the
- * determinism contract of the parallel engine is stated (and tested)
- * in terms of this string.
+ * determinism contract of the grid executor is stated (and tested) in
+ * terms of this string.
  */
 std::string serializeSuite(const SuiteResult &suite);
 

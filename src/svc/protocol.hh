@@ -182,7 +182,7 @@ struct WireJob
 
 /**
  * A complete sweep specification as it crosses the wire: everything
- * study::sweepScaling needs, nothing that could differ between the
+ * a scaling sweep needs, nothing that could differ between the
  * submitting and executing machine.  The identity guarantee of the
  * service is stated over this struct: running decode(encode(r)) through
  * svc::runSweep produces bytes identical to running `r` directly.

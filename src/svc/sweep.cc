@@ -1,7 +1,6 @@
 #include "svc/sweep.hh"
 
 #include "study/montecarlo.hh"
-#include "study/scaling.hh"
 #include "trace/spec2000.hh"
 #include "util/logging.hh"
 
@@ -33,15 +32,9 @@ planSweep(const SweepRequest &request)
     plan.spec.prewarm = request.prewarm;
     plan.spec.cycleLimit = request.cycleLimit;
 
-    const tech::OverheadModel overhead =
-        tech::OverheadModel::uniform(request.overheadFo4);
-    const study::ScalingOptions scaling; // paper Section 3 defaults
-    for (const double t : request.tUseful) {
-        study::GridPoint point;
-        point.params = study::scaledCoreParams(t, scaling);
-        point.clock = study::scaledClock(t, overhead);
-        plan.points.push_back(std::move(point));
-    }
+    study::SweepOptions sweep; // paper Section 3 scaling
+    sweep.overhead = tech::OverheadModel::uniform(request.overheadFo4);
+    plan.points = study::scalingGrid(request.tUseful, sweep);
 
     // Monte Carlo requests expand the planned grid sample-major: die s
     // of base point p lands at slot s*nBase+p (study::expandMonteCarloGrid).

@@ -6,7 +6,7 @@
  * planSweep + runSweep + renderResults here, so a sweep fetched over
  * the wire is byte-identical to the same sweep run locally — at any
  * thread count, including the position and typed error of failed rows
- * (the parallel engine's determinism contract, see study/parallel.hh,
+ * (the grid executor's determinism contract, see study/checkpoint.hh,
  * extended across the socket).
  *
  * A plan is validated eagerly at submit time (planSweep throws
@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "study/checkpoint.hh"
-#include "study/parallel.hh"
 #include "svc/protocol.hh"
 #include "util/cancel.hh"
 

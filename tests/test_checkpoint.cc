@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "study/checkpoint.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
@@ -104,6 +103,19 @@ twoPoints()
     points[1].params = study::scaledCoreParams(9.0, {});
     points[1].clock = study::scaledClock(9.0);
     return points;
+}
+
+/** The serial oracle: runSuite at every point, in point order. */
+std::vector<study::SuiteResult>
+serialGrid(const std::vector<study::GridPoint> &points,
+           const std::vector<study::BenchJob> &jobs,
+           const study::RunSpec &spec)
+{
+    std::vector<study::SuiteResult> suites;
+    for (const auto &point : points)
+        suites.push_back(
+            study::runSuite(point.params, point.clock, jobs, spec));
+    return suites;
 }
 
 std::string
@@ -232,8 +244,7 @@ TEST(CheckpointedRunner, JournallessRunMatchesParallelEngine)
     const auto points = twoPoints();
     const auto spec = smallSpec();
 
-    const auto reference = serializeAll(
-        study::ParallelRunner(1).runGrid(points, jobs, spec));
+    const auto reference = serializeAll(serialGrid(points, jobs, spec));
 
     study::CheckpointOptions opts; // journalPath empty
     opts.threads = 2;
@@ -260,8 +271,7 @@ TEST(CheckpointedRunner, JournalWriteFailureDegradesToJournallessRun)
     const auto points = twoPoints();
     const auto spec = smallSpec();
 
-    const auto reference = serializeAll(
-        study::ParallelRunner(1).runGrid(points, jobs, spec));
+    const auto reference = serializeAll(serialGrid(points, jobs, spec));
 
     const std::string journal = tempPath("ckpt_degraded.j");
     // Creation writes the header via <path>.tmp and is keyed off that
@@ -368,7 +378,8 @@ TEST(CheckpointedRunner, SweepScalingCheckpointAndResume)
 
     study::SweepOptions sweep;
     const auto reference =
-        study::sweepScaling(ts, sweep, profiles, spec);
+        study::CheckpointedRunner(study::CheckpointOptions{})
+            .sweepScaling(ts, sweep, profiles, spec);
 
     study::CheckpointOptions opts;
     opts.journalPath = path;
@@ -654,8 +665,8 @@ TEST(CheckpointedRunner, CancelMidBatchedSweepResumesUnderEitherImpl)
     batchedSpec.impl = study::SimImpl::Batched;
     const auto path = tempPath("ckpt_cancel_batched.journal");
 
-    const auto reference = serializeAll(
-        study::ParallelRunner(1).runGrid(points, jobs, referenceSpec));
+    const auto reference =
+        serializeAll(serialGrid(points, jobs, referenceSpec));
 
     // Serial batched run, cancelled as the third cell begins.
     util::CancelToken cancel;

@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "study/checkpoint.hh"
 #include "study/goldengen.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
@@ -323,8 +323,10 @@ TEST(CoreDifferential, RecordedReplaySweepIsByteIdentical)
                                  study::SimImpl impl, int threads) {
         study::RunSpec spec = baseSpec();
         spec.impl = impl;
-        const auto suites = study::ParallelRunner(threads).runGrid(
-            points, {job}, spec);
+        study::CheckpointOptions options;
+        options.threads = threads;
+        const auto suites = study::CheckpointedRunner(std::move(options))
+                                .runGrid(points, {job}, spec);
         std::string out;
         for (const auto &suite : suites)
             out += study::serializeSuite(suite);

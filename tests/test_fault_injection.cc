@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/core.hh"
-#include "study/parallel.hh"
+#include "study/checkpoint.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
@@ -380,9 +380,12 @@ TEST(SuiteIsolation, ConcurrentFaultsStayIsolatedPerJob)
     const auto reference =
         study::serializeSuite(study::runSuite(params, clock, jobs, spec));
 
-    const study::ParallelRunner runner(8);
+    study::CheckpointOptions options;
+    options.threads = 8;
+    study::CheckpointedRunner runner(std::move(options));
     for (int round = 0; round < 3; ++round) {
-        const auto suite = runner.runSuite(params, clock, jobs, spec);
+        const auto suite =
+            runner.runGrid({{params, clock}}, jobs, spec).front();
         ASSERT_EQ(suite.benchmarks.size(), jobs.size());
         EXPECT_EQ(suite.succeeded(), jobs.size() - 3);
 

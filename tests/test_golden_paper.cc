@@ -27,8 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "bench/common.hh"
+#include "study/checkpoint.hh"
 #include "study/optimizer.hh"
-#include "study/parallel.hh"
 #include "study/scaling.hh"
 #include "tech/clocking.hh"
 #include "tech/ecl.hh"
@@ -62,14 +62,23 @@ goldenSpec()
     return spec;
 }
 
+/** A grid runner on all hardware threads; results are invariant. */
+study::CheckpointedRunner
+allThreads()
+{
+    study::CheckpointOptions options;
+    options.threads = 0;
+    return study::CheckpointedRunner(std::move(options));
+}
+
 /** Integer-class harmonic BIPS over the standard 2..16 FO4 sweep. */
 std::vector<double>
 integerSweep(const study::SweepOptions &options, const study::RunSpec &spec)
 {
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
-    const auto points =
-        study::sweepScaling(bench::usefulSweep(), options, profiles, spec);
+    const auto points = allThreads().sweepScaling(bench::usefulSweep(),
+                                                  options, profiles, spec);
     std::vector<double> bips;
     bips.reserve(points.size());
     for (const auto &point : points)
@@ -114,7 +123,6 @@ TEST(GoldenPaper, AppendixAEclEquivalences)
 TEST(GoldenPaper, Fig5OooIntegerOptimumIs6Fo4)
 {
     study::SweepOptions options;
-    options.threads = 0; // all hardware threads; result is invariant
     const auto ts = bench::usefulSweep();
     const auto bips = integerSweep(options, goldenSpec());
 
@@ -141,7 +149,6 @@ TEST(GoldenPaper, Fig5OooIntegerOptimumIs6Fo4)
 TEST(GoldenPaper, Fig4bInorderIntegerOptimumIs6Fo4)
 {
     study::SweepOptions options;
-    options.threads = 0;
     auto spec = goldenSpec();
     spec.model = study::CoreModel::InOrder;
     const auto ts = bench::usefulSweep();
@@ -159,13 +166,12 @@ TEST(GoldenPaper, Fig6OptimumStaysAt6Fo4ForOverheads1To5)
     // overhead across 1..5 FO4.  Overhead changes only the clock (never
     // cycle counts), so one IPC sweep serves every overhead value.
     study::SweepOptions options;
-    options.threads = 0;
     options.overhead = tech::OverheadModel::uniform(0);
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
     const auto ts = bench::usefulSweep();
     const auto points =
-        study::sweepScaling(ts, options, profiles, goldenSpec());
+        allThreads().sweepScaling(ts, options, profiles, goldenSpec());
 
     // Like Fig 4b, our model's curve is flatter than the paper's, so
     // the printed claim ("optimum stays exactly at 6 for overheads
@@ -247,7 +253,6 @@ TEST(GoldenPaper, Fig7OptimizedStructuresGainWithoutMovingTheOptimum)
 TEST(GoldenPaper, CrayMemoryIntegerOptimumIs11Fo4)
 {
     study::SweepOptions options;
-    options.threads = 0;
     options.scaling.crayMemory = true;
     const auto ts = bench::usefulSweep();
     const auto bips = integerSweep(options, goldenSpec());

@@ -26,7 +26,6 @@
 
 #include "bench/common.hh"
 #include "study/checkpoint.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
@@ -305,8 +304,11 @@ TEST(StatsDeterminism, RowsByteIdenticalAcrossThreadCountsUnderFaults)
     ASSERT_NE(reference.find("Deadlock"), std::string::npos);
 
     for (const int threads : {1, 2, 8}) {
-        const study::ParallelRunner runner(threads);
-        const auto suite = runner.runSuite(params, clock, jobs, spec);
+        study::CheckpointOptions options;
+        options.threads = threads;
+        const auto suite = study::CheckpointedRunner(std::move(options))
+                               .runGrid({{params, clock}}, jobs, spec)
+                               .front();
         EXPECT_EQ(bench::statsRowsToString(bench::statsRows("6", suite)),
                   reference)
             << "jobs=" << threads;
@@ -382,8 +384,10 @@ TEST(StatsDeterminism, EngineeringMetricsStayOutOfSuiteArtifacts)
     MetricsFlagGuard g(true);
     auto &reg = util::MetricsRegistry::global();
     const auto before = reg.value("study.cells.executed");
-    const study::ParallelRunner runner(2);
-    (void)runner.runSuite(params, clock, profiles, spec);
+    study::CheckpointOptions options;
+    options.threads = 2;
+    (void)study::CheckpointedRunner(std::move(options))
+        .runGrid({{params, clock}}, study::jobsFromProfiles(profiles), spec);
     EXPECT_EQ(reg.value("study.cells.executed"),
               before + profiles.size());
 }

@@ -24,7 +24,6 @@
 
 #include "study/checkpoint.hh"
 #include "study/montecarlo.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
@@ -294,8 +293,8 @@ TEST(McRunner, ZeroSigmaReproducesTheDeterministicSweepBitExact)
     const auto jobs = twoJobs();
     const auto spec = smallSpec();
 
-    const auto det =
-        study::sweepScaling(ts, study::SweepOptions{}, jobs, spec);
+    const auto det = study::CheckpointedRunner(study::CheckpointOptions{})
+                         .sweepScaling(ts, {}, jobs, spec);
 
     study::McOptions mopts;
     mopts.variation.samples = 2; // several dice, all identical
@@ -336,7 +335,7 @@ TEST(McRunner, ByteIdenticalAtAnyThreadCount)
     for (const int threads : {1, 2, 8}) {
         study::McOptions mopts;
         mopts.variation = someVariation(3);
-        mopts.threads = threads;
+        mopts.checkpoint.threads = threads;
         study::MonteCarloRunner runner(mopts);
         const std::string bytes = serializeMc(runner.run(ts, jobs, spec));
         if (first.empty())
@@ -365,9 +364,9 @@ TEST(McRunner, KillAndResumeReplayIsByteIdentical)
     int started = 0;
     study::McOptions interrupted;
     interrupted.variation = someVariation(3);
-    interrupted.journalPath = journal;
-    interrupted.cancel = &cancel;
-    interrupted.onAttempt = [&](std::size_t, std::size_t, int) {
+    interrupted.checkpoint.journalPath = journal;
+    interrupted.checkpoint.cancel = &cancel;
+    interrupted.checkpoint.onAttempt = [&](std::size_t, std::size_t, int) {
         if (++started == 4)
             cancel.requestCancel();
     };
@@ -378,7 +377,7 @@ TEST(McRunner, KillAndResumeReplayIsByteIdentical)
     // simulated remainder must be byte-identical to the reference.
     study::McOptions resumed;
     resumed.variation = someVariation(3);
-    resumed.journalPath = journal;
+    resumed.checkpoint.journalPath = journal;
     study::MonteCarloRunner resumer(resumed);
     const auto result = resumer.run(ts, jobs, spec);
     EXPECT_TRUE(resumer.report().resumed);

@@ -1,11 +1,19 @@
 /**
  * @file
- * The determinism contract of the parallel sweep engine: at every
- * thread count, ParallelRunner and sweepScaling must produce results
- * bit-for-bit identical to the serial runner — including the position
- * and typed error of failed rows when faults are injected.  Identity
- * is stated in terms of study::serializeSuite, which renders every
- * field (doubles in hexfloat) so no difference can hide in rounding.
+ * The determinism contract of the grid executor (study/checkpoint.hh):
+ * at every thread count and on either core implementation,
+ * CheckpointedRunner must produce results bit-for-bit identical to the
+ * serial runSuite on the reference cores — including the position and
+ * typed error of failed rows when faults are injected.  Identity is
+ * stated in terms of study::serializeSuite, which renders every field
+ * (doubles in hexfloat) so no difference can hide in rounding.
+ *
+ * The suite names are those of the two executors CheckpointedRunner
+ * replaced: ParallelRunner.* pins the runner on the reference cores and
+ * BatchRunner.* on the batched cores.  Together the identity cases form
+ * one matrix — both impls × threads 1/2/8 × {the 18 Table 2 profiles,
+ * the faulty-jobs suite, a 4-point grid} — against one oracle, the
+ * serial runSuite on the reference cores.
  */
 
 #include <gtest/gtest.h>
@@ -16,12 +24,10 @@
 #include <vector>
 
 #include "cacti/latency_cache.hh"
-#include "study/batch.hh"
-#include "study/parallel.hh"
+#include "study/checkpoint.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
-#include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
 #include "util/status.hh"
@@ -86,51 +92,127 @@ faultyJobs(const std::string &corruptPath)
     return jobs;
 }
 
+/** A journalless grid runner on `threads` workers. */
+study::CheckpointedRunner
+runnerWith(int threads)
+{
+    study::CheckpointOptions options;
+    options.threads = threads;
+    return study::CheckpointedRunner(std::move(options));
+}
+
+/** The oracle: the plain serial runSuite loop on the reference cores,
+ *  one serialized suite per t_useful. */
+std::vector<std::string>
+serialReference(const std::vector<double> &ts,
+                const std::vector<study::BenchJob> &jobs)
+{
+    const auto spec = smallSpec();
+    EXPECT_EQ(spec.impl, study::SimImpl::Reference);
+    std::vector<std::string> reference;
+    for (const double u : ts) {
+        reference.push_back(study::serializeSuite(
+            study::runSuite(study::scaledCoreParams(u, {}),
+                            study::scaledClock(u), jobs, spec)));
+    }
+    return reference;
+}
+
+/** Sweep `ts` × `jobs` through the runner on `impl` at every thread
+ *  count and require each point to equal the serial oracle. */
+void
+expectRunnerMatchesSerial(const std::vector<double> &ts,
+                          const std::vector<study::BenchJob> &jobs,
+                          study::SimImpl impl)
+{
+    const auto reference = serialReference(ts, jobs);
+    auto spec = smallSpec();
+    spec.impl = impl;
+    for (const int threads : kThreadCounts) {
+        const auto points =
+            runnerWith(threads).sweepScaling(ts, {}, jobs, spec);
+        ASSERT_EQ(points.size(), ts.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_EQ(points[i].tUseful, ts[i]);
+            EXPECT_EQ(study::serializeSuite(points[i].suite), reference[i])
+                << "impl=" << study::simImplName(impl)
+                << " threads=" << threads << " t=" << ts[i];
+        }
+    }
+}
+
+/** The paper's full Table 2 suite, at one point. */
+void
+expectAllProfilesMatchSerial(study::SimImpl impl)
+{
+    const auto profiles = trace::spec2000Profiles();
+    ASSERT_EQ(profiles.size(), 18u);
+    expectRunnerMatchesSerial({6}, study::jobsFromProfiles(profiles), impl);
+}
+
+/** The 4-point vector-FP grid. */
+void
+expectGridMatchesSerial(study::SimImpl impl)
+{
+    expectRunnerMatchesSerial(
+        {4, 6, 8, 11},
+        study::jobsFromProfiles(
+            trace::spec2000Profiles(trace::BenchClass::VectorFp)),
+        impl);
+}
+
+/** Misconfiguration is refused before any cell runs. */
+void
+expectMisconfigurationThrows(study::SimImpl impl)
+{
+    auto runner = runnerWith(4);
+    const auto params = study::scaledCoreParams(6.0, {});
+    const auto clock = study::scaledClock(6.0);
+    const std::vector<study::BenchJob> one{study::BenchJob::fromProfile(
+        trace::spec2000Profile("164.gzip"))};
+    auto spec = smallSpec();
+    spec.impl = impl;
+
+    EXPECT_THROW(runner.runGrid({{params, clock}}, {}, spec),
+                 util::ConfigError);
+
+    auto empty = spec;
+    empty.instructions = 0;
+    EXPECT_THROW(runner.runGrid({{params, clock}}, one, empty),
+                 util::ConfigError);
+
+    // An invalid *point* in a grid poisons the whole grid up front.
+    std::vector<study::GridPoint> points(2, {params, clock});
+    points[1].clock.tUsefulFo4 = -1.0;
+    EXPECT_THROW(runner.runGrid(points, one, spec), util::ConfigError);
+}
+
 } // namespace
 
 TEST(ParallelRunner, ThreadCountResolution)
 {
-    EXPECT_EQ(study::ParallelRunner(5).threads(), 5);
-    EXPECT_EQ(study::ParallelRunner(1).threads(), 1);
-    EXPECT_EQ(study::ParallelRunner(0).threads(),
-              util::ThreadPool::hardwareThreads());
-    EXPECT_EQ(study::ParallelRunner(-3).threads(),
+    EXPECT_EQ(runnerWith(5).threads(), 5);
+    EXPECT_EQ(runnerWith(1).threads(), 1);
+    EXPECT_EQ(runnerWith(0).threads(), util::ThreadPool::hardwareThreads());
+    EXPECT_EQ(runnerWith(-3).threads(),
               util::ThreadPool::hardwareThreads());
 }
 
 TEST(ParallelRunner, HealthySuiteByteIdenticalAtEveryThreadCount)
 {
-    const auto profiles =
-        trace::spec2000Profiles(trace::BenchClass::Integer);
-    const auto params = study::scaledCoreParams(6.0, {});
-    const auto clock = study::scaledClock(6.0);
-    const auto spec = smallSpec();
-
-    const auto serial =
-        study::serializeSuite(study::runSuite(params, clock, profiles, spec));
-    ASSERT_FALSE(serial.empty());
-
-    for (const int threads : kThreadCounts) {
-        const study::ParallelRunner runner(threads);
-        const auto parallel = study::serializeSuite(
-            runner.runSuite(params, clock, profiles, spec));
-        EXPECT_EQ(parallel, serial) << "threads=" << threads;
-    }
+    expectAllProfilesMatchSerial(study::SimImpl::Reference);
 }
 
 TEST(ParallelRunner, FailedRowOrderingSurvivesParallelExecution)
 {
     const auto corrupt = makeCorruptTrace("parallel_corrupt.fo4t");
     const auto jobs = faultyJobs(corrupt);
-    const auto params = study::scaledCoreParams(6.0, {});
-    const auto clock = study::scaledClock(6.0);
-    const auto spec = smallSpec();
-
-    const auto serialSuite = study::runSuite(params, clock, jobs, spec);
-    const auto serial = study::serializeSuite(serialSuite);
 
     // Sanity on the serial reference itself: three typed failures, in
     // job order, siblings unharmed.
+    const auto serialSuite =
+        study::runSuite(study::scaledCoreParams(6.0, {}),
+                        study::scaledClock(6.0), jobs, smallSpec());
     const auto failures = serialSuite.failures();
     ASSERT_EQ(failures.size(), 3u);
     EXPECT_EQ(failures[0]->name, "corrupt-a");
@@ -140,42 +222,13 @@ TEST(ParallelRunner, FailedRowOrderingSurvivesParallelExecution)
     EXPECT_EQ(failures[2]->name, "corrupt-b");
     EXPECT_EQ(serialSuite.succeeded(), 3u);
 
-    for (const int threads : kThreadCounts) {
-        const study::ParallelRunner runner(threads);
-        const auto parallel = study::serializeSuite(
-            runner.runSuite(params, clock, jobs, spec));
-        EXPECT_EQ(parallel, serial) << "threads=" << threads;
-    }
+    expectRunnerMatchesSerial({6}, jobs, study::SimImpl::Reference);
     std::remove(corrupt.c_str());
 }
 
 TEST(ParallelRunner, SweepGridMatchesSerialPointByPoint)
 {
-    const std::vector<double> ts{4, 6, 8, 11};
-    const auto profiles =
-        trace::spec2000Profiles(trace::BenchClass::VectorFp);
-    const auto spec = smallSpec();
-
-    // Serial reference: the plain runSuite loop every bench used to be.
-    std::vector<std::string> reference;
-    for (const double u : ts) {
-        reference.push_back(study::serializeSuite(
-            study::runSuite(study::scaledCoreParams(u, {}),
-                            study::scaledClock(u), profiles, spec)));
-    }
-
-    for (const int threads : kThreadCounts) {
-        study::SweepOptions options;
-        options.threads = threads;
-        const auto points =
-            study::sweepScaling(ts, options, profiles, spec);
-        ASSERT_EQ(points.size(), ts.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            EXPECT_EQ(points[i].tUseful, ts[i]);
-            EXPECT_EQ(study::serializeSuite(points[i].suite), reference[i])
-                << "threads=" << threads << " t=" << ts[i];
-        }
-    }
+    expectGridMatchesSerial(study::SimImpl::Reference);
 }
 
 TEST(ParallelRunner, LatencyCacheServesRepeatSweepsFromMemory)
@@ -190,17 +243,16 @@ TEST(ParallelRunner, LatencyCacheServesRepeatSweepsFromMemory)
     const std::vector<double> ts{5, 7};
     const std::vector<trace::BenchmarkProfile> profiles{
         trace::spec2000Profile("164.gzip")};
-    study::SweepOptions options;
-    options.threads = 1;
+    auto runner = runnerWith(1);
 
-    (void)study::sweepScaling(ts, options, profiles, smallSpec());
+    (void)runner.sweepScaling(ts, {}, profiles, smallSpec());
     const auto first = cache.stats();
     EXPECT_GT(first.misses, 0u);
     EXPECT_GT(first.hits, 0u); // repeated structures within one sweep
     // Single-threaded, every miss inserts exactly once.
     EXPECT_EQ(first.inserts, first.misses);
 
-    (void)study::sweepScaling(ts, options, profiles, smallSpec());
+    (void)runner.sweepScaling(ts, {}, profiles, smallSpec());
     const auto second = cache.stats();
     EXPECT_EQ(second.misses, first.misses) << "rerun recomputed latencies";
     EXPECT_EQ(second.inserts, first.inserts);
@@ -215,102 +267,17 @@ TEST(ParallelRunner, LatencyCacheServesRepeatSweepsFromMemory)
 
 TEST(ParallelRunner, SuiteLevelMisconfigurationThrowsBeforeFanout)
 {
-    const study::ParallelRunner runner(4);
-    const auto params = study::scaledCoreParams(6.0, {});
-    const auto clock = study::scaledClock(6.0);
-
-    const std::vector<study::BenchJob> none;
-    EXPECT_THROW(runner.runSuite(params, clock, none, smallSpec()),
-                 util::ConfigError);
-
-    auto spec = smallSpec();
-    spec.instructions = 0;
-    const std::vector<trace::BenchmarkProfile> one{
-        trace::spec2000Profile("164.gzip")};
-    EXPECT_THROW(runner.runSuite(params, clock, one, spec),
-                 util::ConfigError);
-
-    // An invalid *point* in a grid poisons the whole grid up front.
-    std::vector<study::GridPoint> points(2);
-    points[0].params = params;
-    points[0].clock = clock;
-    points[1].params = params;
-    points[1].clock.tUsefulFo4 = -1.0;
-    std::vector<study::BenchJob> jobs{study::BenchJob::fromProfile(
-        trace::spec2000Profile("164.gzip"))};
-    EXPECT_THROW(runner.runGrid(points, jobs, smallSpec()),
-                 util::ConfigError);
+    expectMisconfigurationThrows(study::SimImpl::Reference);
 }
-
-// ---------------------------------------------------------------------------
-// BatchRunner: the one-pass batched engine must be indistinguishable —
-// serializeSuite-equal — from the serial reference runner on the full
-// Table 2 suite, on grids, and on suites with injected faults.
-// ---------------------------------------------------------------------------
 
 TEST(BatchRunner, AllProfilesByteIdenticalAtEveryThreadCount)
 {
-    const auto profiles = trace::spec2000Profiles();
-    ASSERT_EQ(profiles.size(), 18u); // the paper's full Table 2 suite
-    const auto params = study::scaledCoreParams(6.0, {});
-    const auto clock = study::scaledClock(6.0);
-    const auto spec = smallSpec();
-
-    const auto serial =
-        study::serializeSuite(study::runSuite(params, clock, profiles, spec));
-    for (const int threads : kThreadCounts) {
-        const study::BatchRunner runner(threads);
-        const auto batched = study::serializeSuite(
-            runner.runSuite(params, clock, profiles, spec));
-        EXPECT_EQ(batched, serial) << "threads=" << threads;
-    }
-}
-
-TEST(BatchRunner, ForcesBatchedImplementation)
-{
-    EXPECT_EQ(study::BatchRunner(3).threads(), 3);
-    EXPECT_EQ(study::BatchRunner(0).threads(),
-              util::ThreadPool::hardwareThreads());
-
-    // The spec's impl field is overridden, not trusted: handing a
-    // Reference spec to BatchRunner must still populate the decoded
-    // registry (i.e. run on the batched path).
-    trace::DecodedTraceRegistry::global().clear();
-    const std::vector<trace::BenchmarkProfile> one{
-        trace::spec2000Profile("197.parser")};
-    auto spec = smallSpec();
-    spec.impl = study::SimImpl::Reference;
-    (void)study::BatchRunner(1).runSuite(study::scaledCoreParams(6.0, {}),
-                                         study::scaledClock(6.0), one, spec);
-    EXPECT_GE(trace::DecodedTraceRegistry::global().size(), 1u);
+    expectAllProfilesMatchSerial(study::SimImpl::Batched);
 }
 
 TEST(BatchRunner, SweepGridMatchesSerialReferencePointByPoint)
 {
-    const std::vector<double> ts{4, 6, 8, 11};
-    const auto profiles =
-        trace::spec2000Profiles(trace::BenchClass::VectorFp);
-    const auto spec = smallSpec();
-
-    std::vector<std::string> reference;
-    for (const double u : ts) {
-        reference.push_back(study::serializeSuite(
-            study::runSuite(study::scaledCoreParams(u, {}),
-                            study::scaledClock(u), profiles, spec)));
-    }
-
-    for (const int threads : kThreadCounts) {
-        study::SweepOptions options;
-        options.threads = threads;
-        const auto points =
-            study::sweepScalingBatched(ts, options, profiles, spec);
-        ASSERT_EQ(points.size(), ts.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            EXPECT_EQ(points[i].tUseful, ts[i]);
-            EXPECT_EQ(study::serializeSuite(points[i].suite), reference[i])
-                << "threads=" << threads << " t=" << ts[i];
-        }
-    }
+    expectGridMatchesSerial(study::SimImpl::Batched);
 }
 
 TEST(BatchRunner, FaultRowsSurviveBatchedExecution)
@@ -319,39 +286,12 @@ TEST(BatchRunner, FaultRowsSurviveBatchedExecution)
     // the same typed errors and messages as the serial reference —
     // through the decoded-trace registry, at every thread count.
     const auto corrupt = makeCorruptTrace("batch_corrupt.fo4t");
-    const auto jobs = faultyJobs(corrupt);
-    const auto params = study::scaledCoreParams(6.0, {});
-    const auto clock = study::scaledClock(6.0);
-    const auto spec = smallSpec();
-
-    const auto serial =
-        study::serializeSuite(study::runSuite(params, clock, jobs, spec));
-    for (const int threads : kThreadCounts) {
-        const study::BatchRunner runner(threads);
-        const auto batched = study::serializeSuite(
-            runner.runSuite(params, clock, jobs, spec));
-        EXPECT_EQ(batched, serial) << "threads=" << threads;
-    }
+    expectRunnerMatchesSerial({6}, faultyJobs(corrupt),
+                              study::SimImpl::Batched);
     std::remove(corrupt.c_str());
 }
 
 TEST(BatchRunner, MisconfigurationThrowsBeforeFanout)
 {
-    const study::BatchRunner runner(4);
-    const auto params = study::scaledCoreParams(6.0, {});
-    const auto clock = study::scaledClock(6.0);
-
-    const std::vector<study::BenchJob> none;
-    EXPECT_THROW(runner.runSuite(params, clock, none, smallSpec()),
-                 util::ConfigError);
-
-    std::vector<study::GridPoint> points(2);
-    points[0].params = params;
-    points[0].clock = clock;
-    points[1].params = params;
-    points[1].clock.tUsefulFo4 = -1.0;
-    std::vector<study::BenchJob> jobs{study::BenchJob::fromProfile(
-        trace::spec2000Profile("164.gzip"))};
-    EXPECT_THROW(runner.runGrid(points, jobs, smallSpec()),
-                 util::ConfigError);
+    expectMisconfigurationThrows(study::SimImpl::Batched);
 }

@@ -29,6 +29,7 @@
 #include "study/checkpoint.hh"
 #include "svc/store.hh"
 #include "util/blob_store.hh"
+#include "util/frame.hh"
 #include "util/status.hh"
 
 using namespace fo4;
@@ -447,13 +448,34 @@ TEST(ResultStore, CellSlotMismatchIsQuarantined)
 
 TEST(ResultStore, UndecodableCellPayloadIsQuarantined)
 {
+    // Garbage, then CRC-valid records naming an unknown class or error
+    // code, or an Ok code with a message.
+    std::vector<std::string> payloads{"not a cell record"};
+    study::CellRecord cell;
+    cell.result.name = "164.gzip";
+    cell.result.error = util::Status(util::ErrorCode::TraceCorrupt, "bad");
+    const std::string good = study::encodeCellRecord(cell);
+    const std::size_t clsAt = 12 + cell.result.name.size();
+    const std::size_t codeAt =
+        good.size() - 8 - cell.result.error.message().size();
+    for (const auto &[at, value] :
+         {std::pair{clsAt, 9u}, std::pair{codeAt, 200u},
+          std::pair{codeAt, 0u}}) {
+        payloads.push_back(good);
+        util::putU32(
+            reinterpret_cast<unsigned char *>(payloads.back().data()) + at,
+            value);
+    }
+
     svc::ResultStore store(tempDir("rs_garbage"), 0);
-    ASSERT_TRUE(store.blobs().put(svc::ResultStore::cellKey(0x2, 0, 0),
-                                  "not a cell record"));
-    EXPECT_FALSE(store.fetchCell(0x2, 0, 0).has_value());
-    EXPECT_FALSE(
-        fileExists(store.blobs().pathFor(
-            svc::ResultStore::cellKey(0x2, 0, 0))));
+    for (const auto &payload : payloads) {
+        ASSERT_TRUE(store.blobs().put(svc::ResultStore::cellKey(0x2, 0, 0),
+                                      payload));
+        EXPECT_FALSE(store.fetchCell(0x2, 0, 0).has_value());
+        EXPECT_FALSE(
+            fileExists(store.blobs().pathFor(
+                svc::ResultStore::cellKey(0x2, 0, 0))));
+    }
 }
 
 TEST(ResultStore, KeysAreDistinctPerKindAndSlot)

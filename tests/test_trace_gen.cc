@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "study/goldengen.hh"
-#include "study/parallel.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/recorded_trace.hh"

@@ -22,6 +22,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/stat.h>
@@ -247,6 +248,36 @@ samplePayloads()
 {
     return {"alpha", "", std::string(300, 'z'),
             std::string("\x00\xff\n\x01", 4), "omega"};
+}
+
+/**
+ * Cell payloads that frame and CRC cleanly but must still be refused:
+ * a class or error code one past the last the build knows, both at
+ * once, far out of range, and an Ok code that carries a message (it
+ * would decode with the message dropped, so re-encode differently).
+ */
+std::vector<std::string>
+outOfRangeCellPayloads()
+{
+    study::CellRecord cell;
+    cell.result.name = "164.gzip";
+    cell.result.error =
+        util::Status(util::ErrorCode::TraceCorrupt, "damaged frame");
+    const std::string good = study::encodeCellRecord(cell);
+    const std::size_t clsAt = 12 + cell.result.name.size();
+    const std::size_t codeAt =
+        good.size() - 8 - cell.result.error.message().size();
+    using Edits =
+        std::initializer_list<std::pair<std::size_t, std::uint32_t>>;
+    const auto patched = [&good](Edits edits) {
+        std::string p = good;
+        for (const auto &[at, value] : edits)
+            util::putU32(reinterpret_cast<unsigned char *>(p.data()) + at,
+                         value);
+        return p;
+    };
+    return {patched({{clsAt, 3}}), patched({{codeAt, 18}}),
+            patched({{clsAt, 9}, {codeAt, 200}}), patched({{codeAt, 0}})};
 }
 
 /** A header plus one frame per payload. */
@@ -566,6 +597,35 @@ TEST(Frame, LengthWordsAtAndJustPastEachBound)
     util::putU32(head, svc::kMaxPayloadBytes);
     EXPECT_EQ(svc::decodeFrameHeader(head).payloadBytes,
               svc::kMaxPayloadBytes);
+}
+
+TEST(Frame, CellPayloadOutsideItsEnumsIsJournalCorrupt)
+{
+    for (const auto &payload : outOfRangeCellPayloads()) {
+        // The framing layer passes it through untouched...
+        std::string frame;
+        util::appendFrame(frame, {}, payload);
+        const auto scan =
+            util::scanFrame(frame, {0, util::kMaxJournalRecord});
+        ASSERT_EQ(scan.verdict, FrameVerdict::Ok);
+        // ...and the cell decoder refuses it with a typed error.
+        try {
+            study::decodeCellRecord(std::string(scan.payload), "corpus");
+            ADD_FAILURE() << "out-of-range cell payload accepted";
+        } catch (const util::JournalError &e) {
+            EXPECT_EQ(e.code(), util::ErrorCode::JournalCorrupt);
+        }
+    }
+
+    // The last value of each enum is still accepted, byte for byte.
+    study::CellRecord last;
+    last.result.name = "301.apsi";
+    last.result.cls = trace::BenchClass::NonVectorFp;
+    last.result.error = util::Status(util::ErrorCode::Internal, "escape");
+    const std::string payload = study::encodeCellRecord(last);
+    EXPECT_EQ(study::encodeCellRecord(
+                  study::decodeCellRecord(payload, "corpus")),
+              payload);
 }
 
 TEST(Frame, SeparatelyReadPayloadIsVerifiedLikeAContiguousOne)
