@@ -10,34 +10,12 @@
 #include "bench/common.hh"
 #include "core/core.hh"
 #include "study/runner.hh"
-#include "trace/generator.hh"
 #include "trace/spec2000.hh"
-#include "util/means.hh"
 #include "util/table.hh"
 
 using namespace fo4;
 
-namespace
-{
-
-double
-harmonicIpc(const core::CoreParams &params, const study::RunSpec &spec,
-            const std::vector<trace::BenchmarkProfile> &profiles)
-{
-    std::vector<double> ipcs;
-    for (const auto &prof : profiles) {
-        trace::SyntheticTraceGenerator gen(prof);
-        auto c = spec.impl == study::SimImpl::Batched
-                     ? core::makeBatchedOooCore(params, spec.predictor)
-                     : core::makeOooCore(params, spec.predictor);
-        ipcs.push_back(
-            c->run(gen, spec.instructions, spec.warmup, spec.prewarm)
-                .ipc());
-    }
-    return util::harmonicMean(ipcs);
-}
-
-} // namespace
+using bench::harmonicIpc;
 
 const std::vector<util::KeyDoc> kKeys = bench::specKeys();
 

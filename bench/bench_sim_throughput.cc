@@ -27,7 +27,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "bench/common.hh"
 #include "study/scaling.hh"
 #include "trace/spec2000.hh"
+#include "util/frame.hh"
 #include "util/logging.hh"
 
 using namespace fo4;
@@ -224,13 +224,8 @@ simThroughput(int argc, char **argv)
         "\"speedup\": %.3f, \"byte_identical\": true}\n}\n",
         ts.size(), profiles.size(), jobs, referenceSec, batchedSec,
         speedup);
-    std::ofstream out(jsonPath, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        std::printf("cannot open '%s' for writing\n", jsonPath.c_str());
-        return 1;
-    }
-    out << json;
-    out.close();
+    if (const auto st = util::writeWholeFile(jsonPath, json); !st.isOk())
+        throw util::JournalError(st.code(), st.message());
     std::printf("\ntrajectory record -> %s\n", jsonPath.c_str());
 
     bench::printLatencyCacheStats(verbose);

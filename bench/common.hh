@@ -11,8 +11,8 @@
 
 #include <csignal>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 
 #include "cacti/latency_cache.hh"
@@ -21,6 +21,8 @@
 #include "util/cancel.hh"
 #include "util/config.hh"
 #include "util/csv.hh"
+#include "util/frame.hh"
+#include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/table.hh"
 
@@ -78,7 +80,7 @@ specKeys()
 inline util::KeyDoc
 jobsKey()
 {
-    return {"jobs", "worker threads (1 = serial, 0 = all cores)"};
+    return {"jobs", "worker threads (1 = serial; must be >= 1)"};
 }
 
 /** KeyDocs for the observability knobs observabilityFromArgs reads. */
@@ -151,6 +153,26 @@ printLatencyCacheStats(bool verbose)
                 static_cast<unsigned long long>(s.hits),
                 static_cast<unsigned long long>(s.misses),
                 static_cast<unsigned long long>(s.inserts));
+}
+
+/**
+ * Harmonic-mean IPC of `profiles` on `params`, the window studies'
+ * metric, through study::runSuite: under sim_impl=batched the cells
+ * replay the decoded-trace registry and share warm start, and a failed
+ * benchmark is reported and left out of the mean instead of aborting
+ * the bench.  IPC does not depend on the clock, so any valid one will
+ * do.
+ */
+inline double
+harmonicIpc(const core::CoreParams &params, const study::RunSpec &spec,
+            const std::vector<trace::BenchmarkProfile> &profiles)
+{
+    const study::SuiteResult suite =
+        study::runSuite(params, tech::ClockModel{}, profiles, spec);
+    for (const study::BenchResult *failed : suite.failures())
+        util::warn("%s failed and is left out of the mean: %s",
+                   failed->name.c_str(), failed->error.toString().c_str());
+    return suite.harmonicIpcAll();
 }
 
 /** The t_useful sweep the paper uses (2..16 FO4). */
@@ -389,14 +411,11 @@ maybeWriteTrace(const ObservabilityOptions &obs,
                     util::errorCodeName(result.error.code()));
         return;
     }
-    std::ofstream out(obs.tracePath,
-                      std::ios::binary | std::ios::trunc);
-    if (!out) {
-        std::printf("trace: cannot open '%s' for writing\n",
-                    obs.tracePath.c_str());
-        return;
-    }
-    ring.writeChromeJson(out);
+    std::ostringstream json;
+    ring.writeChromeJson(json);
+    if (const auto st = util::writeWholeFile(obs.tracePath, json.str());
+        !st.isOk())
+        throw util::JournalError(st.code(), st.message());
     std::printf("trace: %zu events from cycles [%lld, %lld) of '%s' -> "
                 "%s (open in chrome://tracing or ui.perfetto.dev)\n",
                 ring.size(), static_cast<long long>(ring.startCycle()),

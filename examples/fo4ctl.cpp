@@ -46,6 +46,7 @@
 #include "svc/sweep.hh"
 #include "util/cancel.hh"
 #include "util/config.hh"
+#include "util/frame.hh"
 #include "util/status.hh"
 
 namespace
@@ -148,13 +149,8 @@ writeResults(const fo4::util::Config &cfg, const std::string &bytes)
         std::fwrite(bytes.data(), 1, bytes.size(), stdout);
         return;
     }
-    std::FILE *f = std::fopen(out.c_str(), "wb");
-    if (!f) {
-        throw fo4::util::SvcError(fo4::util::ErrorCode::JournalIo,
-                                  "cannot open " + out + " for writing");
-    }
-    std::fwrite(bytes.data(), 1, bytes.size(), f);
-    std::fclose(f);
+    if (const auto st = fo4::util::writeWholeFile(out, bytes); !st.isOk())
+        throw fo4::util::JournalError(st.code(), st.message());
     std::printf("wrote %zu bytes to %s\n", bytes.size(), out.c_str());
 }
 

@@ -37,7 +37,7 @@ const std::vector<fo4::util::KeyDoc> kKeys = {
     {"model", "core model: ooo | inorder"},
     {"instructions", "measured instructions per benchmark"},
     {"prewarm", "instructions streamed through caches/predictor first"},
-    {"jobs", "worker threads (1 = serial, 0 = all cores)"},
+    {"jobs", "worker threads (1 = serial; must be >= 1)"},
     {"checkpoint", "journal file; an interrupted sweep resumes from it"},
     {"resume", "resume=0 discards an existing journal and starts over"},
     {"mc_samples", "Monte Carlo dice per sweep point (0 = deterministic)"},
@@ -93,9 +93,7 @@ explore(int argc, char **argv)
     spec.instructions = cfg.getInt("instructions", 80000);
     spec.warmup = spec.instructions / 8;
     spec.prewarm = cfg.getInt("prewarm", 500000);
-    spec.model = cfg.getString("model", "ooo") == "inorder"
-                     ? study::CoreModel::InOrder
-                     : study::CoreModel::OutOfOrder;
+    spec.model = study::coreModelFromName(cfg.getString("model", "ooo"));
 
     // Ctrl-C cancels cooperatively: drain, flush the journal, exit 130.
     util::CancelToken cancel;

@@ -29,7 +29,7 @@ namespace
 const std::vector<fo4::util::KeyDoc> kKeys = {
     {"instructions", "measured instructions per benchmark"},
     {"dir", "directory for the deliberately corrupted trace file"},
-    {"jobs", "worker threads (1 = serial, 0 = all cores)"},
+    {"jobs", "worker threads (1 = serial; must be >= 1)"},
     {"verbose", "print cache and metrics diagnostics"},
     {"stats", "write the per-benchmark stats CSV here"},
     {"trace", "write a Chrome pipeline trace of one benchmark here"},

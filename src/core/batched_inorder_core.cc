@@ -3,55 +3,38 @@
 #include <algorithm>
 
 #include "bp/predictors.hh"
-#include "core/prewarm.hh"
-#include "core/warm_start.hh"
 #include "isa/opclass.hh"
-#include "util/logging.hh"
-#include "util/status.hh"
 
 namespace fo4::core
 {
 
-namespace
-{
-
-/** Reject invalid parameters before any member is constructed. */
-const CoreParams &
-validated(const CoreParams &params)
-{
-    params.validateOrThrow();
-    return params;
-}
-
-} // namespace
-
 BatchedInorderCore::BatchedInorderCore(
     const CoreParams &params, std::unique_ptr<bp::BranchPredictor> predictor,
     std::string predictorKey)
-    : prm(validated(params)), bpred(std::move(predictor)),
-      bpredKey(std::move(predictorKey)),
-      memory(params.dl1, params.l2, params.memLatencies, params.memoryMode),
+    : BatchedCore(params, std::move(predictor), std::move(predictorKey)),
       // Same queue sizing as the reference InorderCore: the classic
       // pipeline holds fetch/decode contents plus one issue buffer.
       qCap(static_cast<std::size_t>(params.fetchStages +
                                     params.decodeStages + 2) *
            params.fetchWidth)
 {
-    FO4_ASSERT(bpred != nullptr, "core needs a branch predictor");
     frontDepth = prm.fetchStages + prm.decodeStages;
     qOp.resize(qCap);
     qIssueReady.resize(qCap);
     qMispredicted.resize(qCap);
 }
 
-isa::MicroOp
-BatchedInorderCore::nextOp()
+void
+BatchedInorderCore::resetState()
 {
-    // The decoded fast path skips the virtual TraceSource dispatch and
-    // replays packed records; both paths yield identical op streams.
-    if (view != nullptr)
-        return trace::unpackTraceRecord(view->nextRecord());
-    return source->next();
+    fetchResumeCycle = 0;
+    fetchHalted = false;
+    mispredictShadowEnd = 0;
+    stallReason = StallCause::FrontEnd;
+    regEarliestUse.fill(0);
+    regPendingKind.fill(StallCause::Other);
+    qHead = 0;
+    qSize = 0;
 }
 
 void
@@ -212,45 +195,32 @@ BatchedInorderCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
 {
     // A span may be skipped only when every stage is provably inert for
     // every cycle of the span; the bulk accounting below then charges
-    // exactly what the reference per-cycle walk would have.
+    // exactly what the reference per-cycle walk would have.  The span
+    // ends at `event`, charged to one `cause` or, for a shadow split,
+    // to mispredict-shadow cycles first and front-end cycles after.
+    std::int64_t event = -1;
+    StallCause cause = StallCause::Other;
+    bool shadowSplit = false;
 
-    // Case A: empty queue, fetch redirected — nothing moves until the
-    // fetch resumes.  Attribution matches the reference empty-queue
-    // rule: mispredict-shadow cycles first, then front-end.  (An empty
-    // queue implies !fetchHalted: the halting branch sits in the queue
-    // until it issues, which is what clears the halt.)
     if (qSize == 0 && now < fetchResumeCycle) {
-        const std::int64_t end = std::min<std::int64_t>(
-            fetchResumeCycle, static_cast<std::int64_t>(limit));
-        const std::int64_t n = end - now;
-        if (n <= 0)
-            return 0;
-        const std::int64_t shadow = std::clamp<std::int64_t>(
-            mispredictShadowEnd - now, 0, n);
-        result.stalls[StallCause::BranchMispredict] +=
-            static_cast<std::uint64_t>(shadow);
-        result.stalls[StallCause::FrontEnd] +=
-            static_cast<std::uint64_t>(n - shadow);
-        result.stallCycles += static_cast<std::uint64_t>(n);
-        occ.cycles += static_cast<std::uint64_t>(n);
-        now = end;
-        return n;
-    }
-
-    // Case B: full queue (fetch is a no-op regardless of its redirect
-    // state) with a blocked head.  The head's first failing check — the
-    // one the reference charges — is constant up to the blocking
-    // event's cycle, so the span is charged to a single cause and the
-    // walk resumes exactly at the event.
-    if (qSize == qCap) {
+        // Case A: empty queue, fetch redirected — nothing moves until
+        // the fetch resumes.  Attribution matches the reference
+        // empty-queue rule.  (An empty queue implies !fetchHalted: the
+        // halting branch sits in the queue until it issues, which is
+        // what clears the halt.)
+        event = fetchResumeCycle;
+        shadowSplit = true;
+    } else if (qSize == qCap) {
+        // Case B: full queue (fetch is a no-op regardless of its
+        // redirect state) with a blocked head.  The head's first
+        // failing check — the one the reference charges — is constant
+        // up to the blocking event's cycle, so the walk resumes exactly
+        // at the event.
         const std::size_t f = qAt(0);
         const isa::MicroOp &op = qOp[f];
-        std::int64_t event = -1;
-        StallCause cause = StallCause::Other;
-        bool shadowSplit = false;
         if (qIssueReady[f] > now) {
             event = qIssueReady[f];
-            shadowSplit = true; // BM until the shadow ends, then FE
+            shadowSplit = true;
         } else {
             for (const std::int16_t src : {op.src1, op.src2}) {
                 if (src != isa::noReg && regEarliestUse[src] > now) {
@@ -271,162 +241,35 @@ BatchedInorderCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
                 cause = StallCause::WindowFull;
             }
         }
-        if (event < 0)
-            return 0; // the head can issue this cycle
-        const std::int64_t end =
-            std::min<std::int64_t>(event, static_cast<std::int64_t>(limit));
-        const std::int64_t n = end - now;
-        if (n <= 0)
-            return 0;
-        if (shadowSplit) {
-            const std::int64_t shadow = std::clamp<std::int64_t>(
-                mispredictShadowEnd - now, 0, n);
-            result.stalls[StallCause::BranchMispredict] +=
-                static_cast<std::uint64_t>(shadow);
-            result.stalls[StallCause::FrontEnd] +=
-                static_cast<std::uint64_t>(n - shadow);
-        } else {
-            result.stalls[cause] += static_cast<std::uint64_t>(n);
-        }
-        result.stallCycles += static_cast<std::uint64_t>(n);
-        occ.frontSum += static_cast<std::uint64_t>(n) * qSize;
-        occ.cycles += static_cast<std::uint64_t>(n);
-        now = end;
-        return n;
     }
+    if (event < 0)
+        return 0; // the head can issue (or fetch can run) this cycle
 
-    return 0;
+    const std::int64_t end =
+        std::min<std::int64_t>(event, static_cast<std::int64_t>(limit));
+    const std::int64_t n = end - now;
+    if (n <= 0)
+        return 0;
+    if (shadowSplit) {
+        const std::int64_t shadow =
+            std::clamp<std::int64_t>(mispredictShadowEnd - now, 0, n);
+        result.stalls[StallCause::BranchMispredict] +=
+            static_cast<std::uint64_t>(shadow);
+        result.stalls[StallCause::FrontEnd] +=
+            static_cast<std::uint64_t>(n - shadow);
+    } else {
+        result.stalls[cause] += static_cast<std::uint64_t>(n);
+    }
+    result.stallCycles += static_cast<std::uint64_t>(n);
+    occ.frontSum += static_cast<std::uint64_t>(n) * qSize;
+    occ.cycles += static_cast<std::uint64_t>(n);
+    now = end;
+    return n;
 }
 
-SimResult
-BatchedInorderCore::run(trace::TraceSource &trace,
-                        std::uint64_t instructions, std::uint64_t warmup,
-                        std::uint64_t prewarm, std::uint64_t cycleLimit,
-                        const util::CancelToken *cancel)
+void
+BatchedInorderCore::watchdogDump(util::DeadlockDump &dump) const
 {
-    if (instructions == 0)
-        throw util::ConfigError("nothing to simulate (instructions=0)");
-    trace.reset();
-    now = 0;
-    fetchResumeCycle = 0;
-    fetchHalted = false;
-    mispredictShadowEnd = 0;
-    stallReason = StallCause::FrontEnd;
-    regEarliestUse.fill(0);
-    regPendingKind.fill(StallCause::Other);
-    qHead = 0;
-    qSize = 0;
-
-    view = dynamic_cast<trace::DecodedTraceView *>(&trace);
-    bool warmed = false;
-    if (prewarm > 0 && view != nullptr && !bpredKey.empty()) {
-        // One shared prewarm per sweep column instead of one per cell.
-        const auto warm = WarmStartCache::global().acquire(
-            view->trace(), prewarm, prm, *bpred, bpredKey);
-        memory.adoptWarmState(warm->memory);
-        bpred = warm->bpred->clone();
-        warmed = true;
-    }
-    if (!warmed) {
-        memory.reset();
-        bpred->reset();
-        if (prewarm > 0)
-            prewarmState(trace, prewarm, memory, *bpred);
-    }
-    source = &trace;
-
-    const std::uint64_t total = warmup + instructions;
-    SimResult result;
-    SimResult atWarmup;
-    bool warmupDone = warmup == 0;
-    const std::uint64_t dl1Miss0 = memory.dl1().misses();
-    const std::uint64_t l2Miss0 = memory.l2().misses();
-
-    OccupancySample occ;
-    const std::uint64_t limit =
-        cycleLimit ? cycleLimit : total * 1000 + 100000;
-    while (result.instructions < total) {
-        // The warmup snapshot can never land inside a skipped span: the
-        // committed count is constant there and the snapshot condition
-        // was already false when the preceding cycle checked it.
-        if (skipIdleSpan(result, occ, limit) > 0) {
-            if (static_cast<std::uint64_t>(now) >= limit) {
-                source = nullptr;
-                view = nullptr;
-                throw util::DeadlockError(
-                    watchdogDump(result, total, limit));
-            }
-            if (cancel && cancel->cancelled()) {
-                source = nullptr;
-                view = nullptr;
-                throw util::CancelledError(util::strprintf(
-                    "in-order simulation cancelled at cycle %lld after "
-                    "%llu of %llu instructions",
-                    static_cast<long long>(now),
-                    static_cast<unsigned long long>(result.instructions),
-                    static_cast<unsigned long long>(total)));
-            }
-            continue;
-        }
-        const std::uint64_t issuedBefore = result.instructions;
-        doIssue(result);
-        if (result.instructions == issuedBefore) {
-            ++result.stallCycles;
-            ++result.stalls[stallReason];
-        }
-        occ.frontSum += qSize;
-        ++occ.cycles;
-        if (!warmupDone && result.instructions >= warmup) {
-            result.occupancy = occ;
-            atWarmup = result;
-            atWarmup.cycles = static_cast<std::uint64_t>(now);
-            atWarmup.dl1Misses = memory.dl1().misses() - dl1Miss0;
-            atWarmup.l2Misses = memory.l2().misses() - l2Miss0;
-            warmupDone = true;
-        }
-        if (result.instructions >= total)
-            break;
-        doFetch(result);
-        ++now;
-        if (static_cast<std::uint64_t>(now) >= limit) {
-            source = nullptr;
-            view = nullptr;
-            throw util::DeadlockError(watchdogDump(result, total, limit));
-        }
-        if (cancel && cancel->cancelled()) {
-            source = nullptr;
-            view = nullptr;
-            throw util::CancelledError(util::strprintf(
-                "in-order simulation cancelled at cycle %lld after "
-                "%llu of %llu instructions",
-                static_cast<long long>(now),
-                static_cast<unsigned long long>(result.instructions),
-                static_cast<unsigned long long>(total)));
-        }
-    }
-
-    // Account for the tail of the pipeline, as in the reference model.
-    result.occupancy = occ;
-    result.cycles = static_cast<std::uint64_t>(
-        now + prm.regReadStages + 1 + prm.commitStages);
-    result.dl1Misses = memory.dl1().misses() - dl1Miss0;
-    result.l2Misses = memory.l2().misses() - l2Miss0;
-    source = nullptr;
-    view = nullptr;
-    return result - atWarmup;
-}
-
-util::DeadlockDump
-BatchedInorderCore::watchdogDump(const SimResult &result,
-                                 std::uint64_t total,
-                                 std::uint64_t limit) const
-{
-    util::DeadlockDump dump;
-    dump.model = "in-order";
-    dump.cycle = now;
-    dump.cycleLimit = limit;
-    dump.committed = result.instructions;
-    dump.target = total;
     dump.queueOccupancy = qSize;
     if (qSize != 0) {
         const std::size_t f = qAt(0);
@@ -438,8 +281,9 @@ BatchedInorderCore::watchdogDump(const SimResult &result,
             fetchHalted ? "halted" : "running",
             static_cast<long long>(fetchResumeCycle));
     }
-    return dump;
 }
+
+template class BatchedCore<BatchedInorderCore>;
 
 std::unique_ptr<Core>
 makeBatchedInorderCore(const CoreParams &params,

@@ -6,15 +6,14 @@
  *
  *  - struct-of-arrays issue queue (the hot per-cycle scalars live in
  *    dense arrays, not an array of structs);
- *  - devirtualized trace reads when fed a trace::DecodedTraceView
- *    (packed records from the shared one-pass cache);
- *  - shared prewarm state via core::WarmStartCache, so a sweep column
- *    prewarms once instead of once per clock-period cell;
  *  - idle-span skipping: stall spans whose per-cycle accounting is
  *    provably constant (empty-queue refill shadows, scoreboard stalls
  *    under a full queue) are charged in bulk instead of walked.
  *
- * DESIGN.md §14 is the contract: none of these may change bytes.
+ * The run itself — decoded-trace replay, shared prewarm state, the
+ * warm-up window, watchdog and cancellation — is the batched engine's
+ * one run loop, core/batched_core.hh.  DESIGN.md §14 is the contract:
+ * none of this may change bytes.
  */
 
 #ifndef FO4_CORE_BATCHED_INORDER_CORE_HH
@@ -24,57 +23,44 @@
 #include <memory>
 #include <vector>
 
-#include "bp/predictor.hh"
-#include "core/core.hh"
-#include "mem/hierarchy.hh"
-#include "trace/decoded_trace.hh"
-#include "util/status.hh"
+#include "core/batched_core.hh"
 
 namespace fo4::core
 {
 
-/** The batched in-order pipeline model. */
-class BatchedInorderCore : public Core
+/** The batched in-order pipeline model; BatchedCore runs it. */
+class BatchedInorderCore : public BatchedCore<BatchedInorderCore>
 {
   public:
-    /**
-     * `predictorKey` names the predictor's factory configuration and
-     * enables the shared warm-state cache; empty disables sharing (the
-     * core then prewarms per run, still byte-identically).
-     */
     BatchedInorderCore(const CoreParams &params,
                        std::unique_ptr<bp::BranchPredictor> predictor,
                        std::string predictorKey = "");
 
-    SimResult run(trace::TraceSource &trace, std::uint64_t instructions,
-                  std::uint64_t warmup = 0, std::uint64_t prewarm = 0,
-                  std::uint64_t cycleLimit = 0,
-                  const util::CancelToken *cancel = nullptr) override;
-
-    const CoreParams &params() const override { return prm; }
-
-    void setTracer(util::TraceEventRing *ring) override { tracer = ring; }
-
-    void setRetireSink(trace::RetireSink *sink) override
-    {
-        retireSink = sink;
-    }
-
   private:
-    void doIssue(SimResult &result);
-    void doFetch(SimResult &result);
-    isa::MicroOp nextOp();
-    /** Bulk-account a provably-idle span; returns cycles skipped. */
+    friend class BatchedCore<BatchedInorderCore>;
+    static constexpr const char *modelName = "in-order";
+
+    // The run loop's hooks (core/batched_core.hh).
+    void resetState();
     std::int64_t skipIdleSpan(SimResult &result, OccupancySample &occ,
                               std::uint64_t limit);
-    util::DeadlockDump watchdogDump(const SimResult &result,
-                                    std::uint64_t total,
-                                    std::uint64_t limit) const;
+    void retireStage(SimResult &result) { doIssue(result); }
+    StallCause stallCause() const { return stallReason; }
+    void sampleOccupancy(OccupancySample &occ) const
+    {
+        occ.frontSum += qSize;
+    }
+    void frontStages(SimResult &result) { doFetch(result); }
+    /** The final instruction still traverses register read, execute,
+     *  write back and commit. */
+    std::int64_t tailCycles() const
+    {
+        return prm.regReadStages + 1 + prm.commitStages;
+    }
+    void watchdogDump(util::DeadlockDump &dump) const;
 
-    CoreParams prm;
-    std::unique_ptr<bp::BranchPredictor> bpred;
-    std::string bpredKey;
-    mem::MemoryHierarchy memory;
+    void doIssue(SimResult &result);
+    void doFetch(SimResult &result);
 
     // Issue queue, struct-of-arrays over a fixed ring.
     std::vector<isa::MicroOp> qOp;
@@ -93,20 +79,14 @@ class BatchedInorderCore : public Core
     std::array<std::int64_t, isa::numArchRegs> regEarliestUse{};
     std::array<StallCause, isa::numArchRegs> regPendingKind{};
 
-    std::int64_t now = 0;
     std::int64_t fetchResumeCycle = 0;
     bool fetchHalted = false;
     int frontDepth = 2;
     std::int64_t mispredictShadowEnd = 0;
     StallCause stallReason = StallCause::FrontEnd;
-
-    util::TraceEventRing *tracer = nullptr;
-
-    trace::RetireSink *retireSink = nullptr;
-
-    trace::TraceSource *source = nullptr;
-    trace::DecodedTraceView *view = nullptr;
 };
+
+extern template class BatchedCore<BatchedInorderCore>;
 
 } // namespace fo4::core
 

@@ -4,11 +4,7 @@
 #include <limits>
 
 #include "bp/predictors.hh"
-#include "core/prewarm.hh"
-#include "core/warm_start.hh"
 #include "isa/opclass.hh"
-#include "util/logging.hh"
-#include "util/status.hh"
 
 namespace fo4::core
 {
@@ -17,14 +13,6 @@ namespace
 {
 
 constexpr std::uint64_t noProducer = ~0ull;
-
-/** Reject invalid parameters before any member is constructed. */
-const CoreParams &
-validated(const CoreParams &params)
-{
-    params.validateOrThrow();
-    return params;
-}
 
 std::uint64_t
 nextPowerOfTwo(std::uint64_t v)
@@ -40,13 +28,11 @@ nextPowerOfTwo(std::uint64_t v)
 BatchedOooCore::BatchedOooCore(const CoreParams &params,
                                std::unique_ptr<bp::BranchPredictor> predictor,
                                std::string predictorKey)
-    : prm(validated(params)), bpred(std::move(predictor)),
-      bpredKey(std::move(predictorKey)),
-      memory(params.dl1, params.l2, params.memLatencies, params.memoryMode)
+    : BatchedCore(params, std::move(predictor), std::move(predictorKey))
 {
-    FO4_ASSERT(bpred != nullptr, "core needs a branch predictor");
-
     frontDepth = prm.fetchStages + prm.decodeStages + prm.renameStages;
+    frontCap = prm.fetchQueueSize +
+               static_cast<std::uint64_t>(frontDepth) * prm.fetchWidth;
 
     // Same arena sizing as the reference OooCore: slots must outlive
     // every consumer that can still query a producer.
@@ -71,14 +57,6 @@ BatchedOooCore::BatchedOooCore(const CoreParams &params,
 
     win.reserve(prm.window.capacity);
     issuedScratch.reserve(16);
-}
-
-isa::MicroOp
-BatchedOooCore::nextOp()
-{
-    if (view != nullptr)
-        return trace::unpackTraceRecord(view->nextRecord());
-    return source->next();
 }
 
 int
@@ -202,7 +180,6 @@ BatchedOooCore::resetState()
     fetchSeq = 0;
     dispatchSeq = 0;
     commitSeq = 0;
-    now = 0;
     fetchResumeCycle = 0;
     haltingBranch = ~0ull;
     lsqOccupancy = 0;
@@ -335,10 +312,6 @@ BatchedOooCore::doFetch(SimResult &result)
     if (now < fetchResumeCycle || haltingBranch != ~0ull)
         return;
 
-    const std::uint64_t frontCap =
-        prm.fetchQueueSize +
-        static_cast<std::uint64_t>(frontDepth) * prm.fetchWidth;
-
     for (int i = 0; i < prm.fetchWidth; ++i) {
         if (fetchSeq - dispatchSeq >= frontCap)
             return;
@@ -386,7 +359,7 @@ BatchedOooCore::doFetch(SimResult &result)
 }
 
 StallCause
-BatchedOooCore::classifyStall() const
+BatchedOooCore::stallCause() const
 {
     if (commitSeq == dispatchSeq) {
         return (haltingBranch != ~0ull || now < mispredictShadowEnd)
@@ -489,12 +462,8 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
     if (haltingBranch == ~0ull) {
         if (now < fetchResumeCycle) {
             event = std::min(event, fetchResumeCycle);
-        } else {
-            const std::uint64_t frontCap =
-                prm.fetchQueueSize +
-                static_cast<std::uint64_t>(frontDepth) * prm.fetchWidth;
-            if (fetchSeq - dispatchSeq < frontCap)
-                return 0; // fetch would run this cycle
+        } else if (fetchSeq - dispatchSeq < frontCap) {
+            return 0; // fetch would run this cycle
         }
     }
 
@@ -512,7 +481,7 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
             cause = StallCause::FrontEnd;
         }
     } else {
-        cause = classifyStall();
+        cause = stallCause();
     }
 
     const std::int64_t end =
@@ -537,128 +506,9 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
     return n;
 }
 
-SimResult
-BatchedOooCore::run(trace::TraceSource &trace, std::uint64_t instructions,
-                    std::uint64_t warmup, std::uint64_t prewarm,
-                    std::uint64_t cycleLimit, const util::CancelToken *cancel)
+void
+BatchedOooCore::watchdogDump(util::DeadlockDump &dump) const
 {
-    if (instructions == 0)
-        throw util::ConfigError("nothing to simulate (instructions=0)");
-    trace.reset();
-    resetState();
-
-    view = dynamic_cast<trace::DecodedTraceView *>(&trace);
-    bool warmed = false;
-    if (prewarm > 0 && view != nullptr && !bpredKey.empty()) {
-        // One shared prewarm per sweep column instead of one per cell.
-        const auto warm = WarmStartCache::global().acquire(
-            view->trace(), prewarm, prm, *bpred, bpredKey);
-        memory.adoptWarmState(warm->memory);
-        bpred = warm->bpred->clone();
-        warmed = true;
-    }
-    if (!warmed) {
-        memory.reset();
-        bpred->reset();
-        if (prewarm > 0)
-            prewarmState(trace, prewarm, memory, *bpred);
-    }
-    source = &trace;
-
-    const std::uint64_t total = warmup + instructions;
-    SimResult result;
-    SimResult atWarmup;
-    bool warmupDone = warmup == 0;
-    const std::uint64_t dl1Miss0 = memory.dl1().misses();
-    const std::uint64_t l2Miss0 = memory.l2().misses();
-
-    OccupancySample occ;
-    const std::uint64_t limit =
-        cycleLimit ? cycleLimit : total * 1000 + 100000;
-    while (result.instructions < total) {
-        // The warmup snapshot can never land inside a skipped span: the
-        // committed count is constant there and the snapshot condition
-        // was already false when the preceding cycle checked it.
-        if (skipIdleSpan(result, occ, limit) > 0) {
-            if (static_cast<std::uint64_t>(now) >= limit) {
-                source = nullptr;
-                view = nullptr;
-                throw util::DeadlockError(
-                    watchdogDump(result, total, limit));
-            }
-            if (cancel && cancel->cancelled()) {
-                source = nullptr;
-                view = nullptr;
-                throw util::CancelledError(util::strprintf(
-                    "out-of-order simulation cancelled at cycle %lld "
-                    "after %llu of %llu instructions",
-                    static_cast<long long>(now),
-                    static_cast<unsigned long long>(result.instructions),
-                    static_cast<unsigned long long>(total)));
-            }
-            continue;
-        }
-        const std::uint64_t committedBefore = result.instructions;
-        doCommit(result);
-        if (result.instructions == committedBefore) {
-            ++result.stallCycles;
-            ++result.stalls[classifyStall()];
-        }
-        occ.robSum += dispatchSeq - commitSeq;
-        occ.windowSum += win.size();
-        occ.frontSum += fetchSeq - dispatchSeq;
-        occ.lsqSum += static_cast<std::uint64_t>(lsqOccupancy);
-        ++occ.cycles;
-        if (!warmupDone && result.instructions >= warmup) {
-            result.occupancy = occ;
-            atWarmup = result;
-            atWarmup.cycles = static_cast<std::uint64_t>(now);
-            atWarmup.dl1Misses = memory.dl1().misses() - dl1Miss0;
-            atWarmup.l2Misses = memory.l2().misses() - l2Miss0;
-            warmupDone = true;
-        }
-        if (result.instructions >= total)
-            break;
-        doIssue();
-        doDispatch(result);
-        doFetch(result);
-        ++now;
-        if (static_cast<std::uint64_t>(now) >= limit) {
-            source = nullptr;
-            view = nullptr;
-            throw util::DeadlockError(watchdogDump(result, total, limit));
-        }
-        if (cancel && cancel->cancelled()) {
-            source = nullptr;
-            view = nullptr;
-            throw util::CancelledError(util::strprintf(
-                "out-of-order simulation cancelled at cycle %lld after "
-                "%llu of %llu instructions",
-                static_cast<long long>(now),
-                static_cast<unsigned long long>(result.instructions),
-                static_cast<unsigned long long>(total)));
-        }
-    }
-
-    result.occupancy = occ;
-    result.cycles = static_cast<std::uint64_t>(now);
-    result.dl1Misses = memory.dl1().misses() - dl1Miss0;
-    result.l2Misses = memory.l2().misses() - l2Miss0;
-    source = nullptr;
-    view = nullptr;
-    return result - atWarmup;
-}
-
-util::DeadlockDump
-BatchedOooCore::watchdogDump(const SimResult &result, std::uint64_t total,
-                             std::uint64_t limit) const
-{
-    util::DeadlockDump dump;
-    dump.model = "out-of-order";
-    dump.cycle = now;
-    dump.cycleLimit = limit;
-    dump.committed = result.instructions;
-    dump.target = total;
     dump.robOccupancy = dispatchSeq - commitSeq;
     dump.windowOccupancy = win.size();
     dump.frontEndOccupancy = fetchSeq - dispatchSeq;
@@ -680,8 +530,9 @@ BatchedOooCore::watchdogDump(const SimResult &result, std::uint64_t total,
             static_cast<unsigned long long>(dispatchSeq),
             static_cast<long long>(aDispatchReady[h]));
     }
-    return dump;
 }
+
+template class BatchedCore<BatchedOooCore>;
 
 std::unique_ptr<Core>
 makeBatchedOooCore(const CoreParams &params, const std::string &predictor)

@@ -9,13 +9,14 @@
  *    DynInst structs);
  *  - the issue window inlined with a non-virtual wakeup query, removing
  *    the WakeupOracle virtual dispatch from the hottest loop;
- *  - devirtualized trace reads when fed a trace::DecodedTraceView;
- *  - shared prewarm state via core::WarmStartCache;
  *  - idle-span skipping: spans where commit, issue, dispatch and fetch
  *    are all provably inert (no awake window entry, every stage blocked
  *    on a known future event) are charged in bulk instead of walked.
  *
- * DESIGN.md §14 is the contract: none of these may change bytes.
+ * The run itself — decoded-trace replay, shared prewarm state, the
+ * warm-up window, watchdog and cancellation — is the batched engine's
+ * one run loop, core/batched_core.hh.  DESIGN.md §14 is the contract:
+ * none of this may change bytes.
  */
 
 #ifndef FO4_CORE_BATCHED_OOO_CORE_HH
@@ -25,42 +26,24 @@
 #include <memory>
 #include <vector>
 
-#include "bp/predictor.hh"
-#include "core/core.hh"
+#include "core/batched_core.hh"
 #include "core/window.hh"
 #include "isa/microop.hh"
-#include "mem/hierarchy.hh"
-#include "trace/decoded_trace.hh"
-#include "util/status.hh"
 
 namespace fo4::core
 {
 
-/** The batched out-of-order pipeline model. */
-class BatchedOooCore : public Core
+/** The batched out-of-order pipeline model; BatchedCore runs it. */
+class BatchedOooCore : public BatchedCore<BatchedOooCore>
 {
   public:
-    /**
-     * `predictorKey` names the predictor's factory configuration and
-     * enables the shared warm-state cache; empty disables sharing (the
-     * core then prewarms per run, still byte-identically).
-     */
     BatchedOooCore(const CoreParams &params,
                    std::unique_ptr<bp::BranchPredictor> predictor,
                    std::string predictorKey = "");
 
-    SimResult run(trace::TraceSource &trace, std::uint64_t instructions,
-                  std::uint64_t warmup = 0, std::uint64_t prewarm = 0,
-                  std::uint64_t cycleLimit = 0,
-                  const util::CancelToken *cancel = nullptr) override;
-
-    const CoreParams &params() const override { return prm; }
-
-    void setTracer(util::TraceEventRing *ring) override { tracer = ring; }
-
     void setRetireSink(trace::RetireSink *sink) override
     {
-        retireSink = sink;
+        BatchedCore::setRetireSink(sink);
         // The side array of full ops exists only while observed, so the
         // no-sink hot path stays untouched (DESIGN.md §14).
         if (sink != nullptr && aOp.size() != aCls.size())
@@ -81,16 +64,35 @@ class BatchedOooCore : public Core
         std::array<std::int64_t, 2> srcReadyAt;
     };
 
+    friend class BatchedCore<BatchedOooCore>;
+    static constexpr const char *modelName = "out-of-order";
+
+    // The run loop's hooks (core/batched_core.hh).
     void resetState();
-    util::DeadlockDump watchdogDump(const SimResult &result,
-                                    std::uint64_t total,
-                                    std::uint64_t limit) const;
+    std::int64_t skipIdleSpan(SimResult &result, OccupancySample &occ,
+                              std::uint64_t limit);
+    void retireStage(SimResult &result) { doCommit(result); }
+    StallCause stallCause() const;
+    void sampleOccupancy(OccupancySample &occ) const
+    {
+        occ.robSum += dispatchSeq - commitSeq;
+        occ.windowSum += win.size();
+        occ.frontSum += fetchSeq - dispatchSeq;
+        occ.lsqSum += static_cast<std::uint64_t>(lsqOccupancy);
+    }
+    void frontStages(SimResult &result)
+    {
+        doIssue();
+        doDispatch(result);
+        doFetch(result);
+    }
+    std::int64_t tailCycles() const { return 0; }
+    void watchdogDump(util::DeadlockDump &dump) const;
+
     void doCommit(SimResult &result);
     void doIssue();
     void doDispatch(SimResult &result);
     void doFetch(SimResult &result);
-    StallCause classifyStall() const;
-    isa::MicroOp nextOp();
 
     // Inlined issue-window algorithm (window.cc semantics, devirtualized
     // wakeup, stats omitted — they are not part of SimResult).
@@ -101,16 +103,7 @@ class BatchedOooCore : public Core
     void wakeupPass(std::int64_t when);
     void selectAndRemove();
 
-    /** Bulk-account a provably-idle span; returns cycles skipped. */
-    std::int64_t skipIdleSpan(SimResult &result, OccupancySample &occ,
-                              std::uint64_t limit);
-
     std::size_t slotIx(std::uint64_t seq) const { return seq & slotMask; }
-
-    CoreParams prm;
-    std::unique_ptr<bp::BranchPredictor> bpred;
-    std::string bpredKey;
-    mem::MemoryHierarchy memory;
 
     // In-flight arena, struct-of-arrays over sequence slots.
     std::vector<std::int64_t> aDispatchReady;
@@ -138,22 +131,18 @@ class BatchedOooCore : public Core
     std::uint64_t dispatchSeq = 0;
     std::uint64_t commitSeq = 0;
 
-    std::int64_t now = 0;
     std::int64_t fetchResumeCycle = 0;
     std::uint64_t haltingBranch = ~0ull;
+    /** Fetched-but-undispatched ops the front end can hold. */
+    std::uint64_t frontCap = 0;
     int frontDepth = 3;
     int lsqOccupancy = 0;
     std::int64_t mispredictShadowEnd = 0;
 
-    util::TraceEventRing *tracer = nullptr;
-
-    trace::RetireSink *retireSink = nullptr;
-
     std::array<std::uint64_t, isa::numArchRegs> renameMap{};
-
-    trace::TraceSource *source = nullptr;
-    trace::DecodedTraceView *view = nullptr;
 };
+
+extern template class BatchedCore<BatchedOooCore>;
 
 } // namespace fo4::core
 

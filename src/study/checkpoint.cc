@@ -407,6 +407,25 @@ decodeCellRecord(const std::string &payload, const std::string &origin)
     return cell;
 }
 
+void
+appendOrDisableJournal(std::optional<util::JournalWriter> &writer,
+                       std::string_view record)
+{
+    if (!writer)
+        return;
+    const util::Status st = writer->tryAppend(record);
+    if (st.isOk())
+        return;
+    util::warn("checkpoint journal disabled, sweep continues without "
+               "crash-resume: %s",
+               st.message().c_str());
+    writer.reset();
+    static util::MetricCounter &appendErrors =
+        util::MetricsRegistry::global().counter(
+            "study.journal.append_errors");
+    appendErrors.inc();
+}
+
 std::uint64_t
 gridFingerprint(const std::vector<GridPoint> &points,
                 const std::vector<BenchJob> &jobs, const RunSpec &spec)
@@ -460,9 +479,9 @@ RetryPolicy::delayMs(int attempt, std::uint64_t cellKey) const
     // the same factor, so a reproduction of a retried run backs off
     // identically.  The draw is a counter-based util::RandomStream —
     // the same splittable-stream discipline the Monte Carlo sampler
-    // uses — keyed by the jitter seed and split per cell, per attempt.
+    // uses — keyed by one fixed seed and split per cell, per attempt.
     const util::RandomStream jitter =
-        util::RandomStream::root(jitterSeed)
+        util::RandomStream::root(0xf04)
             .child(cellKey)
             .child(static_cast<std::uint64_t>(attempt));
     const double factor = 1.0 + jitterFraction * (jitter.uniform(0) - 0.5);
@@ -570,11 +589,11 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
                 results[cell.point].benchmarks[cell.job] =
                     std::move(cell.result);
             }
-            writer.emplace(util::JournalWriter::appendTo(
-                opts.journalPath, recovered, opts.syncEveryRecord));
+            writer.emplace(
+                util::JournalWriter::appendTo(opts.journalPath, recovered));
         } else {
-            writer.emplace(util::JournalWriter::create(
-                opts.journalPath, fingerprint, opts.syncEveryRecord));
+            writer.emplace(
+                util::JournalWriter::create(opts.journalPath, fingerprint));
         }
     }
 
@@ -666,24 +685,10 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
         // replay lands each record back in its keyed slot.
         {
             std::lock_guard<std::mutex> lock(journalMutex);
-            if (writer) {
-                const util::Status st = writer->tryAppend(
+            if (writer)
+                appendOrDisableJournal(
+                    writer,
                     encodeCellRecord({p, j, results[p].benchmarks[j]}));
-                if (!st.isOk()) {
-                    // A full or failing disk costs durability, never the
-                    // sweep: drop the journal (its intact prefix is still
-                    // a valid resume point — a torn tail is discarded on
-                    // recovery) and keep computing without checkpoints.
-                    util::warn("checkpoint journal disabled, sweep "
-                               "continues without crash-resume: %s",
-                               st.message().c_str());
-                    writer.reset();
-                    static util::MetricCounter &appendErrors =
-                        util::MetricsRegistry::global().counter(
-                            "study.journal.append_errors");
-                    appendErrors.inc();
-                }
-            }
         }
         static util::MetricCounter &cellsExecuted =
             util::MetricsRegistry::global().counter(

@@ -46,13 +46,16 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cacti/latency_cache.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "util/cancel.hh"
+#include "util/journal.hh"
 #include "util/status.hh"
 
 namespace fo4::study
@@ -106,10 +109,6 @@ struct RetryPolicy
     /** Jitter width: each delay is scaled by a deterministic factor in
      *  [1 - jitterFraction/2, 1 + jitterFraction/2]. */
     double jitterFraction = 0.25;
-    /** Seed of the jitter stream (a util::RandomStream split per cell
-     *  and per attempt, so each delay is a pure function of
-     *  (seed, cell, attempt)). */
-    std::uint64_t jitterSeed = 0xf04;
 
     /**
      * Is a failure with this code worth retrying?  TraceIo (a file
@@ -123,8 +122,9 @@ struct RetryPolicy
     /**
      * Backoff before retry attempt `attempt` (2-based: the delay that
      * precedes the second attempt is attempt=2) of cell `cellKey`,
-     * with deterministic jitter — the same (policy, cell, attempt)
-     * always waits the same time, so reproductions reproduce.
+     * with deterministic jitter — a util::RandomStream split per cell
+     * and per attempt, so the same (policy, cell, attempt) always waits
+     * the same time and reproductions reproduce.
      */
     double delayMs(int attempt, std::uint64_t cellKey) const;
 
@@ -159,6 +159,15 @@ std::string encodeCellRecord(const CellRecord &cell);
 CellRecord decodeCellRecord(const std::string &payload,
                             const std::string &origin);
 
+/**
+ * Journal one cell record, or give the journal up: a failed append (a
+ * full or failing disk) warns, drops `writer` and counts
+ * study.journal.append_errors, and the sweep goes on without
+ * crash-resume.  The intact prefix stays a valid resume point.
+ */
+void appendOrDisableJournal(std::optional<util::JournalWriter> &writer,
+                            std::string_view record);
+
 /** Knobs of the checkpointed runner. */
 struct CheckpointOptions
 {
@@ -177,9 +186,6 @@ struct CheckpointOptions
     /** Cooperative cancellation source (e.g. a SIGINT handler);
      *  nullptr = not cancellable. */
     const util::CancelToken *cancel = nullptr;
-
-    /** fsync after every record (durable) vs. at flush points only. */
-    bool syncEveryRecord = true;
 
     /**
      * Observability hook, called before each execution attempt of a

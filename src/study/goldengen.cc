@@ -15,19 +15,6 @@ namespace fo4::study
 namespace
 {
 
-std::unique_ptr<core::Core>
-buildCore(const core::CoreParams &params, const RunSpec &spec)
-{
-    if (spec.impl == SimImpl::Batched) {
-        return spec.model == CoreModel::OutOfOrder
-                   ? core::makeBatchedOooCore(params, spec.predictor)
-                   : core::makeBatchedInorderCore(params, spec.predictor);
-    }
-    return spec.model == CoreModel::OutOfOrder
-               ? core::makeOooCore(params, spec.predictor)
-               : core::makeInorderCore(params, spec.predictor);
-}
-
 std::string
 u64String(std::uint64_t v)
 {
@@ -152,23 +139,6 @@ runGoldenSuite(const std::string &path, const std::string &name,
 
 } // namespace
 
-CoreModel
-coreModelFromName(const std::string &name)
-{
-    if (name == "ooo")
-        return CoreModel::OutOfOrder;
-    if (name == "inorder")
-        return CoreModel::InOrder;
-    throw util::ConfigError(util::strprintf(
-        "unknown core model '%s' (want ooo | inorder)", name.c_str()));
-}
-
-const char *
-coreModelName(CoreModel model)
-{
-    return model == CoreModel::OutOfOrder ? "ooo" : "inorder";
-}
-
 trace::BenchClass
 benchClassFromName(const std::string &name)
 {
@@ -194,8 +164,7 @@ recordCapture(const std::string &path, const CaptureRequest &request)
 
     trace::Recorder recorder(std::make_unique<trace::SyntheticTraceGenerator>(
         request.profile));
-    std::unique_ptr<core::Core> core =
-        buildCore(request.params, request.spec);
+    std::unique_ptr<core::Core> core = makeCore(request.params, request.spec);
     core->setRetireSink(&recorder);
 
     CaptureInfo info;

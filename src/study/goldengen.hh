@@ -64,12 +64,6 @@ struct CaptureInfo
 CaptureInfo recordCapture(const std::string &path,
                           const CaptureRequest &request);
 
-/** Parse a "ooo" / "inorder" model name; throws ConfigError. */
-CoreModel coreModelFromName(const std::string &name);
-
-/** Stable inverse of coreModelFromName. */
-const char *coreModelName(CoreModel model);
-
 /** Parse a benchClassName() string back; throws ConfigError. */
 trace::BenchClass benchClassFromName(const std::string &name);
 

@@ -115,6 +115,23 @@ simImplFromName(const std::string &name)
         name.c_str()));
 }
 
+CoreModel
+coreModelFromName(const std::string &name)
+{
+    if (name == "ooo")
+        return CoreModel::OutOfOrder;
+    if (name == "inorder")
+        return CoreModel::InOrder;
+    throw util::ConfigError(util::strprintf(
+        "unknown core model '%s' (want ooo | inorder)", name.c_str()));
+}
+
+const char *
+coreModelName(CoreModel model)
+{
+    return model == CoreModel::OutOfOrder ? "ooo" : "inorder";
+}
+
 util::Status
 RunSpec::validate() const
 {
@@ -159,6 +176,19 @@ jobsFromProfiles(const std::vector<trace::BenchmarkProfile> &profiles)
     return jobs;
 }
 
+std::unique_ptr<core::Core>
+makeCore(const core::CoreParams &params, const RunSpec &spec)
+{
+    if (spec.impl == SimImpl::Batched) {
+        return spec.model == CoreModel::OutOfOrder
+                   ? core::makeBatchedOooCore(params, spec.predictor)
+                   : core::makeBatchedInorderCore(params, spec.predictor);
+    }
+    return spec.model == CoreModel::OutOfOrder
+               ? core::makeOooCore(params, spec.predictor)
+               : core::makeInorderCore(params, spec.predictor);
+}
+
 BenchResult
 runJob(const core::CoreParams &params, const tech::ClockModel &clock,
        const BenchJob &job, const RunSpec &spec,
@@ -189,19 +219,8 @@ runJob(const core::CoreParams &params, const tech::ClockModel &clock,
         source = trace::openTraceFile(job.tracePath);
     }
 
-    const core::CoreParams &effective = job.params ? *job.params : params;
-    std::unique_ptr<core::Core> core;
-    if (spec.impl == SimImpl::Batched) {
-        core = spec.model == CoreModel::OutOfOrder
-                   ? core::makeBatchedOooCore(effective, spec.predictor)
-                   : core::makeBatchedInorderCore(effective,
-                                                  spec.predictor);
-    } else {
-        core = spec.model == CoreModel::OutOfOrder
-                   ? core::makeOooCore(effective, spec.predictor)
-                   : core::makeInorderCore(effective, spec.predictor);
-    }
-
+    const std::unique_ptr<core::Core> core =
+        makeCore(job.params ? *job.params : params, spec);
     if (spec.tracer != nullptr)
         core->setTracer(spec.tracer);
     if (spec.retireSink != nullptr)

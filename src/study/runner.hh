@@ -37,6 +37,12 @@ enum class CoreModel
     OutOfOrder,
 };
 
+/** Parse a "ooo" / "inorder" model name; throws ConfigError. */
+CoreModel coreModelFromName(const std::string &name);
+
+/** Stable inverse of coreModelFromName. */
+const char *coreModelName(CoreModel model);
+
 /**
  * Which core implementation services a run.  Both produce byte-identical
  * results — serializeSuite-equal on every input, including failed rows
@@ -192,6 +198,11 @@ SuiteResult runSuite(const core::CoreParams &params,
                      const tech::ClockModel &clock,
                      const std::vector<trace::BenchmarkProfile> &profiles,
                      const RunSpec &spec);
+
+/** A fresh core of `spec`'s model and implementation, built from
+ *  `params` with `spec.predictor`. */
+std::unique_ptr<core::Core> makeCore(const core::CoreParams &params,
+                                     const RunSpec &spec);
 
 /**
  * Run one job; throws SimError on failure instead of recording it.

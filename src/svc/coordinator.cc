@@ -99,8 +99,7 @@ Coordinator::replayJournal(ActiveSweep &sweep)
         sweep.cells[i] = std::move(cell);
     }
     sweep.writer.emplace(
-        util::JournalWriter::appendTo(sweep.journalPath, recovered,
-                                      /*syncEveryRecord=*/true));
+        util::JournalWriter::appendTo(sweep.journalPath, recovered));
 }
 
 std::string
@@ -157,8 +156,8 @@ Coordinator::computeSweep(const std::shared_ptr<JobRecord> &job,
             if (util::journalExists(journalPath))
                 replayJournal(*sweep);
             else
-                sweep->writer.emplace(util::JournalWriter::create(
-                    journalPath, fingerprint, /*syncEveryRecord=*/true));
+                sweep->writer.emplace(
+                    util::JournalWriter::create(journalPath, fingerprint));
         }
         job->cellsDone.store(sweep->scheduler.doneCount());
 
@@ -360,8 +359,8 @@ Coordinator::handleCellDone(util::TcpStream &stream, const Frame &frame)
             // First completion wins; duplicates carry byte-identical
             // results (cells are pure), so dropping them is free.
             if (active->scheduler.complete(cell.point, cell.job)) {
-                if (active->writer)
-                    active->writer->append(msg.cellPayload);
+                study::appendOrDisableJournal(active->writer,
+                                              msg.cellPayload);
                 const std::size_t i = cell.point * nJobs + cell.job;
                 active->cells[i] = std::move(cell);
                 active->job->cellsDone.fetch_add(

@@ -18,14 +18,7 @@ planSweep(const SweepRequest &request)
     if (request.jobs.empty())
         throw util::ConfigError("sweep request has no jobs");
 
-    plan.spec.model = request.model == "inorder"
-                          ? study::CoreModel::InOrder
-                          : study::CoreModel::OutOfOrder;
-    if (request.model != "ooo" && request.model != "inorder") {
-        throw util::ConfigError(util::strprintf(
-            "unknown core model '%s' (want 'ooo' or 'inorder')",
-            request.model.c_str()));
-    }
+    plan.spec.model = study::coreModelFromName(request.model);
     plan.spec.predictor = request.predictor;
     plan.spec.instructions = request.instructions;
     plan.spec.warmup = request.warmup;

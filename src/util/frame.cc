@@ -408,6 +408,19 @@ readWholeFile(const std::string &path)
     return file;
 }
 
+Status
+writeWholeFile(const std::string &path, std::string_view bytes)
+{
+    const int fd =
+        ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
+    if (fd < 0)
+        return errnoStatus(path, "cannot open for writing");
+    Status st = writeAllStatus(fd, bytes.data(), bytes.size(), path);
+    if (::close(fd) != 0 && st.isOk())
+        st = errnoStatus(path, "close failed");
+    return st;
+}
+
 // ---------------------------------------------------------------------
 // Atomic publication
 // ---------------------------------------------------------------------

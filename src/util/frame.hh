@@ -13,7 +13,7 @@
  *    and one scanner, whose verdict ladder is ok / torn tail / corrupt /
  *    oversize, with the length bound checked before any allocation or
  *    torn-tail decision;
- *  - one whole-file reader;
+ *  - one whole-file reader and one checked in-place whole-file writer;
  *  - one atomic publisher (tmp → fsync → rename → directory fsync)
  *    whose writes honour the disk-fault hook.
  *
@@ -257,6 +257,15 @@ struct WholeFile
 
 /** Read all of `path` (EINTR-safe). */
 WholeFile readWholeFile(const std::string &path);
+
+/**
+ * Write `bytes` to `path` in place (created or truncated), checking the
+ * open, every write and the close.  Writes go through writeAllStatus,
+ * so the disk-fault hook reaches them.  In place rather than published
+ * (see AtomicFile) so that a path such as /dev/stdout keeps working.
+ * Returns Ok or a JournalIo Status naming `path` and the errno text.
+ */
+Status writeWholeFile(const std::string &path, std::string_view bytes);
 
 // ---------------------------------------------------------------------
 // Atomic publication

@@ -2,13 +2,13 @@
  * @file
  * The byte-identity contract of the batched core implementations
  * (DESIGN.md §14): on every input — randomized core geometries, both
- * pipeline models, every predictor, fault injection, watchdog trips —
- * SimImpl::Batched must produce results bit-for-bit identical to
- * SimImpl::Reference.  Identity is stated in terms of
- * study::serializeSuite, which renders every result field (doubles in
- * hexfloat) plus each failed row's error code name AND message, so a
- * divergent deadlock dump or error text fails the same assertion a
- * divergent cycle count does.
+ * pipeline models, every predictor, fault injection, watchdog trips, a
+ * run after a cancelled one — SimImpl::Batched must produce results
+ * bit-for-bit identical to SimImpl::Reference.  Identity is stated in
+ * terms of study::serializeSuite, which renders every result field
+ * (doubles in hexfloat) plus each failed row's error code name AND
+ * message, so a divergent deadlock dump or error text fails the same
+ * assertion a divergent cycle count does.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +27,7 @@
 #include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
+#include "util/cancel.hh"
 #include "util/random.hh"
 #include "util/status.hh"
 
@@ -129,7 +130,76 @@ makeCorruptTrace(const std::string &name)
     return path;
 }
 
+/** One run's statistics as a serialized suite row. */
+std::string
+simRow(const trace::BenchmarkProfile &profile, const core::SimResult &sim)
+{
+    study::SuiteResult suite;
+    suite.benchmarks.emplace_back();
+    suite.benchmarks.back().name = profile.name;
+    suite.benchmarks.back().cls = profile.cls;
+    suite.benchmarks.back().sim = sim;
+    return study::serializeSuite(suite);
+}
+
+/**
+ * A pre-cancelled batched run, on a decoded view with shared warm
+ * start, must throw CancelledError naming `modelName`.  The same core
+ * object must then serve a plain trace source byte-identically to the
+ * reference core: the cancelled run left neither pipeline state nor a
+ * pointer to its (now destroyed) view behind.
+ */
+void
+expectCancelLeavesCoreReusable(study::CoreModel model,
+                               const std::string &modelName)
+{
+    const auto profile = trace::spec2000Profile("164.gzip");
+    const auto params = study::scaledCoreParams(6.0, {});
+    auto spec = baseSpec();
+    spec.model = model;
+    spec.impl = study::SimImpl::Batched;
+    const auto batched = study::makeCore(params, spec);
+    spec.impl = study::SimImpl::Reference;
+    const auto reference = study::makeCore(params, spec);
+
+    util::CancelToken cancel;
+    cancel.requestCancel();
+    {
+        const auto view =
+            trace::DecodedTraceRegistry::global().viewForProfile(profile);
+        try {
+            batched->run(*view, spec.instructions, spec.warmup,
+                         spec.prewarm, spec.cycleLimit, &cancel);
+            ADD_FAILURE() << modelName << ": a cancelled run returned";
+        } catch (const util::CancelledError &e) {
+            EXPECT_EQ(std::string(e.what()).rfind(
+                          modelName + " simulation cancelled at cycle", 0),
+                      0u)
+                << e.what();
+        }
+    }
+
+    trace::SyntheticTraceGenerator batchedGen(profile);
+    trace::SyntheticTraceGenerator referenceGen(profile);
+    EXPECT_EQ(simRow(profile, batched->run(batchedGen, spec.instructions,
+                                           spec.warmup, spec.prewarm)),
+              simRow(profile, reference->run(referenceGen,
+                                             spec.instructions,
+                                             spec.warmup, spec.prewarm)));
+}
+
 } // namespace
+
+TEST(CoreDifferential, CancelledInorderRunLeavesTheCoreReusable)
+{
+    expectCancelLeavesCoreReusable(study::CoreModel::InOrder, "in-order");
+}
+
+TEST(CoreDifferential, CancelledOooRunLeavesTheCoreReusable)
+{
+    expectCancelLeavesCoreReusable(study::CoreModel::OutOfOrder,
+                                   "out-of-order");
+}
 
 TEST(CoreDifferential, RandomizedConfigsAreByteIdentical)
 {
@@ -351,8 +421,8 @@ TEST(CoreDifferential, RecordedReplaySweepIsByteIdentical)
 
 TEST(CoreDifferential, DirectTraceSourceMatchesReference)
 {
-    // The batched cores also accept a plain TraceSource — the path the
-    // window-study benches use, with no decoded view and no shared warm
+    // The batched cores also accept a plain TraceSource — the path
+    // capture recording uses, with no decoded view and no shared warm
     // state.  The streaming fallback must produce the same statistics.
     auto prof = trace::spec2000Profile("176.gcc");
     const auto params = core::CoreParams::alpha21264();

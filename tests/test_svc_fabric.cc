@@ -19,16 +19,19 @@
  * their cells re-dispatched, the remainder finished by local fallback
  * — and the fetched bytes still cmp-equal a plain local run.
  *
- * Also here: zero-worker fleets complete via local fallback, a client
- * with reconnect enabled survives a daemon restart on the same port,
- * and client timeout validation refuses non-positive deadlines.
+ * Also here: zero-worker fleets complete via local fallback, a failing
+ * journal disk costs the coordinator durability but not the sweep, a
+ * client with reconnect enabled survives a daemon restart on the same
+ * port, and client timeout validation refuses non-positive deadlines.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <string>
@@ -42,6 +45,7 @@
 #include "svc/server.hh"
 #include "svc/sweep.hh"
 #include "svc/worker.hh"
+#include "util/frame.hh"
 #include "util/metrics.hh"
 #include "util/status.hh"
 
@@ -609,6 +613,61 @@ TEST(Fabric, ZeroWorkerFleetCompletesViaLocalFallback)
 
     coord.stop();
     coord.join();
+}
+
+TEST(Fabric, FailingJournalDiskCostsDurabilityNotTheSweep)
+{
+    // Every append to the coordinator's checkpoint journal fails, as on
+    // a full disk.  The coordinator must give the journal up the way a
+    // local sweep does (warn, drop it, count the error) and still serve
+    // the fleet's bytes — never take the session thread down.
+    const bool wasEnabled = util::setMetricsEnabled(true);
+    const svc::SweepRequest request = smallRequest();
+    const std::string expected = localBytes(request);
+    const std::string dir =
+        std::string(::testing::TempDir()) + "/fabric_failing_journal";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    // The header lands via <journal>.tmp, so only the appends fail.
+    util::setDiskFaultHook(
+        [](const std::string &path) -> std::optional<util::DiskFault> {
+            const std::string suffix = ".journal";
+            if (path.size() > suffix.size() &&
+                path.compare(path.size() - suffix.size(), suffix.size(),
+                             suffix) == 0)
+                return util::DiskFault{};
+            return std::nullopt;
+        });
+    const std::uint64_t errs0 = util::MetricsRegistry::global().value(
+        "study.journal.append_errors");
+
+    auto opts = fastCoordinator();
+    opts.checkpointDir = dir;
+    opts.localFallback = false; // every cell merges through the fleet
+    svc::Coordinator coord(opts);
+    svc::Worker worker(workerFor(coord.port(), "w1"));
+
+    svc::Client client("127.0.0.1", coord.port());
+    const auto [id, cells] = client.submit(request);
+    (void)cells;
+    const auto status = client.waitUntilDone(id, 50);
+    EXPECT_EQ(svc::JobState::Done, status.state);
+    EXPECT_EQ(expected, client.fetchResults(id));
+    const auto stats = client.stats();
+    EXPECT_EQ(1u, stats.completed);
+    EXPECT_GE(util::MetricsRegistry::global().value(
+                  "study.journal.append_errors") -
+                  errs0,
+              1u);
+
+    worker.stop();
+    worker.join();
+    EXPECT_GE(worker.cellsExecuted(), 4u);
+    coord.stop();
+    coord.join();
+    util::setDiskFaultHook(nullptr);
+    util::setMetricsEnabled(wasEnabled);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Fabric, RedispatchAfterWorkerDeathWithASurvivor)

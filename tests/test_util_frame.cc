@@ -673,6 +673,31 @@ TEST(Frame, WholeFileReaderTypesEachFailure)
     std::remove(path.c_str());
 }
 
+TEST(Frame, WholeFileWriterChecksEveryStep)
+{
+    // Written in place, truncating what was there.
+    const std::string path = tempPath("frame_written.txt");
+    spew(path, "an older, longer body");
+    ASSERT_TRUE(util::writeWholeFile(path, "fresh").isOk());
+    EXPECT_EQ(slurp(path), "fresh");
+
+    // A full disk mid-write is a typed JournalIo naming the file, never
+    // a success.
+    {
+        ScopedDiskFault fault(path, util::DiskFault{28, 2});
+        const util::Status st = util::writeWholeFile(path, "refused");
+        EXPECT_EQ(st.code(), util::ErrorCode::JournalIo);
+        EXPECT_NE(st.message().find(path), std::string::npos);
+        EXPECT_NE(st.message().find("after 2 of 7 bytes"),
+                  std::string::npos);
+    }
+
+    // So is a file that cannot be opened.
+    EXPECT_EQ(util::writeWholeFile("/nonexistent-dir-fo4/x", "x").code(),
+              util::ErrorCode::JournalIo);
+    std::remove(path.c_str());
+}
+
 TEST(Frame, PublisherIsAllOrNothing)
 {
     const std::string path = tempPath("frame_publish.bin");
