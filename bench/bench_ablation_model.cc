@@ -24,7 +24,12 @@ using namespace fo4;
 
 using bench::harmonicIpc;
 
-const std::vector<util::KeyDoc> kKeys = bench::specKeys();
+const std::vector<util::KeyDoc> kKeys =
+    study::runKeys({"instructions", "warmup", "prewarm", "sim_impl"});
+const study::RunSpec kDefaults{.instructions = 60000,
+                               .warmup = 8000,
+                               .prewarm = 400000,
+                               .impl = study::SimImpl::Batched};
 
 int
 ablation(int argc, char **argv)
@@ -35,8 +40,7 @@ ablation(int argc, char **argv)
         "operating point (not a paper artifact; engineering evidence "
         "for DESIGN.md's choices)");
 
-    util::Config::fromArgs(argc, argv).checkKnown(kKeys);
-    auto spec = bench::specFromArgs(argc, argv, 60000, 8000, 400000);
+    auto spec = study::RunArgs(argc, argv, kKeys).spec(kDefaults);
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
     const auto base = study::scaledCoreParams(6.0, {});

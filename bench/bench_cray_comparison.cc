@@ -17,7 +17,12 @@
 
 using namespace fo4;
 
-const std::vector<util::KeyDoc> kKeys = bench::specKeys();
+const std::vector<util::KeyDoc> kKeys =
+    study::runKeys({"instructions", "warmup", "prewarm", "sim_impl"});
+const study::RunSpec kDefaults{.instructions = 60000,
+                               .warmup = 8000,
+                               .prewarm = 300000,
+                               .impl = study::SimImpl::Batched};
 
 int
 cray(int argc, char **argv)
@@ -29,8 +34,7 @@ cray(int argc, char **argv)
         "8 gate levels = 10.9 FO4; the modern optimum of 6 FO4 is less "
         "than the Cray scalar optimum largely because of on-chip caches");
 
-    util::Config::fromArgs(argc, argv).checkKnown(kKeys);
-    const auto spec = bench::specFromArgs(argc, argv, 60000, 8000, 300000);
+    const auto spec = study::RunArgs(argc, argv, kKeys).spec(kDefaults);
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
     const auto ts = bench::usefulSweep();

@@ -20,7 +20,12 @@
 
 using namespace fo4;
 
-const std::vector<util::KeyDoc> kKeys = bench::specKeys();
+const std::vector<util::KeyDoc> kKeys =
+    study::runKeys({"instructions", "warmup", "prewarm", "sim_impl"});
+const study::RunSpec kDefaults{.instructions = 60000,
+                               .warmup = 8000,
+                               .prewarm = 400000,
+                               .impl = study::SimImpl::Batched};
 
 int
 extWireDelay(int argc, char **argv)
@@ -32,8 +37,7 @@ extWireDelay(int argc, char **argv)
         "more wire-bound (paper future work; Pentium 4 spent two stages "
         "on data transport)");
 
-    util::Config::fromArgs(argc, argv).checkKnown(kKeys);
-    const auto spec = bench::specFromArgs(argc, argv, 60000, 8000, 400000);
+    const auto spec = study::RunArgs(argc, argv, kKeys).spec(kDefaults);
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
     const auto ts = bench::usefulSweep();

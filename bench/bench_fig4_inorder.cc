@@ -19,8 +19,14 @@ using namespace fo4;
 namespace
 {
 
-const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {bench::specKeys(), {bench::jobsKey()}, bench::observabilityKeys()});
+const std::vector<util::KeyDoc> kKeys =
+    study::runKeys({"instructions", "warmup", "prewarm", "sim_impl", "jobs"},
+                   bench::observabilityKeys());
+const study::RunSpec kDefaults{.model = study::CoreModel::InOrder,
+                               .instructions = 60000,
+                               .warmup = 8000,
+                               .prewarm = 400000,
+                               .impl = study::SimImpl::Batched};
 
 int
 fig4(int argc, char **argv)
@@ -31,10 +37,10 @@ fig4(int argc, char **argv)
         "shrink; with 1.8 FO4 overhead the integer optimum is 6 FO4 of "
         "useful logic per stage");
 
-    util::Config::fromArgs(argc, argv).checkKnown(kKeys);
-    auto spec = bench::specFromArgs(argc, argv, 60000, 8000, 400000);
-    spec.model = study::CoreModel::InOrder;
-    const auto obs = bench::observabilityFromArgs(argc, argv);
+    const study::RunArgs args(argc, argv, kKeys);
+    const auto spec = args.spec(kDefaults);
+    const auto obs = bench::observabilityFromArgs(args.config());
+    const bool verbose = args.config().getBool("verbose", false);
     const auto profiles = trace::spec2000Profiles();
     const auto ts = bench::usefulSweep();
 
@@ -46,7 +52,7 @@ fig4(int argc, char **argv)
     // frequency, not cycle counts (paper Section 3.3).
     study::SweepOptions sweep;
     sweep.overhead = tech::OverheadModel::uniform(0);
-    const auto points = bench::runnerFromArgs(argc, argv)
+    const auto points = study::CheckpointedRunner(args.checkpointOptions())
                             .sweepScaling(ts, sweep, profiles, spec);
 
     std::vector<double> intZero, intPaper;
@@ -111,8 +117,8 @@ fig4(int argc, char **argv)
                     "curve peaks over a mid-depth plateau";
     if (!bench::onPlateau(p18, 6))
         v += "; WARNING: 6 FO4 fell off the plateau";
-    bench::printLatencyCacheStats(bench::verboseFromArgs(argc, argv));
-    bench::printMetricsRegistry(bench::verboseFromArgs(argc, argv));
+    bench::printLatencyCacheStats(verbose);
+    bench::printMetricsRegistry(verbose);
     bench::verdict(v);
     return 0;
 }

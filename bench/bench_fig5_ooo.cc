@@ -29,14 +29,15 @@ using namespace fo4;
 namespace
 {
 
-const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {bench::specKeys(),
-     {bench::jobsKey()},
-     {{"csv", "write the figure's data points to this CSV"},
-      {"checkpoint", "journal file; an interrupted sweep resumes from it"},
-      {"resume", "resume=0 discards an existing journal and starts over"},
-      {"attempts", "max attempts per cell for transient failures"}},
-     bench::observabilityKeys()});
+const std::vector<util::KeyDoc> kKeys = study::runKeys(
+    {"instructions", "warmup", "prewarm", "sim_impl", "jobs", "checkpoint",
+     "resume", "attempts"},
+    bench::keyUnion({{{"csv", "write the figure's data points to this CSV"}},
+                     bench::observabilityKeys()}));
+const study::RunSpec kDefaults{.instructions = 80000,
+                               .warmup = 10000,
+                               .prewarm = 500000,
+                               .impl = study::SimImpl::Batched};
 
 int
 fig5(int argc, char **argv)
@@ -47,31 +48,22 @@ fig5(int argc, char **argv)
         "non-vector FP 5 FO4; optimal integer clock period 7.8 FO4 "
         "(~3.6 GHz at 100nm)");
 
-    const auto spec = bench::specFromArgs(argc, argv);
+    const study::RunArgs args(argc, argv, kKeys);
+    const auto spec = args.spec(kDefaults);
     const auto profiles = trace::spec2000Profiles();
     const auto ts = bench::usefulSweep();
 
-    const util::Config cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    const auto obs = bench::observabilityFromArgs(argc, argv);
+    const util::Config &cfg = args.config();
+    const auto obs = bench::observabilityFromArgs(cfg);
     const std::string csvPath = cfg.getString("csv", "");
-    const std::string checkpointPath = cfg.getString("checkpoint", "");
-    const bool resume = cfg.getBool("resume", true);
     const bool verbose = cfg.getBool("verbose", false);
 
     // Ctrl-C drains the sweep, flushes the journal, exits 130.
     util::CancelToken cancel;
     bench::installSigintCancel(cancel);
 
-    if (!checkpointPath.empty() && !resume)
-        std::remove(checkpointPath.c_str());
-
-    study::CheckpointOptions copts;
-    copts.journalPath = checkpointPath;
-    copts.threads = bench::jobsFromArgs(argc, argv);
+    study::CheckpointOptions copts = args.checkpointOptions();
     copts.cancel = &cancel;
-    copts.retry.maxAttempts =
-        static_cast<int>(cfg.getPositiveInt("attempts", 1));
     study::CheckpointedRunner runner(std::move(copts));
 
     const auto points =

@@ -19,8 +19,13 @@ using namespace fo4;
 namespace
 {
 
-const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {bench::specKeys(), {bench::jobsKey()}, bench::observabilityKeys()});
+const std::vector<util::KeyDoc> kKeys =
+    study::runKeys({"instructions", "warmup", "prewarm", "sim_impl", "jobs"},
+                   bench::observabilityKeys());
+const study::RunSpec kDefaults{.instructions = 40000,
+                               .warmup = 5000,
+                               .prewarm = 300000,
+                               .impl = study::SimImpl::Batched};
 
 int
 fig7(int argc, char **argv)
@@ -32,9 +37,10 @@ fig7(int argc, char **argv)
         "at 6 FO4 the paper picks a 64KB DL1, a 512KB L2 and a 64-entry "
         "window");
 
-    util::Config::fromArgs(argc, argv).checkKnown(kKeys);
-    auto spec = bench::specFromArgs(argc, argv, 40000, 5000, 300000);
-    const auto obs = bench::observabilityFromArgs(argc, argv);
+    const study::RunArgs args(argc, argv, kKeys);
+    const auto spec = args.spec(kDefaults);
+    const auto obs = bench::observabilityFromArgs(args.config());
+    const bool verbose = args.config().getBool("verbose", false);
     const auto profiles = trace::spec2000Profiles();
     const auto ts = bench::usefulSweep();
 
@@ -42,7 +48,7 @@ fig7(int argc, char **argv)
     t.setHeader({"t_useful", "alpha caps (BIPS)", "optimized (BIPS)",
                  "gain", "dl1(KB)", "l2(KB)", "window"});
 
-    auto runner = bench::runnerFromArgs(argc, argv);
+    study::CheckpointedRunner runner(args.checkpointOptions());
     const auto baselines = runner.sweepScaling(ts, {}, profiles, spec);
 
     std::vector<double> base, tuned;
@@ -83,8 +89,8 @@ fig7(int argc, char **argv)
                            study::BenchJob::fromProfile(profiles.front()),
                            spec);
 
-    bench::printLatencyCacheStats(bench::verboseFromArgs(argc, argv));
-    bench::printMetricsRegistry(bench::verboseFromArgs(argc, argv));
+    bench::printLatencyCacheStats(verbose);
+    bench::printMetricsRegistry(verbose);
     bench::verdict("optimization lifts the whole curve without moving "
                    "the optimal logic depth away from ~6 FO4");
     return 0;

@@ -45,8 +45,13 @@ extendedParams(int loop, int ext)
 
 } // namespace
 
-const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {bench::specKeys(), {bench::jobsKey()}, bench::observabilityKeys()});
+const std::vector<util::KeyDoc> kKeys =
+    study::runKeys({"instructions", "warmup", "prewarm", "sim_impl", "jobs"},
+                   bench::observabilityKeys());
+const study::RunSpec kDefaults{.instructions = 60000,
+                               .warmup = 8000,
+                               .prewarm = 400000,
+                               .impl = study::SimImpl::Batched};
 
 int
 fig8(int argc, char **argv)
@@ -57,9 +62,10 @@ fig8(int argc, char **argv)
         "its 21264 length: issue-wakeup is the most sensitive loop, then "
         "load-use (DL1), then the branch misprediction penalty");
 
-    util::Config::fromArgs(argc, argv).checkKnown(kKeys);
-    const auto spec = bench::specFromArgs(argc, argv, 60000, 8000, 400000);
-    const auto obs = bench::observabilityFromArgs(argc, argv);
+    const study::RunArgs args(argc, argv, kKeys);
+    const auto spec = args.spec(kDefaults);
+    const auto obs = bench::observabilityFromArgs(args.config());
+    const bool verbose = args.config().getBool("verbose", false);
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
     const std::vector<int> extensions{0, 1, 2, 4, 6, 8, 10, 12, 15};
@@ -76,8 +82,8 @@ fig8(int argc, char **argv)
             points.push_back({extendedParams(loop, ext), clock});
     }
     const auto jobs = study::jobsFromProfiles(profiles);
-    const auto suites =
-        bench::runnerFromArgs(argc, argv).runGrid(points, jobs, spec);
+    const auto suites = study::CheckpointedRunner(args.checkpointOptions())
+                            .runGrid(points, jobs, spec);
     const double baseIpc = suites.front().harmonicIpcAll();
 
     std::vector<std::vector<std::string>> stats;
@@ -132,8 +138,8 @@ fig8(int argc, char **argv)
     bench::maybeWriteTrace(obs, core::CoreParams::alpha21264(), clock,
                            study::BenchJob::fromProfile(profiles.front()),
                            spec);
-    bench::printLatencyCacheStats(bench::verboseFromArgs(argc, argv));
-    bench::printMetricsRegistry(bench::verboseFromArgs(argc, argv));
+    bench::printLatencyCacheStats(verbose);
+    bench::printMetricsRegistry(verbose);
 
     bench::verdict(
         atMax[0] < atMax[1] && atMax[1] < atMax[2]

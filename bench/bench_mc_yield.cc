@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <memory>
-#include <stdexcept>
 
 #include "bench/common.hh"
 #include "study/montecarlo.hh"
@@ -37,102 +36,25 @@ using namespace fo4;
 namespace
 {
 
-const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {bench::specKeys(),
-     {bench::jobsKey()},
-     {{"bench", "comma list of SPEC 2000 profiles (default 176.gcc)"},
-      {"class", "sweep a whole class: integer | vfp | nvfp | all"},
-      {"t_useful", "comma list of useful-logic depths (default 2..16)"},
-      {"mc_samples", "Monte Carlo dice per sweep point"},
-      {"mc_dist", "per-stage draw family: normal | lognormal"},
-      {"mc_sigma_latch", "per-stage latch overhead sigma (FO4 under "
-                         "normal, lognormal shape otherwise)"},
-      {"mc_sigma_skew", "per-stage clock skew sigma"},
-      {"mc_sigma_jitter", "per-stage clock jitter sigma"},
-      {"mc_sigma_die", "die-level systematic corner sigma (carried by "
-                       "the latch component on every stage)"},
-      {"mc_seed", "root seed of the sampling streams"},
-      {"mc_sigma_scale", "comma list of sigma multipliers; the optimum "
-                         "is reported per scale"},
-      {"csv", "write the aggregate yield/band curve to this CSV"},
-      {"samples_csv", "write per-die rows in the Fig 5 CSV schema "
-                      "(single sigma scale only)"},
-      {"checkpoint", "journal file; an interrupted sweep resumes from it"},
-      {"resume", "resume=0 discards an existing journal and starts over"},
-      {"attempts", "max attempts per cell for transient failures"}},
-     bench::observabilityKeys()});
-
-std::vector<double>
-parseDoubleList(const std::string &text, const char *key)
-{
-    std::vector<double> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        std::size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(start, comma - start);
-        if (!item.empty()) {
-            std::size_t pos = 0;
-            double v = 0.0;
-            try {
-                v = std::stod(item, &pos);
-            } catch (const std::exception &) {
-                pos = 0;
-            }
-            if (pos != item.size()) {
-                throw util::ConfigError(util::strprintf(
-                    "%s: '%s' is not a number", key, item.c_str()));
-            }
-            out.push_back(v);
-        }
-        if (comma == text.size())
-            break;
-        start = comma + 1;
-    }
-    if (out.empty())
-        throw util::ConfigError(
-            util::strprintf("%s: empty list", key));
-    return out;
-}
-
-std::vector<trace::BenchmarkProfile>
-pickProfiles(const util::Config &cfg)
-{
-    using namespace trace;
-    if (cfg.has("class")) {
-        const std::string cls = cfg.getString("class", "integer");
-        if (cls == "integer")
-            return spec2000Profiles(BenchClass::Integer);
-        if (cls == "vector-fp" || cls == "vfp")
-            return spec2000Profiles(BenchClass::VectorFp);
-        if (cls == "non-vector-fp" || cls == "nvfp")
-            return spec2000Profiles(BenchClass::NonVectorFp);
-        if (cls == "all")
-            return spec2000Profiles();
-        throw util::ConfigError(util::strprintf(
-            "unknown class '%s' (use integer, vfp, nvfp or all)",
-            cls.c_str()));
-    }
-    // bench= accepts a comma list, like fo4ctl's request syntax.
-    std::vector<BenchmarkProfile> out;
-    const std::string names = cfg.getString("bench", "176.gcc");
-    std::size_t start = 0;
-    while (start <= names.size()) {
-        std::size_t comma = names.find(',', start);
-        if (comma == std::string::npos)
-            comma = names.size();
-        const std::string name = names.substr(start, comma - start);
-        if (!name.empty())
-            out.push_back(spec2000Profile(name));
-        if (comma == names.size())
-            break;
-        start = comma + 1;
-    }
-    if (out.empty())
-        throw util::ConfigError("bench=: empty benchmark list");
-    return out;
-}
+const std::vector<util::KeyDoc> kKeys = study::runKeys(
+    {"instructions", "warmup", "prewarm", "sim_impl", "jobs", "bench",
+     "class", "t_useful", "mc_samples", "mc_dist", "mc_sigma_latch",
+     "mc_sigma_skew", "mc_sigma_jitter", "mc_sigma_die", "mc_seed",
+     "mc_sigma_scale", "checkpoint", "resume", "attempts"},
+    bench::keyUnion(
+        {{{"csv", "write the aggregate yield/band curve to this CSV"},
+          {"samples_csv", "write per-die rows in the Fig 5 CSV schema "
+                          "(single sigma scale only)"}},
+         bench::observabilityKeys()}));
+const study::RunSpec kDefaults{.instructions = 80000,
+                               .warmup = 10000,
+                               .prewarm = 500000,
+                               .impl = study::SimImpl::Batched};
+const study::VariationModel kVariation{.sigmaLatch = 0.05,
+                                       .sigmaSkew = 0.02,
+                                       .sigmaJitter = 0.03,
+                                       .sigmaDie = 0.05,
+                                       .samples = 16};
 
 int
 mcYield(int argc, char **argv)
@@ -144,35 +66,20 @@ mcYield(int argc, char **argv)
         "deterministic 6 FO4 optimum, because deeper pipelines clock at "
         "the worst of more per-stage draws");
 
-    const auto spec = bench::specFromArgs(argc, argv);
-    const util::Config cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    const auto obs = bench::observabilityFromArgs(argc, argv);
-    const auto profiles = pickProfiles(cfg);
-    const auto ts = cfg.has("t_useful")
-                        ? parseDoubleList(cfg.getString("t_useful", ""),
-                                          "t_useful")
-                        : bench::usefulSweep();
-
-    study::VariationModel base;
-    base.dist = study::mcDistFromName(cfg.getString("mc_dist", "normal"));
-    base.sigmaLatch = cfg.getDouble("mc_sigma_latch", 0.05);
-    base.sigmaSkew = cfg.getDouble("mc_sigma_skew", 0.02);
-    base.sigmaJitter = cfg.getDouble("mc_sigma_jitter", 0.03);
-    base.sigmaDie = cfg.getDouble("mc_sigma_die", 0.05);
-    base.seed = static_cast<std::uint64_t>(cfg.getInt("mc_seed", 0));
-    base.samples = static_cast<int>(cfg.getPositiveInt("mc_samples", 16));
-
-    const auto scales = parseDoubleList(
-        cfg.getString("mc_sigma_scale", "1"), "mc_sigma_scale");
+    const study::RunArgs args(argc, argv, kKeys);
+    const auto spec = args.spec(kDefaults);
+    const util::Config &cfg = args.config();
+    const auto obs = bench::observabilityFromArgs(cfg);
+    const auto profiles = args.profiles("176.gcc");
+    const auto ts = args.numbers("t_useful", bench::usefulSweep());
+    const study::VariationModel base = args.variation(kVariation);
+    const auto scales = args.numbers("mc_sigma_scale", {1});
     const std::string csvPath = cfg.getString("csv", "");
     const std::string samplesCsvPath = cfg.getString("samples_csv", "");
     if (!samplesCsvPath.empty() && scales.size() != 1) {
         throw util::ConfigError("samples_csv= needs a single "
                                 "mc_sigma_scale value");
     }
-    const std::string checkpointPath = cfg.getString("checkpoint", "");
-    const bool resume = cfg.getBool("resume", true);
     const bool verbose = cfg.getBool("verbose", false);
 
     // Ctrl-C drains the sweep, flushes the journal, exits 130.
@@ -196,20 +103,9 @@ mcYield(int argc, char **argv)
         mopts.variation.sigmaSkew *= scale;
         mopts.variation.sigmaJitter *= scale;
         mopts.variation.sigmaDie *= scale;
-        auto &copts = mopts.checkpoint;
-        copts.journalPath =
-            checkpointPath.empty()
-                ? std::string()
-                : (scales.size() == 1
-                       ? checkpointPath
-                       : checkpointPath +
-                             util::strprintf(".scale%zu", si));
-        if (!copts.journalPath.empty() && !resume)
-            std::remove(copts.journalPath.c_str());
-        copts.threads = bench::jobsFromArgs(argc, argv);
-        copts.cancel = &cancel;
-        copts.retry.maxAttempts =
-            static_cast<int>(cfg.getPositiveInt("attempts", 1));
+        mopts.checkpoint = args.checkpointOptions(
+            scales.size() == 1 ? "" : util::strprintf(".scale%zu", si));
+        mopts.checkpoint.cancel = &cancel;
 
         study::MonteCarloRunner runner(mopts);
         const study::McSweepResult result =

@@ -28,7 +28,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench/common.hh"
@@ -44,24 +43,18 @@ namespace
 
 using WallClock = std::chrono::steady_clock;
 
-// specKeys() minus sim_impl: this bench measures both engines by
-// definition, so selecting one would only falsify the comparison.
-std::vector<util::KeyDoc>
-sizeKeys()
-{
-    auto keys = bench::specKeys();
-    std::erase_if(keys, [](const util::KeyDoc &k) {
-        return std::string_view(k.key) == "sim_impl";
-    });
-    return keys;
-}
-
-const std::vector<util::KeyDoc> kKeys = bench::keyUnion(
-    {sizeKeys(),
-     {bench::jobsKey()},
-     {{"json", "write the machine-readable trajectory record here "
-               "(default BENCH_sim_throughput.json)"},
-      {"verbose", "print cache diagnostics"}}});
+// No sim_impl=: this bench measures both engines by definition, so
+// selecting one would only falsify the comparison.
+const std::vector<util::KeyDoc> kKeys = study::runKeys(
+    {"instructions", "warmup", "prewarm", "jobs"},
+    {{"json", "write the machine-readable trajectory record here "
+              "(default BENCH_sim_throughput.json)"},
+     {"verbose", "print cache diagnostics"}});
+// Sized so the reference sweep finishes in seconds in CI while the
+// per-cell prewarm cost the batched engine amortizes stays realistic
+// relative to the figure benches (which prewarm 300k-500k).
+const study::RunSpec kDefaults{
+    .instructions = 8000, .warmup = 1000, .prewarm = 400000};
 
 double
 seconds(WallClock::time_point begin, WallClock::time_point end)
@@ -130,13 +123,10 @@ simThroughput(int argc, char **argv)
         "grid >=5x faster than the reference engine at jobs=1, "
         "byte-identically");
 
-    const util::Config cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    // Sized so the reference sweep finishes in seconds in CI while the
-    // per-cell prewarm cost the batched engine amortizes stays realistic
-    // relative to the figure benches (which prewarm 300k-500k).
-    const auto spec = bench::specFromArgs(argc, argv, 8000, 1000, 400000);
-    const int jobs = bench::jobsFromArgs(argc, argv);
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
+    const auto spec = args.spec(kDefaults);
+    const int jobs = args.jobs();
     const std::string jsonPath =
         cfg.getString("json", "BENCH_sim_throughput.json");
     const bool verbose = cfg.getBool("verbose", false);
@@ -172,7 +162,7 @@ simThroughput(int argc, char **argv)
     std::printf("\nsweep: %zu clock periods x %zu benchmarks, jobs=%d\n",
                 ts.size(), profiles.size(), jobs);
 
-    auto runner = bench::runnerFromArgs(argc, argv);
+    study::CheckpointedRunner runner(args.checkpointOptions());
     auto referenceSpec = spec;
     referenceSpec.impl = study::SimImpl::Reference;
     auto batchedSpec = spec;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared plumbing for the experiment harnesses: a uniform banner, the
- * standard run-length knobs (override with instructions= warmup=
- * prewarm= key=value arguments), SIGINT-driven cooperative cancellation,
- * and paper-vs-model table helpers.
+ * Shared plumbing for the experiment harnesses: a uniform banner,
+ * SIGINT-driven cooperative cancellation, the observability knobs, and
+ * paper-vs-model table helpers.  The run-length and sweep keys are
+ * parsed by study::RunArgs (study/run_keys.hh).
  */
 
 #ifndef FO4_BENCH_COMMON_HH
@@ -17,6 +17,7 @@
 
 #include "cacti/latency_cache.hh"
 #include "study/checkpoint.hh"
+#include "study/run_keys.hh"
 #include "study/runner.hh"
 #include "util/cancel.hh"
 #include "util/config.hh"
@@ -44,45 +45,6 @@ banner(const std::string &id, const std::string &claim)
     std::printf("paper claim: %s\n\n", claim.c_str());
 }
 
-/** Standard run spec with command-line overrides.  `sim_impl=` selects
- *  the core implementation; the default is the one-pass batched engine,
- *  which is byte-identical to `sim_impl=reference` (DESIGN.md §14). */
-inline study::RunSpec
-specFromArgs(int argc, char **argv, std::uint64_t instructions = 80000,
-             std::uint64_t warmup = 10000, std::uint64_t prewarm = 500000)
-{
-    const util::Config cfg = util::Config::fromArgs(argc, argv);
-    study::RunSpec spec;
-    spec.instructions = cfg.getInt("instructions", instructions);
-    spec.warmup = cfg.getInt("warmup", warmup);
-    spec.prewarm = cfg.getInt("prewarm", prewarm);
-    spec.impl =
-        study::simImplFromName(cfg.getString("sim_impl", "batched"));
-    return spec;
-}
-
-/** KeyDocs for the run-length/engine knobs specFromArgs reads — the
- *  baseline every sweep bench's kKeys starts from. */
-inline std::vector<util::KeyDoc>
-specKeys()
-{
-    return {
-        {"instructions", "measured instructions per benchmark"},
-        {"warmup", "instructions simulated but discarded first"},
-        {"prewarm",
-         "instructions streamed through caches/predictor first"},
-        {"sim_impl", "core implementation: 'batched' (default, one-pass "
-                     "engine) or 'reference'; results byte-identical"},
-    };
-}
-
-/** KeyDoc for the sweep-engine thread count jobsFromArgs reads. */
-inline util::KeyDoc
-jobsKey()
-{
-    return {"jobs", "worker threads (1 = serial; must be >= 1)"};
-}
-
 /** KeyDocs for the observability knobs observabilityFromArgs reads. */
 inline std::vector<util::KeyDoc>
 observabilityKeys()
@@ -96,7 +58,7 @@ observabilityKeys()
     };
 }
 
-/** kKeys = specKeys() + jobsKey() + per-bench extras, concatenated. */
+/** Concatenate key lists (shared keys, the bench's own, observability). */
 inline std::vector<util::KeyDoc>
 keyUnion(std::initializer_list<std::vector<util::KeyDoc>> lists)
 {
@@ -104,36 +66,6 @@ keyUnion(std::initializer_list<std::vector<util::KeyDoc>> lists)
     for (const auto &list : lists)
         keys.insert(keys.end(), list.begin(), list.end());
     return keys;
-}
-
-/**
- * Worker-thread count for the sweep engine, from `jobs=N` (or
- * `--jobs=N`).  Defaults to serial; N must be >= 1 — `jobs=0` and
- * negative values are rejected with a typed ConfigError rather than
- * silently picking a thread count.  Results are identical at any value
- * (see study/checkpoint.hh).
- */
-inline int
-jobsFromArgs(int argc, char **argv)
-{
-    return static_cast<int>(
-        util::Config::fromArgs(argc, argv).getPositiveInt("jobs", 1));
-}
-
-/** A journalless grid runner on jobsFromArgs() worker threads. */
-inline study::CheckpointedRunner
-runnerFromArgs(int argc, char **argv)
-{
-    study::CheckpointOptions options;
-    options.threads = jobsFromArgs(argc, argv);
-    return study::CheckpointedRunner(std::move(options));
-}
-
-/** The `verbose=`/`--verbose` flag (engineering diagnostics). */
-inline bool
-verboseFromArgs(int argc, char **argv)
-{
-    return util::Config::fromArgs(argc, argv).getBool("verbose", false);
 }
 
 /**
@@ -247,6 +179,31 @@ verdict(const std::string &text)
     std::printf("\nshape check: %s\n", text.c_str());
 }
 
+/** One clause of a shape verdict, and whether this run's numbers bear
+ *  it out. */
+struct Clause
+{
+    bool holds;
+    const char *text;
+};
+
+/** The verdict built from the numbers a bench printed: the clauses that
+ *  hold, then a WARNING naming each one that does not. */
+inline void
+verdict(std::initializer_list<Clause> clauses)
+{
+    std::string held, failed;
+    for (const Clause &c : clauses) {
+        std::string &into = c.holds ? held : failed;
+        into.append(into.empty() ? "" : "; ").append(c.text);
+    }
+    if (!failed.empty())
+        held.append(held.empty() ? "" : "; ")
+            .append("WARNING: not reproduced: ")
+            .append(failed);
+    verdict(held);
+}
+
 // ---------------------------------------------------------------------
 // Observability plumbing: stats= / trace= / trace_start= / trace_cycles=
 // ---------------------------------------------------------------------
@@ -274,9 +231,8 @@ struct ObservabilityOptions
 };
 
 inline ObservabilityOptions
-observabilityFromArgs(int argc, char **argv)
+observabilityFromArgs(const util::Config &cfg)
 {
-    const util::Config cfg = util::Config::fromArgs(argc, argv);
     ObservabilityOptions o;
     o.statsPath = cfg.getString("stats", "");
     o.tracePath = cfg.getString("trace", "");

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "study/run_keys.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/generator.hh"
@@ -20,24 +21,26 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"ilp", "mean dependence distance of the synthetic workload"},
-    {"mispredictable", "fraction of branches that mispredict"},
-    {"ws_kb", "working-set size in KB"},
-    {"instructions", "measured instructions per sweep point"},
-};
+const std::vector<fo4::util::KeyDoc> kKeys = fo4::study::runKeys(
+    {"instructions"},
+    {{"ilp", "mean dependence distance of the synthetic workload"},
+     {"mispredictable", "fraction of branches that mispredict"},
+     {"ws_kb", "working-set size in KB"}});
+const fo4::study::RunSpec kDefaults{.instructions = 60000,
+                                    .prewarm = 400000};
 
 int
 customWorkload(int argc, char **argv)
 {
     using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
 
     // Build a profile from three intuitive knobs.
     const double ilp = cfg.getDouble("ilp", 8.0);
     const double predictable = 1.0 - cfg.getDouble("mispredictable", 0.5);
-    const std::uint64_t wsKb = cfg.getInt("ws_kb", 512);
+    const auto wsKb = static_cast<std::uint64_t>(
+        cfg.getIntIn("ws_kb", 512, 0, INT64_MAX >> 10));
 
     trace::BenchmarkProfile prof;
     prof.name = "custom";
@@ -63,10 +66,7 @@ customWorkload(int argc, char **argv)
         std::printf("  %s\n", gen.next().toString().c_str());
 
     // Find its optimal pipeline depth.
-    study::RunSpec spec;
-    spec.instructions = cfg.getInt("instructions", 60000);
-    spec.warmup = spec.instructions / 8;
-    spec.prewarm = 400000;
+    const auto spec = args.spec(kDefaults, 8); // warmup = instructions / 8
 
     std::printf("\nsweeping pipeline depth:\n");
     util::TextTable t;

@@ -23,10 +23,12 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <thread>
 
+#include "study/run_keys.hh"
 #include "svc/coordinator.hh"
 #include "util/cancel.hh"
 #include "util/config.hh"
@@ -35,42 +37,42 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"port", "TCP port to listen on; 0 picks an ephemeral port"},
-    {"max_queue", "queued sweeps admitted before Overloaded refusals; "
-                  "also the finished sweeps whose results are kept"},
-    {"checkpoint_dir", "directory for per-sweep journals (empty = none)"},
-    {"cache_dir", "persistent result store directory (empty = no cache)"},
-    {"cache_max_bytes", "result store size cap in bytes (0 = unlimited)"},
-    {"tenant_quota", "max queued sweeps per tenant (0 = unlimited)"},
-    {"heartbeat_ms", "heartbeat cadence told to workers"},
-    {"suspect_ms", "silence before a worker turns Suspect"},
-    {"dead_ms", "silence before a worker is declared Dead"},
-    {"lease_timeout_ms", "cell lease lifetime before re-dispatch"},
-    {"local_fallback", "finish cells locally when no worker is live"},
-    {"jobs", "local-fallback threads (1 = serial, 0 = all cores)"},
-    {"verbose", "print the metrics registry on exit"},
-};
+const std::vector<fo4::util::KeyDoc> kKeys = fo4::study::runKeys(
+    {"jobs"},
+    {{"port", "TCP port to listen on; 0 picks an ephemeral port"},
+     {"max_queue", "queued sweeps admitted before Overloaded refusals; "
+                   "also the finished sweeps whose results are kept"},
+     {"checkpoint_dir", "directory for per-sweep journals (empty = none)"},
+     {"cache_dir", "persistent result store directory (empty = no cache)"},
+     {"cache_max_bytes", "result store size cap in bytes (0 = unlimited)"},
+     {"tenant_quota", "max queued sweeps per tenant (0 = unlimited)"},
+     {"heartbeat_ms", "heartbeat cadence told to workers"},
+     {"suspect_ms", "silence before a worker turns Suspect"},
+     {"dead_ms", "silence before a worker is declared Dead"},
+     {"lease_timeout_ms", "cell lease lifetime before re-dispatch"},
+     {"local_fallback", "finish cells locally when no worker is live"},
+     {"verbose", "print the metrics registry on exit"}});
 
 int
 coordMain(int argc, char **argv)
 {
     using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
 
     svc::CoordinatorOptions options;
-    options.port = static_cast<std::uint16_t>(cfg.getInt("port", 0));
+    options.port =
+        static_cast<std::uint16_t>(cfg.getIntIn("port", 0, 0, UINT16_MAX));
     options.maxQueue =
         static_cast<std::size_t>(cfg.getPositiveInt("max_queue", 8));
     options.checkpointDir = cfg.getString("checkpoint_dir", "");
     if (!options.checkpointDir.empty())
         ::mkdir(options.checkpointDir.c_str(), 0777);
     options.cacheDir = cfg.getString("cache_dir", "");
-    options.cacheMaxBytes =
-        static_cast<std::uint64_t>(cfg.getInt("cache_max_bytes", 0));
-    options.tenantQuota =
-        static_cast<std::size_t>(cfg.getInt("tenant_quota", 0));
+    options.cacheMaxBytes = static_cast<std::uint64_t>(
+        cfg.getIntIn("cache_max_bytes", 0, 0, INT64_MAX));
+    options.tenantQuota = static_cast<std::size_t>(
+        cfg.getIntIn("tenant_quota", 0, 0, INT64_MAX));
 
     options.detector.heartbeatMs = static_cast<std::uint64_t>(
         cfg.getPositiveInt("heartbeat_ms", 1000));
@@ -86,7 +88,7 @@ coordMain(int argc, char **argv)
     options.leaseTimeoutMs = static_cast<std::uint64_t>(
         cfg.getPositiveInt("lease_timeout_ms", 60000));
     options.localFallback = cfg.getBool("local_fallback", true);
-    options.localThreads = static_cast<int>(cfg.getInt("jobs", 1));
+    options.localThreads = args.jobs();
 
     util::setMetricsEnabled(true);
     util::CancelToken cancel;

@@ -36,12 +36,14 @@
  * are refused).
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "study/run_keys.hh"
 #include "svc/client.hh"
 #include "svc/sweep.hh"
 #include "util/cancel.hh"
@@ -52,92 +54,49 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"host", "daemon host (default 127.0.0.1)"},
-    {"port", "daemon port (required for remote commands)"},
-    {"timeout_ms", "per-round-trip deadline, milliseconds (> 0)"},
-    {"id", "job id (poll / fetch / cancel)"},
-    {"out", "write fetched result bytes to this file (default stdout)"},
-    {"wait", "submit only: poll until terminal, then fetch"},
-    {"jobs", "local only: worker threads (1 = serial, 0 = all cores)"},
-    {"bench", "comma list of SPEC 2000 profile names"},
-    {"model", "core model: ooo | inorder"},
-    {"instructions", "measured instructions per benchmark"},
-    {"warmup", "instructions simulated but discarded first"},
-    {"prewarm", "instructions streamed through caches/predictor first"},
-    {"cycle_limit", "watchdog budget in cycles (0 = core default)"},
-    {"overhead", "clocking overhead per stage, FO4"},
-    {"t_useful", "comma list of useful FO4 depths to sweep"},
-    {"tenant", "tenant name for per-tenant admission quotas"},
-    {"mc_samples", "Monte Carlo dice per sweep point (0 = deterministic)"},
-    {"mc_dist", "per-stage draw family: normal | lognormal"},
-    {"mc_sigma_latch", "per-stage latch overhead sigma"},
-    {"mc_sigma_skew", "per-stage clock skew sigma"},
-    {"mc_sigma_jitter", "per-stage clock jitter sigma"},
-    {"mc_sigma_die", "die-level systematic corner sigma"},
-    {"mc_seed", "root seed of the sampling streams"},
-};
+using namespace fo4;
 
-std::vector<std::string>
-splitCommaList(const std::string &text)
-{
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        auto comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            items.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return items;
-}
+const std::vector<util::KeyDoc> kKeys = study::runKeys(
+    {"jobs", "bench", "model", "instructions", "warmup", "prewarm",
+     "cycle_limit", "overhead", "t_useful", "mc_samples", "mc_dist",
+     "mc_sigma_latch", "mc_sigma_skew", "mc_sigma_jitter", "mc_sigma_die",
+     "mc_seed"},
+    {{"host", "daemon host (default 127.0.0.1)"},
+     {"port", "daemon port (required for remote commands)"},
+     {"timeout_ms", "per-round-trip deadline, milliseconds (> 0)"},
+     {"id", "job id (poll / fetch / cancel)"},
+     {"out", "write fetched result bytes to this file (default stdout)"},
+     {"wait", "submit only: poll until terminal, then fetch"},
+     {"tenant", "tenant name for per-tenant admission quotas"}});
+const study::RunSpec kDefaults{.instructions = 40000, .prewarm = 200000};
 
-fo4::svc::SweepRequest
-requestFromConfig(const fo4::util::Config &cfg)
+/** The sweep keys as a wire request; jobs= applies to `local` only. */
+svc::SweepRequest
+requestFromArgs(const study::RunArgs &args)
 {
-    using namespace fo4;
+    const auto spec = args.spec(kDefaults, 8); // warmup = instructions / 8
+    const study::VariationModel mc = args.variation({.samples = 0});
     svc::SweepRequest request;
-    request.model = cfg.getString("model", "ooo");
-    request.instructions =
-        static_cast<std::uint64_t>(cfg.getPositiveInt("instructions",
-                                                      40000));
-    request.warmup = static_cast<std::uint64_t>(
-        cfg.getInt("warmup", static_cast<std::int64_t>(
-                                 request.instructions / 8)));
-    request.prewarm =
-        static_cast<std::uint64_t>(cfg.getInt("prewarm", 200000));
-    request.cycleLimit =
-        static_cast<std::uint64_t>(cfg.getInt("cycle_limit", 0));
-    request.overheadFo4 = cfg.getDouble("overhead", 1.8);
-    request.tenant = cfg.getString("tenant", "");
-    request.mcSamples =
-        static_cast<std::uint64_t>(cfg.getInt("mc_samples", 0));
-    request.mcDist = cfg.getString("mc_dist", "normal");
-    request.mcSigmaLatch = cfg.getDouble("mc_sigma_latch", 0.0);
-    request.mcSigmaSkew = cfg.getDouble("mc_sigma_skew", 0.0);
-    request.mcSigmaJitter = cfg.getDouble("mc_sigma_jitter", 0.0);
-    request.mcSigmaDie = cfg.getDouble("mc_sigma_die", 0.0);
-    request.mcSeed = static_cast<std::uint64_t>(cfg.getInt("mc_seed", 0));
-
-    for (const auto &field :
-         splitCommaList(cfg.getString("t_useful", "8,6"))) {
-        char *end = nullptr;
-        const double v = std::strtod(field.c_str(), &end);
-        if (end == field.c_str() || *end != '\0') {
-            throw util::ConfigError("t_useful entry '" + field +
-                                    "' is not a number");
-        }
-        request.tUseful.push_back(v);
-    }
-
-    for (const auto &name :
-         splitCommaList(cfg.getString("bench", "164.gzip,181.mcf"))) {
+    request.model = study::coreModelName(spec.model);
+    request.instructions = spec.instructions;
+    request.warmup = spec.warmup;
+    request.prewarm = spec.prewarm;
+    request.cycleLimit = spec.cycleLimit;
+    request.overheadFo4 = args.number("overhead", 1.8);
+    request.tUseful = args.numbers("t_useful", {8, 6});
+    for (const auto &profile : args.profiles("164.gzip,181.mcf")) {
         svc::WireJob job;
-        job.name = name; // class resolved server-side from the profile
+        job.name = profile.name; // class resolved server-side
         request.jobs.push_back(std::move(job));
     }
+    request.tenant = args.config().getString("tenant", "");
+    request.mcSamples = static_cast<std::uint64_t>(mc.samples);
+    request.mcDist = study::mcDistName(mc.dist);
+    request.mcSigmaLatch = mc.sigmaLatch;
+    request.mcSigmaSkew = mc.sigmaSkew;
+    request.mcSigmaJitter = mc.sigmaJitter;
+    request.mcSigmaDie = mc.sigmaDie;
+    request.mcSeed = mc.seed;
     return request;
 }
 
@@ -151,7 +110,9 @@ writeResults(const fo4::util::Config &cfg, const std::string &bytes)
     }
     if (const auto st = fo4::util::writeWholeFile(out, bytes); !st.isOk())
         throw fo4::util::JournalError(st.code(), st.message());
-    std::printf("wrote %zu bytes to %s\n", bytes.size(), out.c_str());
+    // stderr: out= may name the result stream itself (/dev/stdout).
+    std::fprintf(stderr, "wrote %zu bytes to %s\n", bytes.size(),
+                 out.c_str());
 }
 
 void
@@ -193,13 +154,13 @@ connectFromConfig(const fo4::util::Config &cfg)
             "on startup)");
     }
     const auto port =
-        static_cast<std::uint16_t>(cfg.getPositiveInt("port", 0));
+        static_cast<std::uint16_t>(cfg.getIntIn("port", 0, 1, UINT16_MAX));
     fo4::svc::Client::Options options;
     // getPositiveInt refuses timeout_ms=0 and negatives outright — a
     // zero deadline would mean "fail instantly", never what's wanted.
     if (cfg.has("timeout_ms")) {
         const auto t =
-            static_cast<int>(cfg.getPositiveInt("timeout_ms", 0));
+            static_cast<int>(cfg.getIntIn("timeout_ms", 0, 1, INT_MAX));
         options.ioTimeoutMs = t;
         options.connectTimeoutMs = t;
     }
@@ -229,15 +190,13 @@ exitCodeFor(fo4::util::ErrorCode code)
     }
 }
 
-int remoteMain(const fo4::util::Config &cfg,
-               const std::string &command);
+int remoteMain(const study::RunArgs &args, const std::string &command);
 
 int
 ctlMain(int argc, char **argv)
 {
-    using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
     if (cfg.positional().empty()) {
         throw util::ConfigError(
             "usage: fo4ctl <submit|poll|fetch|cancel|stats|cache"
@@ -249,15 +208,12 @@ ctlMain(int argc, char **argv)
         // The daemon's exact execution path, in-process: encode/decode
         // the request first so local results prove the *wire* form of
         // the sweep is what the daemon would run.
-        const svc::SweepRequest request = svc::SweepRequest::decode(
-            requestFromConfig(cfg).encode());
+        const svc::SweepRequest request =
+            svc::SweepRequest::decode(requestFromArgs(args).encode());
         util::CancelToken cancel;
         util::installSigintCancel(cancel);
         const svc::SweepPlan plan = svc::planSweep(request);
-        writeResults(cfg, svc::runSweep(
-                              plan,
-                              static_cast<int>(cfg.getInt("jobs", 1)),
-                              "", &cancel, {}));
+        writeResults(cfg, svc::runSweep(plan, args.jobs(), "", &cancel, {}));
         return 0;
     }
 
@@ -269,7 +225,7 @@ ctlMain(int argc, char **argv)
                                 "stats, cache, workers or local)");
     }
     try {
-        return remoteMain(cfg, command);
+        return remoteMain(args, command);
     } catch (const util::SvcError &e) {
         if (const auto code = exitCodeFor(e.code())) {
             std::fprintf(stderr, "error [%s]: %s\n",
@@ -281,13 +237,12 @@ ctlMain(int argc, char **argv)
 }
 
 int
-remoteMain(const fo4::util::Config &cfg, const std::string &command)
+remoteMain(const study::RunArgs &args, const std::string &command)
 {
-    using namespace fo4;
+    const util::Config &cfg = args.config();
     svc::Client client = connectFromConfig(cfg);
     if (command == "submit") {
-        const auto [id, cells] =
-            client.submit(requestFromConfig(cfg));
+        const auto [id, cells] = client.submit(requestFromArgs(args));
         std::printf("submitted job %llu (%llu grid cells)\n",
                     static_cast<unsigned long long>(id),
                     static_cast<unsigned long long>(cells));

@@ -25,10 +25,13 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <thread>
 
+#include "study/run_keys.hh"
 #include "svc/server.hh"
 #include "svc/worker.hh"
 #include "util/cancel.hh"
@@ -38,21 +41,20 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"port", "TCP port to listen on; 0 picks an ephemeral port"},
-    {"jobs", "worker threads per sweep (1 = serial, 0 = all cores)"},
-    {"max_queue", "queued sweeps admitted before Overloaded refusals; "
-                  "also the finished sweeps whose results are kept"},
-    {"checkpoint_dir", "directory for per-sweep journals (empty = none)"},
-    {"cache_dir", "persistent result store directory (empty = no cache)"},
-    {"cache_max_bytes", "result store size cap in bytes (0 = unlimited)"},
-    {"tenant_quota", "max queued sweeps per tenant (0 = unlimited)"},
-    {"verbose", "print the metrics registry on exit"},
-    {"coordinator_host", "worker mode: coordinator host (127.0.0.1)"},
-    {"coordinator_port", "worker mode: coordinator port (required)"},
-    {"name", "worker mode: name shown in `fo4ctl workers`"},
-    {"timeout_ms", "worker mode: per-RPC deadline, milliseconds (> 0)"},
-};
+const std::vector<fo4::util::KeyDoc> kKeys = fo4::study::runKeys(
+    {"jobs"},
+    {{"port", "TCP port to listen on; 0 picks an ephemeral port"},
+     {"max_queue", "queued sweeps admitted before Overloaded refusals; "
+                   "also the finished sweeps whose results are kept"},
+     {"checkpoint_dir", "directory for per-sweep journals (empty = none)"},
+     {"cache_dir", "persistent result store directory (empty = no cache)"},
+     {"cache_max_bytes", "result store size cap in bytes (0 = unlimited)"},
+     {"tenant_quota", "max queued sweeps per tenant (0 = unlimited)"},
+     {"verbose", "print the metrics registry on exit"},
+     {"coordinator_host", "worker mode: coordinator host (127.0.0.1)"},
+     {"coordinator_port", "worker mode: coordinator port (required)"},
+     {"name", "worker mode: name shown in `fo4ctl workers`"},
+     {"timeout_ms", "worker mode: per-RPC deadline, milliseconds (> 0)"}});
 
 int
 workerMain(const fo4::util::Config &cfg)
@@ -66,17 +68,17 @@ workerMain(const fo4::util::Config &cfg)
             "prints it on startup)");
     }
     options.port = static_cast<std::uint16_t>(
-        cfg.getPositiveInt("coordinator_port", 0));
+        cfg.getIntIn("coordinator_port", 0, 1, UINT16_MAX));
     options.name = cfg.getString("name", "fo4d-worker");
     if (cfg.has("timeout_ms")) {
         const auto t =
-            static_cast<int>(cfg.getPositiveInt("timeout_ms", 0));
+            static_cast<int>(cfg.getIntIn("timeout_ms", 0, 1, INT_MAX));
         options.ioTimeoutMs = t;
         options.connectTimeoutMs = t;
     }
     options.cacheDir = cfg.getString("cache_dir", "");
-    options.cacheMaxBytes =
-        static_cast<std::uint64_t>(cfg.getInt("cache_max_bytes", 0));
+    options.cacheMaxBytes = static_cast<std::uint64_t>(
+        cfg.getIntIn("cache_max_bytes", 0, 0, INT64_MAX));
 
     util::setMetricsEnabled(true);
     util::CancelToken cancel;
@@ -110,8 +112,8 @@ int
 daemonMain(int argc, char **argv)
 {
     using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
 
     if (!cfg.positional().empty()) {
         const std::string &mode = cfg.positional().front();
@@ -125,8 +127,8 @@ daemonMain(int argc, char **argv)
 
     svc::ServerOptions options;
     options.port =
-        static_cast<std::uint16_t>(cfg.getInt("port", 0));
-    options.threads = static_cast<int>(cfg.getInt("jobs", 1));
+        static_cast<std::uint16_t>(cfg.getIntIn("port", 0, 0, UINT16_MAX));
+    options.threads = args.jobs();
     options.maxQueue =
         static_cast<std::size_t>(cfg.getPositiveInt("max_queue", 8));
     options.checkpointDir = cfg.getString("checkpoint_dir", "");
@@ -135,10 +137,10 @@ daemonMain(int argc, char **argv)
     if (!options.checkpointDir.empty())
         ::mkdir(options.checkpointDir.c_str(), 0777);
     options.cacheDir = cfg.getString("cache_dir", "");
-    options.cacheMaxBytes =
-        static_cast<std::uint64_t>(cfg.getInt("cache_max_bytes", 0));
-    options.tenantQuota =
-        static_cast<std::size_t>(cfg.getInt("tenant_quota", 0));
+    options.cacheMaxBytes = static_cast<std::uint64_t>(
+        cfg.getIntIn("cache_max_bytes", 0, 0, INT64_MAX));
+    options.tenantQuota = static_cast<std::size_t>(
+        cfg.getIntIn("tenant_quota", 0, 0, INT64_MAX));
 
     // The Stats record reports the registry, so collection is on for
     // the daemon's whole lifetime.

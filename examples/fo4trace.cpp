@@ -20,92 +20,47 @@
  * golden tests plus the CMake fragment that registers them in ctest.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 
 #include "study/checkpoint.hh"
 #include "study/goldengen.hh"
+#include "study/run_keys.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/capture.hh"
 #include "trace/recorded_trace.hh"
 #include "trace/spec2000.hh"
 #include "util/config.hh"
+#include "util/frame.hh"
 #include "util/status.hh"
 
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"bench", "SPEC 2000 profile to record or run live"},
-    {"out", "record: capture file; gen: output directory"},
-    {"trace", "capture file to replay / inspect"},
-    {"model", "core model: ooo | inorder"},
-    {"predictor", "branch predictor (tournament, gshare, ...)"},
-    {"instructions", "measured instructions"},
-    {"warmup", "instructions simulated but discarded first"},
-    {"prewarm", "instructions streamed through caches/predictor first"},
-    {"margin", "record: extra ops captured past the deepest fetch"},
-    {"impl", "sim implementation: reference | batched"},
-    {"jobs", "worker threads for replay/live sweeps"},
-    {"depths", "comma list of t_useful sweep points, FO4"},
-    {"csv", "write the sweep's serialized suite rows here"},
-    {"index", "query: first record to print"},
-    {"count", "query: number of records to print"},
-    {"captures", "gen: comma list of capture files"},
-};
-
 using namespace fo4;
 
-std::vector<std::string>
-splitCommaList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::string item =
-            text.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-std::vector<double>
-parseDepths(const std::string &text)
-{
-    std::vector<double> out;
-    for (const std::string &item : splitCommaList(text)) {
-        try {
-            out.push_back(std::stod(item));
-        } catch (const std::exception &) {
-            throw util::ConfigError(util::strprintf(
-                "depths= entry '%s' is not a number", item.c_str()));
-        }
-    }
-    if (out.empty())
-        throw util::ConfigError("depths= names no sweep points");
-    return out;
-}
+const std::vector<util::KeyDoc> kKeys = study::runKeys(
+    {"bench", "model", "predictor", "instructions", "warmup", "prewarm",
+     "jobs", "depths"},
+    {{"out", "record: capture file; gen: output directory"},
+     {"trace", "capture file to replay / inspect"},
+     {"margin", "record: extra ops captured past the deepest fetch"},
+     {"impl", "sim implementation: reference | batched"},
+     {"csv", "write the sweep's serialized suite rows here"},
+     {"index", "query: first record to print"},
+     {"count", "query: number of records to print"},
+     {"captures", "gen: comma list of capture files"}});
 
 /** Spec shared by record and live; live must mirror record exactly. */
 study::RunSpec
-specFromArgs(const util::Config &cfg)
+liveSpec(const study::RunArgs &args)
 {
-    study::RunSpec spec;
-    spec.model = study::coreModelFromName(cfg.getString("model", "ooo"));
-    spec.predictor = cfg.getString("predictor", spec.predictor);
-    spec.instructions =
-        cfg.getPositiveInt("instructions", spec.instructions);
-    spec.warmup = cfg.getInt("warmup", spec.warmup);
-    spec.prewarm = cfg.getInt("prewarm", spec.prewarm);
+    study::RunSpec spec = args.spec({});
+    spec.impl = study::simImplFromName(
+        args.config().getString("impl", "reference"));
     return spec;
 }
 
@@ -113,53 +68,41 @@ specFromArgs(const util::Config &cfg)
  * The sweep both `replay` and `live` run: each depth scaled per the
  * paper, serialized with a depth marker line so the two CSVs line up.
  */
-std::string
-sweepSerialized(const std::vector<double> &depths,
-                const std::vector<study::BenchJob> &jobs,
-                const study::RunSpec &spec, int threads)
-{
-    study::CheckpointOptions options;
-    options.threads = threads;
-    const std::vector<study::SuiteResult> results =
-        study::CheckpointedRunner(std::move(options))
-            .runGrid(study::scalingGrid(depths, {}), jobs, spec);
-    std::string out;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        out += util::strprintf("# t_useful=%g\n", depths[i]);
-        out += study::serializeSuite(results[i]);
-    }
-    return out;
-}
-
 void
-emitSweep(const util::Config &cfg, const std::string &serialized)
+emitSweep(const study::RunArgs &args, const study::BenchJob &job,
+          const study::RunSpec &spec)
 {
-    const std::string csv = cfg.getString("csv", "");
+    const std::vector<double> depths = args.numbers("depths", {6, 8});
+    const std::vector<study::SuiteResult> results =
+        study::CheckpointedRunner(args.checkpointOptions())
+            .runGrid(study::scalingGrid(depths, {}), {job}, spec);
+    std::string serialized;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        serialized += util::strprintf("# t_useful=%g\n", depths[i]);
+        serialized += study::serializeSuite(results[i]);
+    }
+    const std::string csv = args.config().getString("csv", "");
     if (csv.empty()) {
         std::fputs(serialized.c_str(), stdout);
         return;
     }
-    std::ofstream out(csv, std::ios::binary | std::ios::trunc);
-    if (!out || !(out << serialized).flush()) {
-        throw util::TraceError(
-            util::ErrorCode::TraceIo,
-            util::strprintf("cannot write sweep CSV '%s'", csv.c_str()));
-    }
-    std::printf("wrote %zu bytes to %s\n", serialized.size(),
-                csv.c_str());
+    if (const auto st = util::writeWholeFile(csv, serialized); !st.isOk())
+        throw util::JournalError(st.code(), st.message());
+    // stderr: csv= may name the result stream itself (/dev/stdout).
+    std::fprintf(stderr, "wrote %zu bytes to %s\n", serialized.size(),
+                 csv.c_str());
 }
 
 int
-doRecord(const util::Config &cfg)
+doRecord(const study::RunArgs &args)
 {
+    const util::Config &cfg = args.config();
     study::CaptureRequest request;
-    request.profile =
-        trace::spec2000Profile(cfg.getString("bench", "164.gzip"));
-    request.spec = specFromArgs(cfg);
-    request.spec.impl = study::simImplFromName(
-        cfg.getString("impl", "reference"));
+    request.profile = args.profile("164.gzip");
+    request.spec = liveSpec(args);
     request.params = core::CoreParams::alpha21264();
-    request.margin = cfg.getInt("margin", request.margin);
+    request.margin = static_cast<std::uint64_t>(cfg.getIntIn(
+        "margin", static_cast<std::int64_t>(request.margin), 0, INT64_MAX));
     const std::string out = cfg.getString("out", "/tmp/fo4pipe.fo4cap");
 
     const study::CaptureInfo info = study::recordCapture(out, request);
@@ -174,8 +117,9 @@ doRecord(const util::Config &cfg)
 }
 
 int
-doReplay(const util::Config &cfg)
+doReplay(const study::RunArgs &args)
 {
+    const util::Config &cfg = args.config();
     const std::string path = cfg.getString("trace", "");
     if (path.empty())
         throw util::ConfigError("replay needs trace=<capture>");
@@ -187,24 +131,15 @@ doReplay(const util::Config &cfg)
         capture.metaValue("benchmark", path),
         study::benchClassFromName(capture.metaValue("class", "integer")),
         path);
-    emitSweep(cfg,
-              sweepSerialized(parseDepths(cfg.getString("depths", "6,8")),
-                              {job}, spec, cfg.getInt("jobs", 1)));
+    emitSweep(args, job, spec);
     return 0;
 }
 
 int
-doLive(const util::Config &cfg)
+doLive(const study::RunArgs &args)
 {
-    const trace::BenchmarkProfile profile =
-        trace::spec2000Profile(cfg.getString("bench", "164.gzip"));
-    study::RunSpec spec = specFromArgs(cfg);
-    spec.impl =
-        study::simImplFromName(cfg.getString("impl", "reference"));
-    const study::BenchJob job = study::BenchJob::fromProfile(profile);
-    emitSweep(cfg,
-              sweepSerialized(parseDepths(cfg.getString("depths", "6,8")),
-                              {job}, spec, cfg.getInt("jobs", 1)));
+    emitSweep(args, study::BenchJob::fromProfile(args.profile("164.gzip")),
+              liveSpec(args));
     return 0;
 }
 
@@ -253,8 +188,10 @@ doQuery(const util::Config &cfg)
     if (path.empty())
         throw util::ConfigError("query needs trace=<capture>");
     trace::RecordedTrace capture(path);
-    const std::uint64_t index = cfg.getInt("index", 0);
-    const std::uint64_t count = cfg.getPositiveInt("count", 8);
+    const auto index =
+        static_cast<std::uint64_t>(cfg.getIntIn("index", 0, 0, INT64_MAX));
+    const auto count =
+        static_cast<std::uint64_t>(cfg.getPositiveInt("count", 8));
     if (index >= capture.recordedInstructions()) {
         throw util::ConfigError(util::strprintf(
             "index %llu past the %zu recorded instructions",
@@ -275,7 +212,7 @@ int
 doGen(const util::Config &cfg)
 {
     const std::vector<std::string> captures =
-        splitCommaList(cfg.getString("captures", ""));
+        study::splitList(cfg.getString("captures", ""));
     if (captures.empty())
         throw util::ConfigError("gen needs captures=<a.fo4cap,...>");
     const std::string outDir = cfg.getString("out", "tests/generated");
@@ -309,16 +246,16 @@ doGen(const util::Config &cfg)
 int
 fo4trace(int argc, char **argv)
 {
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
     const std::string mode =
         cfg.positional().empty() ? "stats" : cfg.positional()[0];
     if (mode == "record")
-        return doRecord(cfg);
+        return doRecord(args);
     if (mode == "replay")
-        return doReplay(cfg);
+        return doReplay(args);
     if (mode == "live")
-        return doLive(cfg);
+        return doLive(args);
     if (mode == "stats")
         return doStats(cfg);
     if (mode == "query")

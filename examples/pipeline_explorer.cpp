@@ -30,74 +30,37 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"bench", "SPEC 2000 profile to sweep (default 176.gcc)"},
-    {"class", "sweep a whole class: integer | vfp | nvfp | all"},
-    {"overhead", "clocking overhead per stage, FO4"},
-    {"model", "core model: ooo | inorder"},
-    {"instructions", "measured instructions per benchmark"},
-    {"prewarm", "instructions streamed through caches/predictor first"},
-    {"jobs", "worker threads (1 = serial; must be >= 1)"},
-    {"checkpoint", "journal file; an interrupted sweep resumes from it"},
-    {"resume", "resume=0 discards an existing journal and starts over"},
-    {"mc_samples", "Monte Carlo dice per sweep point (0 = deterministic)"},
-    {"mc_dist", "per-stage draw family: normal | lognormal"},
-    {"mc_sigma_latch", "per-stage latch overhead sigma"},
-    {"mc_sigma_skew", "per-stage clock skew sigma"},
-    {"mc_sigma_jitter", "per-stage clock jitter sigma"},
-    {"mc_sigma_die", "die-level systematic corner sigma"},
-    {"mc_seed", "root seed of the sampling streams"},
-    {"verbose", "print cache and metrics diagnostics"},
-    {"stats", "write per-point stall-attribution CSV here"},
-    {"trace", "write a Chrome pipeline trace of one benchmark here"},
-    {"trace_start", "first cycle the trace records"},
-    {"trace_cycles", "length of the traced cycle window"},
-};
+using namespace fo4;
 
-std::vector<fo4::trace::BenchmarkProfile>
-pickProfiles(const fo4::util::Config &cfg)
-{
-    using namespace fo4::trace;
-    if (cfg.has("class")) {
-        const std::string cls = cfg.getString("class", "integer");
-        if (cls == "integer")
-            return spec2000Profiles(BenchClass::Integer);
-        if (cls == "vector-fp" || cls == "vfp")
-            return spec2000Profiles(BenchClass::VectorFp);
-        if (cls == "non-vector-fp" || cls == "nvfp")
-            return spec2000Profiles(BenchClass::NonVectorFp);
-        if (cls == "all")
-            return spec2000Profiles();
-        throw fo4::util::ConfigError(fo4::util::strprintf(
-            "unknown class '%s' (use integer, vfp, nvfp or all)",
-            cls.c_str()));
-    }
-    return {spec2000Profile(cfg.getString("bench", "176.gcc"))};
-}
+const std::vector<util::KeyDoc> kKeys = study::runKeys(
+    {"bench", "class", "overhead", "model", "instructions", "prewarm", "jobs",
+     "checkpoint", "resume", "mc_samples", "mc_dist", "mc_sigma_latch",
+     "mc_sigma_skew", "mc_sigma_jitter", "mc_sigma_die", "mc_seed"},
+    bench::observabilityKeys());
+const study::RunSpec kDefaults{.instructions = 80000, .prewarm = 500000};
+// The explorer's nominal is uniform(overhead) — the skew and jitter
+// components decompose to zero — so the default variation rides the
+// latch component; normal sigmas on a zero-nominal component would
+// reject every draw.  mc_samples=0 keeps the deterministic sweep.
+const study::VariationModel kVariation{
+    .sigmaLatch = 0.05, .sigmaDie = 0.05, .samples = 0};
 
 int
 explore(int argc, char **argv)
 {
-    using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    const auto obs = bench::observabilityFromArgs(argc, argv);
-    const auto profiles = pickProfiles(cfg);
-    const double overhead = cfg.getDouble("overhead", 1.8);
-    const int jobs = static_cast<int>(cfg.getPositiveInt("jobs", 1));
-    const std::string checkpoint = cfg.getString("checkpoint", "");
-    if (!checkpoint.empty() && !cfg.getBool("resume", true))
-        std::remove(checkpoint.c_str());
-
-    study::RunSpec spec;
-    spec.instructions = cfg.getInt("instructions", 80000);
-    spec.warmup = spec.instructions / 8;
-    spec.prewarm = cfg.getInt("prewarm", 500000);
-    spec.model = study::coreModelFromName(cfg.getString("model", "ooo"));
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
+    const auto obs = bench::observabilityFromArgs(cfg);
+    const auto profiles = args.profiles("176.gcc");
+    const double overhead = args.number("overhead", 1.8);
+    const auto spec = args.spec(kDefaults, 8); // warmup = instructions / 8
+    const study::VariationModel variation = args.variation(kVariation);
 
     // Ctrl-C cancels cooperatively: drain, flush the journal, exit 130.
     util::CancelToken cancel;
     util::installSigintCancel(cancel);
+    study::CheckpointOptions copts = args.checkpointOptions();
+    copts.cancel = &cancel;
 
     std::vector<double> ts;
     for (double u = 2; u <= 16; u += 1)
@@ -108,34 +71,14 @@ explore(int argc, char **argv)
     // mc_samples= switches the sweep to the Monte Carlo engine: every
     // die draws per-stage overhead around the nominal, and the curve
     // reported is the yield-weighted mean with its confidence band.
-    const int mcSamples = static_cast<int>(cfg.getInt("mc_samples", 0));
-    if (mcSamples > 0) {
-        study::McOptions mopts;
-        mopts.sweep = sweep;
-        mopts.variation.dist =
-            study::mcDistFromName(cfg.getString("mc_dist", "normal"));
-        // The explorer's nominal is uniform(overhead) — the skew and
-        // jitter components decompose to zero — so the default
-        // variation rides the latch component; normal sigmas on a
-        // zero-nominal component would reject every draw.
-        mopts.variation.sigmaLatch = cfg.getDouble("mc_sigma_latch", 0.05);
-        mopts.variation.sigmaSkew = cfg.getDouble("mc_sigma_skew", 0.0);
-        mopts.variation.sigmaJitter =
-            cfg.getDouble("mc_sigma_jitter", 0.0);
-        mopts.variation.sigmaDie = cfg.getDouble("mc_sigma_die", 0.05);
-        mopts.variation.seed =
-            static_cast<std::uint64_t>(cfg.getInt("mc_seed", 0));
-        mopts.variation.samples = mcSamples;
-        mopts.checkpoint.journalPath = checkpoint;
-        mopts.checkpoint.threads = jobs;
-        mopts.checkpoint.cancel = &cancel;
-        study::MonteCarloRunner mc(mopts);
+    if (variation.samples > 0) {
+        study::MonteCarloRunner mc({sweep, variation, std::move(copts)});
 
         std::printf("Monte Carlo sweep: t_useful = 2..16 FO4, overhead "
                     "%.1f FO4 nominal, %d dice/point (%s), %zu "
                     "benchmark(s), %d worker thread(s)\n\n",
-                    overhead, mcSamples,
-                    study::mcDistName(mopts.variation.dist),
+                    overhead, variation.samples,
+                    study::mcDistName(variation.dist),
                     profiles.size(), mc.threads());
         const study::McSweepResult result = mc.run(ts, profiles, spec);
 
@@ -161,10 +104,6 @@ explore(int argc, char **argv)
         return 0;
     }
 
-    study::CheckpointOptions copts;
-    copts.journalPath = checkpoint;
-    copts.threads = jobs;
-    copts.cancel = &cancel;
     study::CheckpointedRunner runner(std::move(copts));
 
     std::printf("sweeping t_useful = 2..16 FO4, overhead %.1f FO4, %zu "

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "core/core.hh"
+#include "study/run_keys.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/generator.hh"
@@ -20,20 +21,18 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"bench", "SPEC 2000 profile to run (default 164.gzip)"},
-    {"instructions", "measured instructions per configuration"},
-};
+const std::vector<fo4::util::KeyDoc> kKeys =
+    fo4::study::runKeys({"bench", "instructions"});
+const fo4::study::RunSpec kDefaults{.instructions = 100000,
+                                    .prewarm = 500000};
 
 int
 quickstart(int argc, char **argv)
 {
     using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    const auto prof =
-        trace::spec2000Profile(cfg.getString("bench", "164.gzip"));
-    const std::uint64_t n = cfg.getInt("instructions", 100000);
+    const study::RunArgs args(argc, argv, kKeys);
+    const auto prof = args.profile("164.gzip");
+    const auto spec = args.spec(kDefaults, 10); // warmup = instructions / 10
 
     std::printf("benchmark: %s (%s)\n", prof.name.c_str(),
                 trace::benchClassName(prof.cls));
@@ -43,7 +42,8 @@ quickstart(int argc, char **argv)
         trace::SyntheticTraceGenerator gen(prof);
         auto core = core::makeOooCore(core::CoreParams::alpha21264(),
                                       "tournament");
-        const auto r = core->run(gen, n, n / 10, 500000);
+        const auto r =
+            core->run(gen, spec.instructions, spec.warmup, spec.prewarm);
         std::printf("\nAlpha 21264 baseline:\n");
         std::printf("  IPC %.3f, mispredict rate %.1f%%, DL1 miss rate "
                     "%.1f%%\n",
@@ -59,7 +59,8 @@ quickstart(int argc, char **argv)
         const auto clock = study::scaledClock(tUseful);
         trace::SyntheticTraceGenerator gen(prof);
         auto core = core::makeOooCore(params, "tournament");
-        const auto r = core->run(gen, n, n / 10, 500000);
+        const auto r =
+            core->run(gen, spec.instructions, spec.warmup, spec.prewarm);
         std::printf("\nscaled to %.0f FO4 useful logic (period %.1f FO4, "
                     "%.2f GHz at 100nm):\n",
                     tUseful, clock.periodFo4(), clock.frequencyGhz());

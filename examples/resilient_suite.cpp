@@ -26,16 +26,13 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"instructions", "measured instructions per benchmark"},
-    {"dir", "directory for the deliberately corrupted trace file"},
-    {"jobs", "worker threads (1 = serial; must be >= 1)"},
-    {"verbose", "print cache and metrics diagnostics"},
-    {"stats", "write the per-benchmark stats CSV here"},
-    {"trace", "write a Chrome pipeline trace of one benchmark here"},
-    {"trace_start", "first cycle the trace records"},
-    {"trace_cycles", "length of the traced cycle window"},
-};
+const std::vector<fo4::util::KeyDoc> kKeys = fo4::study::runKeys(
+    {"instructions", "jobs"},
+    fo4::bench::keyUnion(
+        {{{"dir", "directory for the deliberately corrupted trace file"}},
+         fo4::bench::observabilityKeys()}));
+const fo4::study::RunSpec kDefaults{.instructions = 40000,
+                                    .prewarm = 200000};
 
 /**
  * Record a short capture, then overwrite one byte inside its op frame
@@ -69,14 +66,10 @@ int
 resilientSuite(int argc, char **argv)
 {
     using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    const auto obs = bench::observabilityFromArgs(argc, argv);
-
-    study::RunSpec spec;
-    spec.instructions = cfg.getInt("instructions", 40000);
-    spec.warmup = spec.instructions / 8;
-    spec.prewarm = 200000;
+    const study::RunArgs args(argc, argv, kKeys);
+    const util::Config &cfg = args.config();
+    const auto obs = bench::observabilityFromArgs(cfg);
+    const auto spec = args.spec(kDefaults, 8); // warmup = instructions / 8
 
     const auto params = study::scaledCoreParams(6.0, {});
     const auto clock = study::scaledClock(6.0);
@@ -112,8 +105,7 @@ resilientSuite(int argc, char **argv)
     // or corrupt job fails alone no matter which worker ran it.  The
     // checkpointed runner (journalless here) threads the cancel token
     // down to every simulation's per-cycle check.
-    study::CheckpointOptions copts;
-    copts.threads = static_cast<int>(cfg.getPositiveInt("jobs", 1));
+    study::CheckpointOptions copts = args.checkpointOptions();
     copts.cancel = &cancel;
     study::CheckpointedRunner runner(std::move(copts));
     std::printf("running %zu benchmarks (2 sabotaged on purpose) on %d "

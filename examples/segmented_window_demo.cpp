@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/core.hh"
+#include "study/run_keys.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "trace/generator.hh"
@@ -25,19 +26,18 @@
 namespace
 {
 
-const std::vector<fo4::util::KeyDoc> kKeys = {
-    {"t_useful", "useful FO4 per stage the window is scaled to"},
-    {"instructions", "measured instructions per configuration"},
-};
+const std::vector<fo4::util::KeyDoc> kKeys =
+    fo4::study::runKeys({"t_useful", "instructions"});
+const fo4::study::RunSpec kDefaults{.instructions = 80000,
+                                    .prewarm = 400000};
 
 int
 windowDemo(int argc, char **argv)
 {
     using namespace fo4;
-    const auto cfg = util::Config::fromArgs(argc, argv);
-    cfg.checkKnown(kKeys);
-    const double tUseful = cfg.getDouble("t_useful", 6.0);
-    const std::uint64_t n = cfg.getInt("instructions", 80000);
+    const study::RunArgs args(argc, argv, kKeys);
+    const double tUseful = args.number("t_useful", 6.0);
+    const auto spec = args.spec(kDefaults, 8); // warmup = instructions / 8
 
     const auto profiles =
         trace::spec2000Profiles(trace::BenchClass::Integer);
@@ -49,7 +49,8 @@ windowDemo(int argc, char **argv)
         for (const auto &prof : profiles) {
             trace::SyntheticTraceGenerator gen(prof);
             auto core = core::makeOooCore(params, "tournament");
-            const auto r = core->run(gen, n, n / 8, 400000);
+            const auto r =
+                core->run(gen, spec.instructions, spec.warmup, spec.prewarm);
             bips.push_back(clock.bips(r.ipc()));
         }
         return std::pair<double, int>(util::harmonicMean(bips),

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/stats.hh"
 #include "util/status.hh"
 
 namespace fo4::mem
@@ -53,15 +52,14 @@ class Cache
     void flush();
 
     const CacheParams &params() const { return prm; }
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
 
     double
     missRate() const
     {
-        const double total =
-            static_cast<double>(hits_.value() + misses_.value());
-        return total > 0 ? misses_.value() / total : 0.0;
+        const double total = static_cast<double>(hits_ + misses_);
+        return total > 0 ? misses_ / total : 0.0;
     }
 
   private:
@@ -79,8 +77,8 @@ class Cache
     CacheParams prm;
     std::vector<Line> lines; // sets * associativity, set-major
     std::uint64_t useClock = 0;
-    util::Counter hits_;
-    util::Counter misses_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
 
 } // namespace fo4::mem

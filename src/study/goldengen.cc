@@ -6,6 +6,7 @@
 #include "study/scaling.hh"
 #include "trace/generator.hh"
 #include "trace/recorder.hh"
+#include "util/config.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
 
@@ -19,22 +20,6 @@ std::string
 u64String(std::uint64_t v)
 {
     return util::strprintf("%llu", static_cast<unsigned long long>(v));
-}
-
-std::uint64_t
-metaU64(const trace::RecordedTrace &capture, const std::string &key,
-        std::uint64_t fallback)
-{
-    const std::string text = capture.metaValue(key);
-    if (text.empty())
-        return fallback;
-    try {
-        return std::stoull(text);
-    } catch (const std::exception &) {
-        throw util::ConfigError(util::strprintf(
-            "capture meta '%s' is not a number: '%s'", key.c_str(),
-            text.c_str()));
-    }
 }
 
 /** C++ enumerator spelling for a BenchClass, for generated sources. */
@@ -195,13 +180,17 @@ recordCapture(const std::string &path, const CaptureRequest &request)
 RunSpec
 specFromCaptureMeta(const trace::RecordedTrace &capture)
 {
+    // The run lengths pass the command line's range checks.
+    util::Config meta;
+    for (const auto &[key, value] : capture.meta())
+        meta.set(key, value);
     RunSpec spec;
-    spec.model = coreModelFromName(capture.metaValue("model", "ooo"));
-    spec.predictor = capture.metaValue("predictor", spec.predictor);
+    spec.model = coreModelFromName(meta.getString("model", "ooo"));
+    spec.predictor = meta.getString("predictor", spec.predictor);
     spec.instructions =
-        metaU64(capture, "instructions", spec.instructions);
-    spec.warmup = metaU64(capture, "warmup", spec.warmup);
-    spec.prewarm = metaU64(capture, "prewarm", spec.prewarm);
+        meta.getIntIn("instructions", spec.instructions, 1, INT64_MAX);
+    spec.warmup = meta.getIntIn("warmup", spec.warmup, 0, INT64_MAX);
+    spec.prewarm = meta.getIntIn("prewarm", spec.prewarm, 0, INT64_MAX);
     return spec;
 }
 

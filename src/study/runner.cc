@@ -138,6 +138,9 @@ RunSpec::validate() const
     util::ErrorCollector errs;
     if (instructions == 0)
         errs.addf("instructions must be positive");
+    if (prewarm > UINT64_MAX - warmup ||
+        prewarm + warmup > UINT64_MAX - instructions)
+        errs.addf("prewarm + warmup + instructions overflows 64 bits");
     if (predictor.empty())
         errs.addf("no branch predictor named");
     else if (const auto st = bp::checkPredictorName(predictor); !st.isOk())

@@ -1,6 +1,8 @@
 #include "util/config.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -128,19 +130,10 @@ runTopLevel(int argc, const char *const *argv,
 std::vector<std::string>
 Config::checkKnown(std::initializer_list<const char *> known) const
 {
-    std::vector<std::string> unknown;
-    for (const auto &[key, value] : values) {
-        const bool found = std::any_of(known.begin(), known.end(),
-                                       [&key](const char *k) {
-                                           return key == k;
-                                       });
-        if (!found) {
-            warn("unknown config key '%s=%s' (misspelled?) is ignored",
-                 key.c_str(), value.c_str());
-            unknown.push_back(key);
-        }
-    }
-    return unknown;
+    std::vector<KeyDoc> docs;
+    for (const char *key : known)
+        docs.push_back({key, ""});
+    return checkKnown(docs);
 }
 
 std::string
@@ -157,27 +150,31 @@ Config::getInt(const std::string &key, std::int64_t fallback) const
     if (it == values.end())
         return fallback;
     char *end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0') {
-        throw ConfigError(strprintf("config key '%s': '%s' is not an "
-                                    "integer",
+    if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
+        throw ConfigError(strprintf("config key '%s': '%s' is not a "
+                                    "64-bit integer",
                                     key.c_str(), it->second.c_str()));
     }
     return v;
 }
 
 std::int64_t
-Config::getPositiveInt(const std::string &key, std::int64_t fallback) const
+Config::getIntIn(const std::string &key, std::int64_t fallback,
+                 std::int64_t lo, std::int64_t hi) const
 {
     const std::int64_t v = getInt(key, fallback);
-    if (has(key) && v <= 0) {
-        throw ConfigError(strprintf("config key '%s': %lld is not a "
-                                    "positive integer (must be >= 1)",
-                                    key.c_str(),
-                                    static_cast<long long>(v)));
+    if (has(key) && (v < lo || v > hi)) {
+        throw ConfigError(strprintf(
+            "config key '%s': %lld is %s %lld", key.c_str(),
+            static_cast<long long>(v),
+            v < lo ? "below its minimum" : "above its maximum",
+            static_cast<long long>(v < lo ? lo : hi)));
     }
     return v;
 }
+
 
 double
 Config::getDouble(const std::string &key, double fallback) const

@@ -66,14 +66,19 @@ class Config
                           const std::string &fallback) const;
     std::int64_t getInt(const std::string &key, std::int64_t fallback) const;
 
-    /**
-     * getInt, but a stored value <= 0 throws ConfigError — for counts
-     * (jobs=, attempts=) where zero or negative is always a user error
-     * that should fail fast instead of silently selecting a default.
-     * The fallback is returned unchecked when the key is absent.
-     */
+    /** getInt, but a stored value outside [lo, hi] throws ConfigError:
+     *  the range check every integer key passes before its cast, so no
+     *  value wraps (warmup=-1) or truncates (port=70000 as a uint16_t).
+     *  The fallback is returned unchecked when the key is absent. */
+    std::int64_t getIntIn(const std::string &key, std::int64_t fallback,
+                          std::int64_t lo, std::int64_t hi) const;
+
+    /** getIntIn with lo = 1, for counts such as attempts= or id=. */
     std::int64_t getPositiveInt(const std::string &key,
-                                std::int64_t fallback) const;
+                                std::int64_t fallback) const
+    {
+        return getIntIn(key, fallback, 1, INT64_MAX);
+    }
     double getDouble(const std::string &key, double fallback) const;
     bool getBool(const std::string &key, bool fallback) const;
 

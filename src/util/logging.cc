@@ -9,8 +9,6 @@ namespace fo4::util
 namespace
 {
 
-LogLevel globalLevel = LogLevel::Warnings;
-
 void
 vreport(const char *tag, const char *fmt, va_list args)
 {
@@ -20,18 +18,6 @@ vreport(const char *tag, const char *fmt, va_list args)
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
 
 std::string
 vstrprintf(const char *fmt, va_list args)
@@ -87,22 +73,9 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (globalLevel == LogLevel::Silent)
-        return;
     va_list args;
     va_start(args, fmt);
     vreport("warn", fmt, args);
-    va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (globalLevel != LogLevel::Info)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
     va_end(args);
 }
 

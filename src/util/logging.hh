@@ -2,8 +2,8 @@
  * @file
  * Error and status reporting helpers, following the gem5 convention:
  * panic() for internal invariant violations (simulator bugs), fatal() for
- * unrecoverable user errors in CLI-only code, warn()/inform() for
- * non-fatal status messages.
+ * unrecoverable user errors in CLI-only code, warn() for non-fatal
+ * status messages.
  *
  * Library code reports recoverable failures (bad configuration, corrupt
  * traces, watchdog expiry) by throwing the SimError hierarchy in
@@ -19,15 +19,6 @@
 
 namespace fo4::util
 {
-
-/** Destination and verbosity control for warn()/inform(). */
-enum class LogLevel { Silent, Warnings, Info };
-
-/** Set the global log level. Defaults to Warnings. */
-void setLogLevel(LogLevel level);
-
-/** Current global log level. */
-LogLevel logLevel();
 
 /**
  * Report an internal invariant violation and abort.  Use for conditions
@@ -45,9 +36,6 @@ LogLevel logLevel();
 
 /** Report a suspicious but survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print the location header of a failed assertion (used by FO4_ASSERT). */
 void assertFailed(const char *cond, const char *file, int line);

@@ -141,13 +141,6 @@ MetricsRegistry::counterCount() const
     return counters.size();
 }
 
-std::size_t
-MetricsRegistry::histogramCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return histograms.size();
-}
-
 void
 MetricsRegistry::resetAll()
 {

@@ -146,7 +146,6 @@ class MetricsRegistry
     std::uint64_t value(const std::string &name) const;
 
     std::size_t counterCount() const;
-    std::size_t histogramCount() const;
 
     /** Zero every counter and histogram (registrations survive). */
     void resetAll();

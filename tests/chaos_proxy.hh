@@ -146,16 +146,17 @@ class ChaosProxy
                 continue;
             }
             ++nAccepted;
-            auto conn = std::make_unique<Conn>();
-            conn->client = client;
-            conn->server = server;
-            Conn *raw = conn.get();
-            conn->up = std::thread(
-                [this, raw] { pump(raw->client, raw->server, false); });
-            conn->down = std::thread(
-                [this, raw] { pump(raw->server, raw->client, true); });
+            // Register the connection before its pumps start: a pump
+            // whose truncation budget is already spent calls sever()
+            // at once, and sever() must find this connection to shut.
             std::lock_guard<std::mutex> lock(connMutex);
-            conns.push_back(std::move(conn));
+            Conn *raw = conns.emplace_back(std::make_unique<Conn>()).get();
+            raw->client = client;
+            raw->server = server;
+            raw->up = std::thread(
+                [this, raw] { pump(raw->client, raw->server, false); });
+            raw->down = std::thread(
+                [this, raw] { pump(raw->server, raw->client, true); });
         }
     }
 

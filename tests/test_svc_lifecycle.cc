@@ -16,9 +16,9 @@
  *  - Stats counts every verdict, and the sweep-latency histogram
  *    samples every job the dispatcher takes, whatever answered it
  *    (DESIGN.md §9);
- *  - a request with a non-finite clock or an unknown predictor is
- *    refused at submit with InvalidConfig, and the same connection
- *    still answers.
+ *  - a request with a non-finite clock, an unknown predictor or run
+ *    lengths whose sum wraps is refused at submit with InvalidConfig,
+ *    and the same connection still answers.
  */
 
 #include <gtest/gtest.h>
@@ -167,6 +167,27 @@ class Lifecycle : public ::testing::TestWithParam<Daemon>
 
     bool wasEnabled = false;
 };
+
+/** Submit `request` on `raw`: it must be refused with InvalidConfig,
+ *  and the same session must still answer Stats. */
+void
+expectRefusedAtSubmit(util::TcpStream &raw,
+                      const svc::SweepRequest &request, const char *what)
+{
+    svc::writeFrame(raw, svc::MsgType::SubmitSweep, request.encode(), 5000);
+    const auto reply = svc::readFrame(raw, 5000);
+    ASSERT_TRUE(reply.has_value()) << what;
+    ASSERT_EQ(reply->type, svc::MsgType::Error) << what;
+    EXPECT_EQ(svc::decodeError(reply->body).first, ErrorCode::InvalidConfig)
+        << what;
+    // The refusal cost neither the session nor the daemon.
+    svc::writeFrame(raw, svc::MsgType::Stats, "", 5000);
+    const auto stats = svc::readFrame(raw, 5000);
+    ASSERT_TRUE(stats.has_value()) << what;
+    ASSERT_EQ(stats->type, svc::MsgType::StatsReport) << what;
+    EXPECT_EQ(svc::StatsSnapshot::decode(stats->body).submitted, 0u)
+        << what;
+}
 
 } // namespace
 
@@ -333,43 +354,36 @@ TEST_P(Lifecycle, NonFiniteClocksAndUnknownPredictorsAreRefusedAtSubmit)
     const auto daemon = start();
     util::TcpStream raw =
         util::TcpStream::connect("127.0.0.1", daemon->port());
-    const auto refuse = [&raw](const svc::SweepRequest &request,
-                               const char *what) {
-        svc::writeFrame(raw, svc::MsgType::SubmitSweep, request.encode(),
-                        5000);
-        const auto reply = svc::readFrame(raw, 5000);
-        ASSERT_TRUE(reply.has_value()) << what;
-        ASSERT_EQ(reply->type, svc::MsgType::Error) << what;
-        EXPECT_EQ(svc::decodeError(reply->body).first,
-                  ErrorCode::InvalidConfig)
-            << what;
-        // The refusal cost neither the session nor the daemon.
-        svc::writeFrame(raw, svc::MsgType::Stats, "", 5000);
-        const auto stats = svc::readFrame(raw, 5000);
-        ASSERT_TRUE(stats.has_value()) << what;
-        ASSERT_EQ(stats->type, svc::MsgType::StatsReport) << what;
-        EXPECT_EQ(svc::StatsSnapshot::decode(stats->body).submitted, 0u)
-            << what;
-    };
-
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     svc::SweepRequest request = smallRequest();
     request.tUseful = {nan};
-    refuse(request, "t_useful=nan");
+    expectRefusedAtSubmit(raw, request, "t_useful=nan");
     request = smallRequest();
     request.overheadFo4 = inf;
-    refuse(request, "overhead=inf");
+    expectRefusedAtSubmit(raw, request, "overhead=inf");
     request.overheadFo4 = nan;
-    refuse(request, "overhead=nan");
+    expectRefusedAtSubmit(raw, request, "overhead=nan");
     request = smallRequest();
     request.tUseful = {6.0, inf};
-    refuse(request, "t_useful=inf");
+    expectRefusedAtSubmit(raw, request, "t_useful=inf");
     request.tUseful = {std::numeric_limits<double>::denorm_min()};
-    refuse(request, "subnormal t_useful");
+    expectRefusedAtSubmit(raw, request, "subnormal t_useful");
     request = smallRequest();
     request.predictor = "zzz";
-    refuse(request, "predictor=zzz");
+    expectRefusedAtSubmit(raw, request, "predictor=zzz");
+}
+
+TEST_P(Lifecycle, RunLengthsThatWrapAreRefusedAtSubmit)
+{
+    // The wire admits any u64; prewarm + warmup + instructions must
+    // not wrap in the cores' run loops.
+    const auto daemon = start();
+    util::TcpStream raw =
+        util::TcpStream::connect("127.0.0.1", daemon->port());
+    svc::SweepRequest request = smallRequest();
+    request.warmup = UINT64_MAX;
+    expectRefusedAtSubmit(raw, request, "warmup=UINT64_MAX");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for the streaming statistics in util/means.hh: Welford
- * moments (exact against a two-pass reference) and the P² streaming
- * quantile (exact for small n, close to the exact sample quantile for
- * large n).  These aggregates sit behind the Monte Carlo confidence
- * bands, so their determinism — same insertion order, same bits — is
- * part of the statistical identity contract.
+ * Unit tests for util/means.hh: the harmonic, arithmetic and geometric
+ * means, and the streaming statistics — Welford moments (exact against
+ * a two-pass reference) and the P² streaming quantile (exact for small
+ * n, close to the exact sample quantile for large n).  These aggregates
+ * sit behind the Monte Carlo confidence bands, so their determinism —
+ * same insertion order, same bits — is part of the statistical identity
+ * contract.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,9 @@
 using fo4::util::P2Quantile;
 using fo4::util::RandomStream;
 using fo4::util::StreamingMoments;
+using fo4::util::arithmeticMean;
+using fo4::util::geometricMean;
+using fo4::util::harmonicMean;
 
 namespace
 {
@@ -192,4 +196,42 @@ TEST(P2Quantile, MonotoneAcrossQuantiles)
     }
     EXPECT_LT(p5.value(), p50.value());
     EXPECT_LT(p50.value(), p95.value());
+}
+
+TEST(Means, HarmonicOfEqualValues)
+{
+    EXPECT_DOUBLE_EQ(harmonicMean({2.0, 2.0, 2.0}), 2.0);
+}
+
+TEST(Means, HarmonicDominatedBySmallValues)
+{
+    const double h = harmonicMean({1.0, 100.0});
+    EXPECT_LT(h, 2.0);
+    EXPECT_GT(h, 1.0);
+}
+
+TEST(Means, HarmonicKnownValue)
+{
+    // HM(1, 2, 4) = 3 / (1 + 0.5 + 0.25) = 12/7.
+    EXPECT_NEAR(harmonicMean({1.0, 2.0, 4.0}), 12.0 / 7.0, 1e-12);
+}
+
+TEST(Means, ArithmeticKnownValue)
+{
+    EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);
+}
+
+TEST(Means, GeometricKnownValue)
+{
+    EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-12);
+}
+
+TEST(Means, OrderingHarmonicLeGeometricLeArithmetic)
+{
+    const std::vector<double> v{1.5, 2.5, 7.0, 0.5};
+    const double h = harmonicMean(v);
+    const double g = geometricMean(v);
+    const double a = arithmeticMean(v);
+    EXPECT_LE(h, g + 1e-12);
+    EXPECT_LE(g, a + 1e-12);
 }
