@@ -8,6 +8,8 @@
  * pipelines can be so much deeper.
  */
 
+#include <cmath>
+
 #include "bench/common.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
@@ -65,14 +67,19 @@ cray(int argc, char **argv)
                 optModern);
     std::printf("integer optimum, Cray-1S memory: %.0f FO4 (paper: 11)\n",
                 optCray);
+    const double kunkelSmith =
+        tech::eclLevelsToFo4(tech::kunkelSmithScalarLevels);
     std::printf("Kunkel & Smith scalar optimum: 8 ECL levels = %.1f FO4; "
                 "vector: 4 levels = %.1f FO4 (Appendix A conversion)\n",
-                tech::eclLevelsToFo4(tech::kunkelSmithScalarLevels),
+                kunkelSmith,
                 tech::eclLevelsToFo4(tech::kunkelSmithVectorLevels));
 
-    bench::verdict("the flat 12-cycle memory pushes the optimum to a "
-                   "substantially shallower pipeline than the cached "
-                   "machine, near the Kunkel-Smith 10.9 FO4 point");
+    bench::verdict(
+        {{optCray > optModern, "the flat 12-cycle memory pushes the "
+                               "optimum to a shallower pipeline than the "
+                               "cached machine"},
+         {std::abs(optCray - kunkelSmith) <= 1,
+          "within 1 FO4 of the Kunkel-Smith 10.9 FO4 point"}});
     return 0;
 }
 

@@ -21,6 +21,7 @@
  * PATH.scale<i>.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -95,6 +96,7 @@ mcYield(int argc, char **argv)
     }
 
     std::vector<double> optima;
+    bool taxed = true;
     for (std::size_t si = 0; si < scales.size(); ++si) {
         const double scale = scales[si];
         study::McOptions mopts;
@@ -167,6 +169,14 @@ mcYield(int argc, char **argv)
         t.print(std::cout);
         const double opt = result.optimumTUseful();
         optima.push_back(opt);
+        const auto [deepest, shallowest] = std::minmax_element(
+            result.points.begin(), result.points.end(),
+            [](const auto &a, const auto &b) {
+                return a.tUseful < b.tUseful;
+            });
+        taxed = taxed && deepest->yield <= shallowest->yield &&
+                deepest->all.p5Bips * shallowest->all.meanBips <=
+                    shallowest->all.p5Bips * deepest->all.meanBips;
         std::printf("yield-weighted optimum at sigma scale %g: %.0f FO4 "
                     "useful logic per stage\n\n",
                     scale, opt);
@@ -199,20 +209,18 @@ mcYield(int argc, char **argv)
     if (csv)
         csv->commit();
 
-    std::string v = "deeper pipelines pay the worst of more per-stage "
-                    "draws, so variation taxes small t_useful hardest";
-    bool monotone = true;
-    for (std::size_t i = 1; i < optima.size(); ++i) {
-        if (optima[i] < optima[i - 1])
-            monotone = false;
-    }
+    std::vector<bench::Clause> clauses{
+        {taxed, "deeper pipelines pay the worst of more per-stage draws, "
+                "so variation taxes small t_useful hardest (yield and "
+                "p5/mean at the smallest t_useful no better than at the "
+                "largest)"}};
     if (scales.size() > 1) {
-        v += monotone ? "; the yield-weighted optimum moved monotonically "
-                        "to shallower (or equal) pipelines as sigma grew"
-                      : "; WARNING: the optimum moved deeper as sigma "
-                        "grew";
+        clauses.push_back(
+            {std::is_sorted(optima.begin(), optima.end()),
+             "the yield-weighted optimum moved monotonically to "
+             "shallower (or equal) pipelines as sigma grew"});
     }
-    bench::verdict(v);
+    bench::verdict(clauses);
     bench::printLatencyCacheStats(verbose);
     bench::printMetricsRegistry(verbose);
     return 0;

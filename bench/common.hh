@@ -14,6 +14,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cacti/latency_cache.hh"
 #include "study/checkpoint.hh"
@@ -190,7 +191,7 @@ struct Clause
 /** The verdict built from the numbers a bench printed: the clauses that
  *  hold, then a WARNING naming each one that does not. */
 inline void
-verdict(std::initializer_list<Clause> clauses)
+verdict(const std::vector<Clause> &clauses)
 {
     std::string held, failed;
     for (const Clause &c : clauses) {

@@ -426,6 +426,47 @@ appendOrDisableJournal(std::optional<util::JournalWriter> &writer,
     appendErrors.inc();
 }
 
+GridJournal
+openGridJournal(const std::string &path, std::uint64_t fingerprint,
+                std::size_t points, std::size_t jobs)
+{
+    GridJournal journal;
+    if (!util::journalExists(path)) {
+        journal.writer.emplace(util::JournalWriter::create(path, fingerprint));
+        return journal;
+    }
+    const util::JournalContents recovered = util::readJournal(path);
+    if (recovered.fingerprint != fingerprint) {
+        throw util::JournalError(
+            util::ErrorCode::ResumeMismatch,
+            util::strprintf(
+                "journal '%s' was written by a run with different inputs "
+                "(journal identity %016llx, this run %016llx); refusing "
+                "to merge — delete the journal or restore the original "
+                "parameters",
+                path.c_str(),
+                static_cast<unsigned long long>(recovered.fingerprint),
+                static_cast<unsigned long long>(fingerprint)));
+    }
+    journal.resumed = true;
+    journal.tornTail = recovered.tornTail;
+    journal.cells.reserve(recovered.records.size());
+    for (const auto &record : recovered.records) {
+        CellRecord cell = decodeCellRecord(record, path);
+        if (cell.point >= points || cell.job >= jobs) {
+            throw util::JournalError(
+                util::ErrorCode::JournalCorrupt,
+                util::strprintf("journal '%s': cell (%zu, %zu) outside "
+                                "the %zux%zu grid",
+                                path.c_str(), cell.point, cell.job, points,
+                                jobs));
+        }
+        journal.cells.push_back(std::move(cell));
+    }
+    journal.writer.emplace(util::JournalWriter::appendTo(path, recovered));
+    return journal;
+}
+
 std::uint64_t
 gridFingerprint(const std::vector<GridPoint> &points,
                 const std::vector<BenchJob> &jobs, const RunSpec &spec)
@@ -550,51 +591,22 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
     // --- recovery: replay the journal, bind to it for appends ---
     std::optional<util::JournalWriter> writer;
     std::mutex journalMutex;
-    const std::uint64_t fingerprint = gridFingerprint(points, jobs, spec);
     if (!opts.journalPath.empty()) {
-        if (util::journalExists(opts.journalPath)) {
-            auto recovered = util::readJournal(opts.journalPath);
-            if (recovered.fingerprint != fingerprint) {
-                throw util::JournalError(
-                    util::ErrorCode::ResumeMismatch,
-                    util::strprintf(
-                        "journal '%s' was written by a run with "
-                        "different inputs (journal identity %016llx, "
-                        "this run %016llx); refusing to merge — delete "
-                        "the journal or restore the original "
-                        "parameters",
-                        opts.journalPath.c_str(),
-                        static_cast<unsigned long long>(
-                            recovered.fingerprint),
-                        static_cast<unsigned long long>(fingerprint)));
+        GridJournal journal = openGridJournal(
+            opts.journalPath, gridFingerprint(points, jobs, spec),
+            points.size(), nJobs);
+        lastReport.resumed = journal.resumed;
+        lastReport.tornTailDiscarded = journal.tornTail;
+        for (auto &cell : journal.cells) {
+            auto &slot = done[cell.point * nJobs + cell.job];
+            if (!slot) {
+                slot = 1;
+                ++lastReport.replayedCells;
             }
-            lastReport.resumed = true;
-            lastReport.tornTailDiscarded = recovered.tornTail;
-            for (const auto &record : recovered.records) {
-                auto cell = decodeCellRecord(record, opts.journalPath);
-                if (cell.point >= points.size() || cell.job >= nJobs) {
-                    throw util::JournalError(
-                        util::ErrorCode::JournalCorrupt,
-                        util::strprintf(
-                            "journal '%s': cell (%zu, %zu) outside the "
-                            "%zux%zu grid",
-                            opts.journalPath.c_str(), cell.point,
-                            cell.job, points.size(), nJobs));
-                }
-                auto &slot = done[cell.point * nJobs + cell.job];
-                if (!slot) {
-                    slot = 1;
-                    ++lastReport.replayedCells;
-                }
-                results[cell.point].benchmarks[cell.job] =
-                    std::move(cell.result);
-            }
-            writer.emplace(
-                util::JournalWriter::appendTo(opts.journalPath, recovered));
-        } else {
-            writer.emplace(
-                util::JournalWriter::create(opts.journalPath, fingerprint));
+            results[cell.point].benchmarks[cell.job] =
+                std::move(cell.result);
         }
+        writer = std::move(journal.writer);
     }
 
     // --- fabric seeds: cells completed elsewhere land in their slots

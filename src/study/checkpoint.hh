@@ -168,6 +168,31 @@ CellRecord decodeCellRecord(const std::string &payload,
 void appendOrDisableJournal(std::optional<util::JournalWriter> &writer,
                             std::string_view record);
 
+/** A grid's journal, created or recovered, bound for appends. */
+struct GridJournal
+{
+    /** The cells an existing journal already held, in append order. */
+    std::vector<CellRecord> cells;
+    /** True if an existing journal was recovered. */
+    bool resumed = false;
+    /** True if recovery discarded a torn trailing record. */
+    bool tornTail = false;
+    std::optional<util::JournalWriter> writer;
+};
+
+/**
+ * Create the journal of a `points` x `jobs` grid whose identity is
+ * `fingerprint` (gridFingerprint), or recover the one already at
+ * `path`.  Recovery refuses a journal of other inputs
+ * (ResumeMismatch) and a record that does not decode to a cell inside
+ * the grid (JournalCorrupt), then binds the writer to the end of the
+ * valid prefix.  CheckpointedRunner and the fleet coordinator both
+ * open their journals here.
+ */
+GridJournal openGridJournal(const std::string &path,
+                            std::uint64_t fingerprint, std::size_t points,
+                            std::size_t jobs);
+
 /** Knobs of the checkpointed runner. */
 struct CheckpointOptions
 {

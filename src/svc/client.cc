@@ -12,6 +12,24 @@ namespace fo4::svc
 using util::ErrorCode;
 using util::SvcError;
 
+namespace
+{
+
+/** Throws SvcError(Protocol) unless `response` is a `want` record. */
+void
+checkType(const Frame &response, MsgType want)
+{
+    if (response.type != want) {
+        throw SvcError(ErrorCode::Protocol,
+                       util::strprintf(
+                           "expected record type %u, server sent %u",
+                           static_cast<unsigned>(want),
+                           static_cast<unsigned>(response.type)));
+    }
+}
+
+} // namespace
+
 Client::Client(const std::string &hostIn, std::uint16_t portIn,
                Options options)
     : host(hostIn), port(portIn), opts(std::move(options))
@@ -39,7 +57,7 @@ Client::Client(const std::string &hostIn, std::uint16_t portIn,
 Frame
 Client::roundTrip(MsgType type, std::string_view body, bool idempotent)
 {
-    auto &reconnects =
+    static util::MetricCounter &reconnects =
         util::MetricsRegistry::global().counter("svc.client.reconnects");
     for (int attempt = 1;; ++attempt) {
         bool wrote = false;
@@ -88,13 +106,7 @@ Client::expect(MsgType type, std::string_view body, MsgType want,
                bool idempotent)
 {
     Frame response = roundTrip(type, body, idempotent);
-    if (response.type != want) {
-        throw SvcError(ErrorCode::Protocol,
-                       util::strprintf(
-                           "expected record type %u, server sent %u",
-                           static_cast<unsigned>(want),
-                           static_cast<unsigned>(response.type)));
-    }
+    checkType(response, want);
     return response;
 }
 
@@ -145,6 +157,48 @@ Client::workers()
     const Frame response = expect(MsgType::Workers, std::string_view{},
                                   MsgType::WorkerReport);
     return WorkerSnapshot::decodeList(response.body);
+}
+
+HelloOkInfo
+Client::workerHello(const WorkerHelloInfo &hello)
+{
+    // Not idempotent: a resent hello registers a second id.
+    const Frame response =
+        expect(MsgType::WorkerHello, hello.encode(), MsgType::HelloOk,
+               /*idempotent=*/false);
+    return HelloOkInfo::decode(response.body);
+}
+
+std::optional<CellLeaseInfo>
+Client::requestLease(std::uint64_t workerId, std::uint64_t &retryMs)
+{
+    // Not idempotent: a resent request is granted a second cell.
+    const Frame response = roundTrip(MsgType::LeaseRequest,
+                                     encodeWorkerId(workerId),
+                                     /*idempotent=*/false);
+    if (response.type == MsgType::NoWork) {
+        retryMs = decodeRetryMs(response.body);
+        return std::nullopt;
+    }
+    checkType(response, MsgType::CellLease);
+    return CellLeaseInfo::decode(response.body);
+}
+
+bool
+Client::cellDone(const CellDoneInfo &done)
+{
+    const Frame response =
+        expect(MsgType::CellDone, done.encode(), MsgType::DoneOk);
+    return decodeAccepted(response.body);
+}
+
+bool
+Client::heartbeat(std::uint64_t workerId)
+{
+    const Frame response = expect(MsgType::Heartbeat,
+                                  encodeWorkerId(workerId),
+                                  MsgType::HeartbeatOk);
+    return decodeKnown(response.body);
 }
 
 JobStatusInfo

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,26 @@ class Client
     /** The coordinator's fleet roster; a plain fo4d answers with a
      *  Protocol error (it serves no fleet). */
     std::vector<WorkerSnapshot> workers();
+
+    // The fleet records a worker sends a coordinator.  A request naming
+    // an id the coordinator does not know, or has declared dead, is
+    // answered NotFound (Heartbeat: known = false); the worker then
+    // registers again.
+
+    /** Register; returns the fresh id and the coordinator's cadences. */
+    HelloOkInfo workerHello(const WorkerHelloInfo &hello);
+
+    /** Ask for a cell: its lease, or nullopt with `retryMs` set to the
+     *  coordinator's NoWork back-off hint. */
+    std::optional<CellLeaseInfo> requestLease(std::uint64_t workerId,
+                                              std::uint64_t &retryMs);
+
+    /** Report a computed cell; false when it was a duplicate (another
+     *  completion of the cell already won). */
+    bool cellDone(const CellDoneInfo &done);
+
+    /** One liveness beat; false when the id is unknown or dead. */
+    bool heartbeat(std::uint64_t workerId);
 
     /**
      * Poll until the job is terminal, sleeping `pollMs` between polls

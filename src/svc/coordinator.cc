@@ -67,41 +67,6 @@ Coordinator::idleTick()
         .add(fleet.newlyDead(FabricClock::now()).size());
 }
 
-void
-Coordinator::replayJournal(ActiveSweep &sweep)
-{
-    auto recovered = util::readJournal(sweep.journalPath);
-    if (recovered.fingerprint != sweep.fingerprint) {
-        throw util::JournalError(
-            ErrorCode::ResumeMismatch,
-            util::strprintf(
-                "journal '%s' was written by a sweep with different "
-                "inputs (journal identity %016llx, this sweep %016llx)",
-                sweep.journalPath.c_str(),
-                static_cast<unsigned long long>(recovered.fingerprint),
-                static_cast<unsigned long long>(sweep.fingerprint)));
-    }
-    const std::size_t nJobs = sweep.plan.jobs.size();
-    for (const auto &record : recovered.records) {
-        auto cell = study::decodeCellRecord(record, sweep.journalPath);
-        if (cell.point >= sweep.plan.points.size() ||
-            cell.job >= nJobs) {
-            throw util::JournalError(
-                ErrorCode::JournalCorrupt,
-                util::strprintf(
-                    "journal '%s': cell (%zu, %zu) outside the %zux%zu "
-                    "grid",
-                    sweep.journalPath.c_str(), cell.point, cell.job,
-                    sweep.plan.points.size(), nJobs));
-        }
-        const std::size_t i = cell.point * nJobs + cell.job;
-        sweep.scheduler.markDone(cell.point, cell.job);
-        sweep.cells[i] = std::move(cell);
-    }
-    sweep.writer.emplace(
-        util::JournalWriter::appendTo(sweep.journalPath, recovered));
-}
-
 std::string
 Coordinator::assembleResults(ActiveSweep &sweep, bool executeRemainder,
                              bool &anyFailed)
@@ -116,7 +81,6 @@ Coordinator::assembleResults(ActiveSweep &sweep, bool executeRemainder,
     copts.journalPath =
         executeRemainder ? sweep.journalPath : std::string();
     copts.threads = executeRemainder ? opts.localThreads : 1;
-    copts.retry = opts.retry;
     copts.cancel = executeRemainder ? &sweep.job->cancel : nullptr;
     copts.seedCells.reserve(sweep.cells.size());
     for (const auto &[i, cell] : sweep.cells)
@@ -153,11 +117,15 @@ Coordinator::computeSweep(const std::shared_ptr<JobRecord> &job,
             job, std::move(plan), fingerprint, FabricClock::now());
         sweep->journalPath = journalPath;
         if (!journalPath.empty()) {
-            if (util::journalExists(journalPath))
-                replayJournal(*sweep);
-            else
-                sweep->writer.emplace(
-                    util::JournalWriter::create(journalPath, fingerprint));
+            const std::size_t nJobs = sweep->plan.jobs.size();
+            study::GridJournal journal = study::openGridJournal(
+                journalPath, fingerprint, sweep->plan.points.size(), nJobs);
+            for (auto &cell : journal.cells) {
+                sweep->scheduler.markDone(cell.point, cell.job);
+                sweep->cells[cell.point * nJobs + cell.job] =
+                    std::move(cell);
+            }
+            sweep->writer = std::move(journal.writer);
         }
         job->cellsDone.store(sweep->scheduler.doneCount());
 
@@ -212,39 +180,39 @@ Coordinator::computeSweep(const std::shared_ptr<JobRecord> &job,
 // Frame handling
 // ---------------------------------------------------------------------
 
-void
-Coordinator::handleFrame(util::TcpStream &stream, const Frame &frame)
+Frame
+Coordinator::handleFrame(const Frame &frame)
 {
-    if (handleClientFrame(stream, frame))
-        return;
     switch (frame.type) {
       case MsgType::Workers:
-        handleWorkers(stream);
-        return;
+        return handleWorkers();
       case MsgType::WorkerHello:
-        handleWorkerHello(stream, frame);
-        return;
+        return handleWorkerHello(frame);
       case MsgType::LeaseRequest:
-        handleLeaseRequest(stream, frame);
-        return;
+        return handleLeaseRequest(frame);
       case MsgType::CellDone:
-        handleCellDone(stream, frame);
-        return;
+        return handleCellDone(frame);
       case MsgType::Heartbeat:
-        handleHeartbeat(stream, frame);
-        return;
+        return handleHeartbeat(frame);
       default:
-        throw SvcError(
-            ErrorCode::Protocol,
-            util::strprintf("record type %u is not a request this "
-                            "coordinator serves",
-                            static_cast<unsigned>(frame.type)));
+        return SessionServer::handleFrame(frame);
     }
 }
 
 void
-Coordinator::handleWorkerHello(util::TcpStream &stream,
-                               const Frame &frame)
+Coordinator::touchOrThrow(std::uint64_t workerId)
+{
+    if (!fleet.touch(workerId, FabricClock::now())) {
+        throw SvcError(ErrorCode::NotFound,
+                       util::strprintf("unknown or dead worker id %llu — "
+                                       "re-register with WorkerHello",
+                                       static_cast<unsigned long long>(
+                                           workerId)));
+    }
+}
+
+Frame
+Coordinator::handleWorkerHello(const Frame &frame)
 {
     const WorkerHelloInfo hello = WorkerHelloInfo::decode(frame.body);
     HelloOkInfo ok;
@@ -257,62 +225,45 @@ Coordinator::handleWorkerHello(util::TcpStream &stream,
     fabricCounter("svc.fabric.workers_registered").inc();
     ok.heartbeatMs = opts.detector.heartbeatMs;
     ok.leaseTimeoutMs = opts.leaseTimeoutMs;
-    writeFrame(stream, MsgType::HelloOk, ok.encode(), kFrameTimeoutMs);
+    return {MsgType::HelloOk, ok.encode()};
 }
 
-void
-Coordinator::handleLeaseRequest(util::TcpStream &stream,
-                                const Frame &frame)
+Frame
+Coordinator::handleLeaseRequest(const Frame &frame)
 {
     const std::uint64_t workerId = decodeWorkerId(frame.body);
-    // Build the response under the lock, write it after: a slow or
-    // black-holed worker must never hold the fabric hostage for the
-    // write deadline.  If the write then fails, the lease was granted
-    // but never delivered — harmless: it expires and re-dispatches.
-    std::optional<std::string> leaseBody;
-    bool known = false;
+    // Build the response under the lock; the session loop writes it
+    // after: a slow or black-holed worker must never hold the fabric
+    // hostage for the write deadline.  If the write then fails, the
+    // lease was granted but never delivered — harmless: it expires and
+    // re-dispatches.
+    std::optional<CellLeaseInfo> lease;
     {
         std::lock_guard<std::mutex> lock(fabricMutex);
-        known = fleet.touch(workerId, FabricClock::now());
-        if (known && active && !active->fallback &&
+        touchOrThrow(workerId);
+        if (active && !active->fallback &&
             !active->job->cancel.cancelled()) {
             const auto key = active->scheduler.grant(
                 workerId, FabricClock::now() + ms(opts.leaseTimeoutMs));
             if (key) {
-                CellLeaseInfo lease;
-                lease.sweep = active->fingerprint;
-                lease.point = key->point;
-                lease.job = key->job;
-                lease.requestBody = active->requestBody;
+                lease.emplace();
+                lease->sweep = active->fingerprint;
+                lease->point = key->point;
+                lease->job = key->job;
+                lease->requestBody = active->requestBody;
                 active->job->cellsStarted.fetch_add(
                     1, std::memory_order_relaxed);
-                leaseBody = lease.encode();
             }
         }
     }
-    if (!known) {
-        writeFrame(stream, MsgType::Error,
-                   encodeError(ErrorCode::NotFound,
-                               util::strprintf(
-                                   "unknown or dead worker id %llu — "
-                                   "re-register with WorkerHello",
-                                   static_cast<unsigned long long>(
-                                       workerId))),
-                   kFrameTimeoutMs);
-        return;
-    }
-    if (leaseBody) {
-        fabricCounter("svc.fabric.cells_leased").inc();
-        writeFrame(stream, MsgType::CellLease, *leaseBody,
-                   kFrameTimeoutMs);
-        return;
-    }
-    writeFrame(stream, MsgType::NoWork,
-               encodeRetryMs(opts.detector.heartbeatMs), kFrameTimeoutMs);
+    if (!lease)
+        return {MsgType::NoWork, encodeRetryMs(opts.detector.heartbeatMs)};
+    fabricCounter("svc.fabric.cells_leased").inc();
+    return {MsgType::CellLease, lease->encode()};
 }
 
-void
-Coordinator::handleCellDone(util::TcpStream &stream, const Frame &frame)
+Frame
+Coordinator::handleCellDone(const Frame &frame)
 {
     const CellDoneInfo msg = CellDoneInfo::decode(frame.body);
 
@@ -339,12 +290,11 @@ Coordinator::handleCellDone(util::TcpStream &stream, const Frame &frame)
                             static_cast<unsigned long long>(msg.job)));
     }
 
-    bool known = false;
     bool accepted = false;
     {
         std::lock_guard<std::mutex> lock(fabricMutex);
-        known = fleet.touch(msg.workerId, FabricClock::now());
-        if (known && active && !active->fallback &&
+        touchOrThrow(msg.workerId);
+        if (active && !active->fallback &&
             msg.sweep == active->fingerprint) {
             const std::size_t nJobs = active->plan.jobs.size();
             if (cell.point >= active->plan.points.size() ||
@@ -371,27 +321,15 @@ Coordinator::handleCellDone(util::TcpStream &stream, const Frame &frame)
             }
         }
     }
-    if (!known) {
-        writeFrame(stream, MsgType::Error,
-                   encodeError(ErrorCode::NotFound,
-                               util::strprintf(
-                                   "unknown or dead worker id %llu — "
-                                   "re-register with WorkerHello",
-                                   static_cast<unsigned long long>(
-                                       msg.workerId))),
-                   kFrameTimeoutMs);
-        return;
-    }
     if (accepted)
         fabricCounter("svc.fabric.cells_merged").inc();
     else
         fabricCounter("svc.fabric.cells_duplicate").inc();
-    writeFrame(stream, MsgType::DoneOk, encodeAccepted(accepted),
-               kFrameTimeoutMs);
+    return {MsgType::DoneOk, encodeAccepted(accepted)};
 }
 
-void
-Coordinator::handleHeartbeat(util::TcpStream &stream, const Frame &frame)
+Frame
+Coordinator::handleHeartbeat(const Frame &frame)
 {
     const std::uint64_t workerId = decodeWorkerId(frame.body);
     bool known = false;
@@ -399,23 +337,18 @@ Coordinator::handleHeartbeat(util::TcpStream &stream, const Frame &frame)
         std::lock_guard<std::mutex> lock(fabricMutex);
         known = fleet.touch(workerId, FabricClock::now());
     }
-    writeFrame(stream, MsgType::HeartbeatOk, encodeKnown(known),
-               kFrameTimeoutMs);
+    return {MsgType::HeartbeatOk, encodeKnown(known)};
 }
 
-void
-Coordinator::handleWorkers(util::TcpStream &stream)
+Frame
+Coordinator::handleWorkers()
 {
-    std::vector<WorkerSnapshot> rows;
-    {
-        std::lock_guard<std::mutex> lock(fabricMutex);
-        rows = fleet.snapshot(
-            FabricClock::now(), [this](std::uint64_t id) {
-                return active ? active->scheduler.activeLeases(id) : 0;
-            });
-    }
-    writeFrame(stream, MsgType::WorkerReport,
-               WorkerSnapshot::encodeList(rows), kFrameTimeoutMs);
+    std::lock_guard<std::mutex> lock(fabricMutex);
+    return {MsgType::WorkerReport,
+            WorkerSnapshot::encodeList(fleet.snapshot(
+                FabricClock::now(), [this](std::uint64_t id) {
+                    return active ? active->scheduler.activeLeases(id) : 0;
+                }))};
 }
 
 } // namespace fo4::svc

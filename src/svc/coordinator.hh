@@ -72,9 +72,6 @@ struct CoordinatorOptions : DaemonOptions
     std::uint64_t fallbackGraceMs = 5000;
     /** Threads for local-fallback execution; 1 = serial, <= 0 = all. */
     int localThreads = 1;
-    /** Retry policy of local-fallback execution (workers retry their
-     *  own cells; the network layer retries in svc::Worker/Client). */
-    study::RetryPolicy retry;
 };
 
 /** The coordinator daemon.  Construction binds and starts serving. */
@@ -125,8 +122,6 @@ class Coordinator : public SessionServer
                              bool &anyFailed) override;
     /** Between sweeps, the failure detector keeps judging the fleet. */
     void idleTick() override;
-    /** Recover a prior journal into `sweep`; throws JournalError. */
-    void replayJournal(ActiveSweep &sweep);
     /** Assemble final bytes from merged cells (plus local execution of
      *  whatever remains, when `executeRemainder`).  Called without the
      *  fabric lock; `sweep.fallback` is already set.  `anyFailed`
@@ -135,13 +130,16 @@ class Coordinator : public SessionServer
     std::string assembleResults(ActiveSweep &sweep, bool executeRemainder,
                                 bool &anyFailed);
 
-    void handleFrame(util::TcpStream &stream, const Frame &frame) override;
+    Frame handleFrame(const Frame &frame) override;
 
-    void handleWorkerHello(util::TcpStream &stream, const Frame &frame);
-    void handleLeaseRequest(util::TcpStream &stream, const Frame &frame);
-    void handleCellDone(util::TcpStream &stream, const Frame &frame);
-    void handleHeartbeat(util::TcpStream &stream, const Frame &frame);
-    void handleWorkers(util::TcpStream &stream);
+    /** Refresh `workerId`'s liveness, or throw SvcError(NotFound) for an
+     *  id that is unknown or declared dead.  Call under fabricMutex. */
+    void touchOrThrow(std::uint64_t workerId);
+    Frame handleWorkerHello(const Frame &frame);
+    Frame handleLeaseRequest(const Frame &frame);
+    Frame handleCellDone(const Frame &frame);
+    Frame handleHeartbeat(const Frame &frame);
+    Frame handleWorkers();
 
     CoordinatorOptions opts;
 

@@ -239,7 +239,15 @@ SessionServer::sessionLoop(util::TcpStream stream)
                 readFrame(stream, kFrameTimeoutMs);
             if (!frame)
                 return; // peer hung up between frames
-            handleFrame(stream, *frame);
+            Frame reply;
+            try {
+                reply = handleFrame(*frame);
+            } catch (const util::SimError &e) {
+                if (e.code() == ErrorCode::Protocol)
+                    throw; // malformed body: the session-fatal path
+                reply = {MsgType::Error, encodeError(e.code(), e.what())};
+            }
+            writeFrame(stream, reply.type, reply.body, kFrameTimeoutMs);
         } catch (const SvcError &e) {
             // A frame that cannot be trusted costs the session, never
             // the daemon: report the typed verdict while the transport
@@ -258,64 +266,36 @@ SessionServer::sessionLoop(util::TcpStream stream)
     }
 }
 
-void
-SessionServer::handleFrame(util::TcpStream &stream, const Frame &frame)
+Frame
+SessionServer::handleFrame(const Frame &frame)
 {
-    if (handleClientFrame(stream, frame))
-        return;
-    throw SvcError(ErrorCode::Protocol,
-                   util::strprintf("record type %u is not a request "
-                                   "this daemon serves",
-                                   static_cast<unsigned>(frame.type)));
-}
-
-bool
-SessionServer::handleClientFrame(util::TcpStream &stream,
-                                 const Frame &frame)
-{
-    MsgType replyType = MsgType::Error;
-    std::string reply;
-    try {
-        switch (frame.type) {
-          case MsgType::SubmitSweep: {
-            SweepRequest request = SweepRequest::decode(frame.body);
-            // Validate eagerly: a nonsense request is refused here,
-            // synchronously, not failed minutes later in the queue.
-            const SweepPlan plan = planSweep(request);
-            const std::uint64_t cells = plan.cells();
-            const std::uint64_t id = table.submit(
-                std::move(request), cells, planFingerprint(plan));
-            replyType = MsgType::SubmitOk;
-            reply = encodeSubmitOk(id, cells);
-            break;
-          }
-          case MsgType::Poll:
-            replyType = MsgType::JobStatus;
-            reply = table.status(decodeId(frame.body)).encode();
-            break;
-          case MsgType::FetchResults:
-            replyType = MsgType::Results;
-            reply = table.fetchResults(decodeId(frame.body));
-            break;
-          case MsgType::Cancel:
-            replyType = MsgType::CancelOk;
-            reply = table.cancelJob(decodeId(frame.body)).encode();
-            break;
-          case MsgType::Stats:
-            replyType = MsgType::StatsReport;
-            reply = buildStats().encode();
-            break;
-          default:
-            return false;
-        }
-    } catch (const util::SimError &e) {
-        if (e.code() == ErrorCode::Protocol)
-            throw; // malformed body: the session-fatal path
-        replyType = MsgType::Error;
-        reply = encodeError(e.code(), e.what());
+    switch (frame.type) {
+      case MsgType::SubmitSweep: {
+        SweepRequest request = SweepRequest::decode(frame.body);
+        // Validate eagerly: a nonsense request is refused here,
+        // synchronously, not failed minutes later in the queue.
+        const SweepPlan plan = planSweep(request);
+        const std::uint64_t cells = plan.cells();
+        const std::uint64_t id =
+            table.submit(std::move(request), cells, planFingerprint(plan));
+        return {MsgType::SubmitOk, encodeSubmitOk(id, cells)};
+      }
+      case MsgType::Poll:
+        return {MsgType::JobStatus,
+                table.status(decodeId(frame.body)).encode()};
+      case MsgType::FetchResults:
+        return {MsgType::Results, table.fetchResults(decodeId(frame.body))};
+      case MsgType::Cancel:
+        return {MsgType::CancelOk,
+                table.cancelJob(decodeId(frame.body)).encode()};
+      case MsgType::Stats:
+        return {MsgType::StatsReport, buildStats().encode()};
+      default:
+        throw SvcError(ErrorCode::Protocol,
+                       util::strprintf("record type %u is not a request "
+                                       "this daemon serves",
+                                       static_cast<unsigned>(frame.type)));
     }
-    writeFrame(stream, replyType, reply, kFrameTimeoutMs);
-    return true;
 }
 
 } // namespace fo4::svc

@@ -12,9 +12,10 @@
  * coordinator (svc::Coordinator) are SessionServers: a coordinator
  * speaks the *same* client protocol as a daemon — fo4ctl cannot tell
  * them apart — and adds the fleet records on top.  A derived daemon
- * supplies its compute step (computeSweep) and, optionally, the frames
- * the shared handler does not recognise (handleFrame) and an idle tick
- * for the dispatcher's empty-queue wakeups.
+ * supplies its compute step (computeSweep) and, optionally, the replies
+ * to records the base does not serve (handleFrame) and an idle tick for
+ * the dispatcher's empty-queue wakeups.  The session loop writes every
+ * reply, so no derived daemon touches a socket.
  *
  * Fault containment (inherited by every derived daemon): a malformed
  * or corrupt frame costs its *session* — the peer gets a typed Error
@@ -113,22 +114,17 @@ class SessionServer
     static constexpr int kFrameTimeoutMs = 10000;
 
     /**
-     * Serve one request frame: the client records (handleClientFrame),
-     * and any other frame is a peer speaking the protocol backwards —
-     * SvcError(Protocol), session-fatal.  A daemon that serves more
-     * records overrides this, trying handleClientFrame() first.
+     * The reply to one request frame.  The base answers the client
+     * records: SubmitSweep (validated eagerly via planSweep), Poll,
+     * FetchResults, Cancel and Stats; any other frame is a peer
+     * speaking the protocol backwards — SvcError(Protocol).  A daemon
+     * that serves more records overrides this and hands the rest to
+     * the base.  The session loop writes every reply: a thrown SimError
+     * is the request's Error-frame verdict (NotFound, NotReady,
+     * Overloaded, a refused request), except Protocol, which costs the
+     * session (see the file comment).
      */
-    virtual void handleFrame(util::TcpStream &stream, const Frame &frame);
-
-    /**
-     * The client-protocol records every daemon answers: SubmitSweep
-     * (validated eagerly via planSweep), Poll, FetchResults, Cancel,
-     * Stats.  Returns false when `frame` is none of them.  Expected
-     * per-request failures (NotFound, NotReady, Overloaded, a refused
-     * request) are answered with an Error frame; Protocol errors
-     * propagate — they are session-fatal by the trust model.
-     */
-    bool handleClientFrame(util::TcpStream &stream, const Frame &frame);
+    virtual Frame handleFrame(const Frame &frame);
 
     /**
      * The compute step: the canonical result bytes of `plan`, which

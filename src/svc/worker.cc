@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "study/runner.hh"
+#include "svc/client.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 
@@ -16,40 +17,27 @@ namespace
 using util::ErrorCode;
 using util::SvcError;
 
-/** Write one request, read its response.  A peer that hangs up between
- *  frames is a transport failure here (mid-conversation), not orderly
- *  EOF — the reconnect path owns it. */
-Frame
-roundTrip(util::TcpStream &stream, MsgType type, const std::string &body,
-          int ioTimeoutMs)
-{
-    writeFrame(stream, type, body, ioTimeoutMs);
-    std::optional<Frame> frame = readFrame(stream, ioTimeoutMs);
-    if (!frame) {
-        throw SvcError(ErrorCode::NetIo,
-                       "coordinator hung up mid-conversation");
-    }
-    return std::move(*frame);
-}
+/** Backoff between reconnect cycles: 50 ms, doubling to a 2 s cap. */
+const study::RetryPolicy kReconnect{
+    .baseDelayMs = 50.0,
+    .backoffFactor = 2.0,
+    .maxDelayMs = 2000.0,
+};
 
-/** Throws the remote verdict when `frame` is an Error record. */
-void
-throwIfError(const Frame &frame)
+/** Both loops' connections: the worker's deadlines, and no retry
+ *  inside a call — each loop owns its reconnect cadence. */
+Client::Options
+clientOptions(const WorkerOptions &opts)
 {
-    if (frame.type == MsgType::Error) {
-        const auto [code, message] = decodeError(frame.body);
-        throw SvcError(code, message);
-    }
+    return {.connectTimeoutMs = opts.connectTimeoutMs,
+            .ioTimeoutMs = opts.ioTimeoutMs,
+            .reconnect = false};
 }
 
 } // namespace
 
 Worker::Worker(WorkerOptions options) : opts(std::move(options))
 {
-    if (const auto st = opts.reconnect.validate(); !st.isOk())
-        throw util::ConfigError("reconnect policy: " + st.message());
-    if (const auto st = opts.retry.validate(); !st.isOk())
-        throw util::ConfigError("retry policy: " + st.message());
     if (!opts.cacheDir.empty())
         store = std::make_unique<ResultStore>(opts.cacheDir,
                                               opts.cacheMaxBytes);
@@ -115,30 +103,18 @@ Worker::workLoop()
     auto &reconnects = util::MetricsRegistry::global().counter(
         "svc.worker.reconnects");
 
-    util::TcpStream stream;
+    std::optional<Client> client;
     int backoffAttempt = 1;
     while (!stopping.load()) {
         try {
-            if (!stream.connected()) {
-                stream = util::TcpStream::connect(
-                    opts.host, opts.port, opts.connectTimeoutMs);
-            }
+            if (!client)
+                client.emplace(opts.host, opts.port, clientOptions(opts));
 
             // Register (or re-register after being declared dead).
             WorkerHelloInfo hello;
             hello.name = opts.name;
             hello.threads = 1;
-            Frame reply = roundTrip(stream, MsgType::WorkerHello,
-                                    hello.encode(), opts.ioTimeoutMs);
-            throwIfError(reply);
-            if (reply.type != MsgType::HelloOk) {
-                throw SvcError(
-                    ErrorCode::Protocol,
-                    util::strprintf("expected HelloOk, got record "
-                                    "type %u",
-                                    static_cast<unsigned>(reply.type)));
-            }
-            const HelloOkInfo ok = HelloOkInfo::decode(reply.body);
+            const HelloOkInfo ok = client->workerHello(hello);
             id.store(ok.workerId);
             if (ok.heartbeatMs > 0)
                 heartbeatMs.store(ok.heartbeatMs);
@@ -147,29 +123,15 @@ Worker::workLoop()
             // Pull leases until stopped, declared dead, or the
             // transport fails.
             while (!stopping.load()) {
-                Frame r = roundTrip(stream, MsgType::LeaseRequest,
-                                    encodeWorkerId(id.load()),
-                                    opts.ioTimeoutMs);
-                if (r.type == MsgType::Error) {
-                    const auto [code, message] = decodeError(r.body);
-                    if (code == ErrorCode::NotFound)
-                        break; // declared dead: re-hello, fresh id
-                    throw SvcError(code, message);
-                }
-                if (r.type == MsgType::NoWork) {
-                    if (!sleepFor(static_cast<double>(
-                            decodeRetryMs(r.body))))
+                std::uint64_t retryMs = 0;
+                const std::optional<CellLeaseInfo> next =
+                    client->requestLease(id.load(), retryMs);
+                if (!next) {
+                    if (!sleepFor(static_cast<double>(retryMs)))
                         return;
                     continue;
                 }
-                if (r.type != MsgType::CellLease) {
-                    throw SvcError(
-                        ErrorCode::Protocol,
-                        util::strprintf("expected a lease, got record "
-                                        "type %u",
-                                        static_cast<unsigned>(r.type)));
-                }
-                const CellLeaseInfo lease = CellLeaseInfo::decode(r.body);
+                const CellLeaseInfo &lease = *next;
 
                 // Derive the plan this lease's cell lives in, unless it
                 // is the sweep already being served; the fingerprint
@@ -243,30 +205,12 @@ Worker::workLoop()
                     }
                 }
                 if (!fromCache && !fromMemo) {
-                    // Execute with the same transient-retry discipline
-                    // as the local runner (same jitter key, same
-                    // verdicts).
-                    const std::uint64_t cellKey =
-                        lease.point * plan.jobs.size() + lease.job;
-                    study::BenchResult result;
-                    for (int attempt = 1;; ++attempt) {
-                        result = study::runJobIsolated(
-                            gp.params, gp.clock, plan.jobs[lease.job],
-                            plan.spec, &cellCancel);
-                        if (!result.failed() ||
-                            attempt >= opts.retry.maxAttempts ||
-                            !study::RetryPolicy::transientCode(
-                                result.error.code()))
-                            break;
-                        const double delay =
-                            opts.retry.delayMs(attempt + 1, cellKey);
-                        if (!sleepFor(delay))
-                            return;
-                    }
-                    cell.result = std::move(result);
+                    cell.result = study::runJobIsolated(
+                        gp.params, gp.clock, plan.jobs[lease.job],
+                        plan.spec, &cellCancel);
                 }
-                // Successes only: a failure must keep its own attempts
-                // on every die, as it would in the local runner.
+                // Successes only: a failure is never shared, so the
+                // next die simulates afresh, as in the local runner.
                 if (!cell.result.failed())
                     served->memo.emplace(ownerCell, cell.result);
                 if (stopping.load())
@@ -277,22 +221,7 @@ Worker::workLoop()
                 done.point = lease.point;
                 done.job = lease.job;
                 done.cellPayload = study::encodeCellRecord(cell);
-                Frame d = roundTrip(stream, MsgType::CellDone,
-                                    done.encode(), opts.ioTimeoutMs);
-                if (d.type == MsgType::Error) {
-                    const auto [code, message] = decodeError(d.body);
-                    if (code == ErrorCode::NotFound)
-                        break; // declared dead mid-cell: re-register
-                    throw SvcError(code, message);
-                }
-                if (d.type != MsgType::DoneOk) {
-                    throw SvcError(
-                        ErrorCode::Protocol,
-                        util::strprintf("expected DoneOk, got record "
-                                        "type %u",
-                                        static_cast<unsigned>(d.type)));
-                }
-                decodeAccepted(d.body); // accepted or duplicate: done
+                client->cellDone(done); // accepted or duplicate: done
                 if (fromCache) {
                     nFromCache.fetch_add(1, std::memory_order_relaxed);
                     cellsFromCache.inc();
@@ -313,15 +242,19 @@ Worker::workLoop()
         } catch (const util::CancelledError &) {
             return; // stop()/kill() aborted the in-flight cell
         } catch (const util::SimError &e) {
+            // NotFound: this id was declared dead while the connection
+            // kept working — register again under a fresh id.
+            if (e.code() == ErrorCode::NotFound)
+                continue;
             // Transport or protocol trouble: drop the connection and
             // come back with capped backoff.  The lease we may have
             // been holding simply expires and re-dispatches.
-            stream.close();
+            client.reset();
             if (stopping.load())
                 return;
             util::warn("worker: %s; reconnecting", e.what());
             reconnects.inc();
-            const double delay = opts.reconnect.delayMs(
+            const double delay = kReconnect.delayMs(
                 std::min(backoffAttempt + 1, 16), /*cellKey=*/0);
             ++backoffAttempt;
             if (!sleepFor(delay))
@@ -333,7 +266,7 @@ Worker::workLoop()
 void
 Worker::heartbeatLoop()
 {
-    util::TcpStream stream;
+    std::optional<Client> client;
     while (!stopping.load()) {
         if (!sleepFor(static_cast<double>(heartbeatMs.load())))
             return;
@@ -341,27 +274,17 @@ Worker::heartbeatLoop()
         if (workerId == 0)
             continue; // not registered yet
         try {
-            if (!stream.connected()) {
-                stream = util::TcpStream::connect(
-                    opts.host, opts.port, opts.connectTimeoutMs);
-            }
-            writeFrame(stream, MsgType::Heartbeat,
-                       encodeWorkerId(workerId), opts.ioTimeoutMs);
-            const std::optional<Frame> reply =
-                readFrame(stream, opts.ioTimeoutMs);
-            if (!reply || reply->type != MsgType::HeartbeatOk) {
-                stream.close();
-                continue;
-            }
-            // known=0 means this id was declared dead; the work loop
-            // discovers the same verdict on its next request and
+            if (!client)
+                client.emplace(opts.host, opts.port, clientOptions(opts));
+            // known = false means this id was declared dead; the work
+            // loop discovers the same verdict on its next request and
             // re-registers — nothing to do here.
-            decodeKnown(reply->body);
+            client->heartbeat(workerId);
         } catch (const util::SimError &) {
             // The heartbeat connection reconnects on its own cadence;
             // missing beats while the coordinator is away is exactly
             // what the failure detector is for.
-            stream.close();
+            client.reset();
         }
     }
 }

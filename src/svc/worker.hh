@@ -6,21 +6,21 @@
  * own connection (a worker grinding through a long cell must still
  * look alive).
  *
- * Survival discipline: every socket operation carries a deadline, and
- * any transport failure (coordinator restart, dropped connection,
- * timeout) costs one capped-backoff reconnect cycle (study::RetryPolicy
- * reused at the network layer), not the worker.  A coordinator that
+ * Both loops talk through svc::Client with its reconnect off.  Every
+ * socket operation carries a deadline, and any transport failure
+ * (coordinator restart, dropped connection, timeout) costs one
+ * capped-backoff reconnect cycle, not the worker.  A coordinator that
  * answers NotFound (this worker was declared dead) triggers
  * re-registration under a fresh id.
  *
- * Cells are executed through the same study::runJobIsolated the local
- * runner uses, with the same per-cell transient-retry policy — a cell
- * computed here is byte-identical to one computed anywhere else, which
- * is what makes the coordinator's first-wins duplicate resolution
- * sound.  A leased cell is answered from the first source that has it:
- * the warm cell cache, then the per-sweep memo of successful results
- * (a Monte Carlo die priced from another die's simulation of the same
- * CoreParams, study::priceAtClock), then simulation.  The worker keeps
+ * Each cell is simulated once, through the same study::runJobIsolated
+ * the local runner uses — a cell computed here is byte-identical to one
+ * computed anywhere else, which is what makes the coordinator's
+ * first-wins duplicate resolution sound.  A leased cell is answered
+ * from the first source that has it: the warm cell cache, then the
+ * per-sweep memo of successful results (a Monte Carlo die priced from
+ * another die's simulation of the same CoreParams,
+ * study::priceAtClock), then simulation.  The worker keeps
  * the plan and memo of the one sweep it is serving; a lease for any
  * other sweep re-plans and starts a fresh memo.
  *
@@ -48,7 +48,6 @@
 #include "svc/store.hh"
 #include "svc/sweep.hh"
 #include "util/cancel.hh"
-#include "util/net.hh"
 
 namespace fo4::svc
 {
@@ -63,16 +62,6 @@ struct WorkerOptions
     int connectTimeoutMs = 5000;
     /** Per-RPC read/write deadline. */
     int ioTimeoutMs = 10000;
-    /** Backoff between reconnect attempts (maxAttempts is ignored: a
-     *  worker retries until stopped; the cap is maxDelayMs). */
-    study::RetryPolicy reconnect{
-        .maxAttempts = 1000000,
-        .baseDelayMs = 50.0,
-        .backoffFactor = 2.0,
-        .maxDelayMs = 2000.0,
-    };
-    /** Per-cell transient retry, mirroring the local runner's. */
-    study::RetryPolicy retry;
     /** Directory of a persistent cell cache; empty disables it.  With a
      *  warm cache a leased cell is answered from disk instead of
      *  executed — byte-identical, because the cache key is the grid

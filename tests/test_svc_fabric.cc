@@ -21,8 +21,11 @@
  *
  * Also here: zero-worker fleets complete via local fallback, a failing
  * journal disk costs the coordinator durability but not the sweep, a
- * client with reconnect enabled survives a daemon restart on the same
- * port, and client timeout validation refuses non-positive deadlines.
+ * worker frozen until it is declared dead re-registers over its own
+ * connection, unknown worker ids are refused NotFound without costing
+ * the session, a client with reconnect enabled survives a daemon
+ * restart on the same port, and client timeout validation refuses
+ * non-positive deadlines.
  */
 
 #include <gtest/gtest.h>
@@ -808,6 +811,80 @@ TEST(Fabric, WorkerDeclaredDeadReregistersUnderFreshId)
     coord.join();
 }
 
+/**
+ * The path the test above cannot reach: a worker that is alive but
+ * silent long enough to be declared dead.  Frozen behind a black-holed
+ * proxy for longer than deadAfterMs but shorter than its I/O deadline,
+ * it keeps both connections; once bytes move again its next request is
+ * answered NotFound, and it registers again under a fresh id over the
+ * same connection.
+ */
+TEST(Fabric, FrozenWorkerDeclaredDeadReregistersOverItsConnection)
+{
+    const svc::SweepRequest request = smallRequest();
+    const std::string expected = localBytes(request);
+
+    svc::Coordinator coord(fastCoordinator());
+    tests::ChaosProxy proxy(coord.port());
+    svc::Worker worker(workerFor(proxy.port(), "lazarus", 10000));
+    svc::Client client("127.0.0.1", coord.port());
+
+    // Registered, and both loops connected through the proxy.
+    while (worker.workerId() == 0 || proxy.accepted() < 2)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::uint64_t firstId = worker.workerId();
+
+    const auto rowOf = [&](std::uint64_t id) {
+        std::optional<svc::WorkerSnapshot> found;
+        for (const auto &row : client.workers()) {
+            if (row.id == id)
+                found = row;
+        }
+        return found;
+    };
+
+    proxy.blackHole();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::optional<svc::WorkerSnapshot> old;
+    while ((!(old = rowOf(firstId)) ||
+            old->state != svc::WorkerState::Dead) &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(old.has_value());
+    ASSERT_EQ(svc::WorkerState::Dead, old->state)
+        << "a silent worker must be declared dead";
+    proxy.setMode(tests::ChaosProxy::Mode::Forward);
+
+    std::optional<svc::WorkerSnapshot> fresh;
+    for (int i = 0; i < 500 && !fresh; ++i) {
+        if (worker.workerId() != firstId)
+            fresh = rowOf(worker.workerId());
+        if (!fresh)
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(fresh.has_value()) << "the worker never re-registered";
+    EXPECT_EQ(svc::WorkerState::Live, fresh->state);
+    EXPECT_EQ("lazarus", fresh->name);
+    old = rowOf(firstId);
+    ASSERT_TRUE(old.has_value());
+    EXPECT_EQ(svc::WorkerState::Dead, old->state) << "a dead id stays dead";
+    EXPECT_EQ(2u, proxy.accepted())
+        << "re-registration must ride the work loop's connection, not "
+           "a reconnect";
+
+    const auto [id, cells] = client.submit(request);
+    EXPECT_EQ(4u, cells);
+    ASSERT_EQ(svc::JobState::Done, client.waitUntilDone(id, 50).state);
+    EXPECT_EQ(expected, client.fetchResults(id));
+
+    worker.stop();
+    worker.join();
+    proxy.stop();
+    coord.stop();
+    coord.join();
+}
+
 // ---------------------------------------------------------------------
 // Client resilience
 // ---------------------------------------------------------------------
@@ -914,6 +991,39 @@ TEST(Coordinator, AnswersTheSameClientProtocolAsAPlainDaemon)
     // Stats serves the coordinator's gauges over the same record.
     const auto stats = client.stats();
     EXPECT_EQ(0u, stats.queueDepth);
+
+    coord.stop();
+    coord.join();
+}
+
+TEST(Coordinator, UnknownWorkerIdsAreNotFoundAndTheSessionGoesOn)
+{
+    svc::Coordinator coord(fastCoordinator());
+    // Reconnect off: if a NotFound cost the session, the last call on
+    // this connection would fail with NetIo.
+    svc::Client::Options copts;
+    copts.reconnect = false;
+    svc::Client client("127.0.0.1", coord.port(), copts);
+    const std::uint64_t stranger = 4242;
+
+    const auto expectNotFound = [](const auto &call) {
+        try {
+            call();
+            ADD_FAILURE() << "expected NotFound";
+        } catch (const SvcError &e) {
+            EXPECT_EQ(ErrorCode::NotFound, e.code()) << e.what();
+        }
+    };
+    std::uint64_t retryMs = 0;
+    expectNotFound([&] { client.requestLease(stranger, retryMs); });
+    svc::CellDoneInfo done;
+    done.workerId = stranger;
+    done.sweep = 1;
+    done.cellPayload = study::encodeCellRecord({0, 0, {}});
+    expectNotFound([&] { client.cellDone(done); });
+    EXPECT_FALSE(client.heartbeat(stranger));
+
+    EXPECT_TRUE(client.workers().empty());
 
     coord.stop();
     coord.join();
