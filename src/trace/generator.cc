@@ -27,30 +27,33 @@ sampleDistance(util::Rng &rng, double mean)
     return std::min<std::uint64_t>(d, ringSize - 1);
 }
 
+const BenchmarkProfile &
+validated(const BenchmarkProfile &profile)
+{
+    profile.validateOrThrow();
+    return profile;
+}
+
 } // namespace
 
+// Building the samplers draws nothing from the RNG, so reset() alone
+// decides the stream.
 SyntheticTraceGenerator::SyntheticTraceGenerator(
     const BenchmarkProfile &profile)
-    : prof(profile), rng(profile.seed)
+    : prof(validated(profile)), rng(profile.seed),
+      opMix({prof.wIntAlu, prof.wIntMult, prof.wFpAdd, prof.wFpMult,
+             prof.wFpDiv, prof.wFpSqrt, prof.wLoad, prof.wStore}),
+      branchZipf(static_cast<std::size_t>(prof.staticBranches), 0.9),
+      memZipf(std::max<std::uint64_t>(1, prof.workingSetBytes / 64),
+              prof.zipfExponent)
 {
-    prof.validateOrThrow();
-    rebuild();
+    reset();
 }
 
 void
-SyntheticTraceGenerator::rebuild()
+SyntheticTraceGenerator::reset()
 {
     rng = util::Rng(prof.seed);
-
-    opMix = std::make_unique<util::DiscreteSampler>(std::vector<double>{
-        prof.wIntAlu, prof.wIntMult, prof.wFpAdd, prof.wFpMult, prof.wFpDiv,
-        prof.wFpSqrt, prof.wLoad, prof.wStore});
-    branchZipf = std::make_unique<util::ZipfSampler>(
-        static_cast<std::size_t>(prof.staticBranches), 0.9);
-
-    const std::size_t lines = std::max<std::uint64_t>(
-        1, prof.workingSetBytes / 64);
-    memZipf = std::make_unique<util::ZipfSampler>(lines, prof.zipfExponent);
 
     // Static branch population: biased, then pattern, then hard branches.
     // Sites are spaced one instruction apart so predictor tables index
@@ -119,12 +122,6 @@ SyntheticTraceGenerator::rebuild()
         std::max<std::uint64_t>(1, sampleDistance(rng, prof.meanBlockSize)));
 }
 
-void
-SyntheticTraceGenerator::reset()
-{
-    rebuild();
-}
-
 std::int16_t
 SyntheticTraceGenerator::pickSource(bool fpPreferred, double meanDistance)
 {
@@ -161,14 +158,14 @@ SyntheticTraceGenerator::nextAddress()
             s.count = 0;
         return a;
     }
-    const std::uint64_t line = memZipf->sample(rng);
+    const std::uint64_t line = memZipf.sample(rng);
     return 0x20000000 + line * 64 + rng.below(8) * 8;
 }
 
 isa::MicroOp
 SyntheticTraceGenerator::makeBranch()
 {
-    StaticBranch &b = branches[branchZipf->sample(rng)];
+    StaticBranch &b = branches[branchZipf.sample(rng)];
 
     isa::MicroOp op;
     op.seq = seq++;
@@ -269,7 +266,7 @@ SyntheticTraceGenerator::next()
         isa::OpClass::IntAlu, isa::OpClass::IntMult, isa::OpClass::FpAdd,
         isa::OpClass::FpMult, isa::OpClass::FpDiv, isa::OpClass::FpSqrt,
         isa::OpClass::Load, isa::OpClass::Store};
-    return makeOp(classes[opMix->sample(rng)]);
+    return makeOp(classes[opMix.sample(rng)]);
 }
 
 } // namespace fo4::trace

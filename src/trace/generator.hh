@@ -7,7 +7,6 @@
 #ifndef FO4_TRACE_GENERATOR_HH
 #define FO4_TRACE_GENERATOR_HH
 
-#include <memory>
 #include <vector>
 
 #include "trace/profile.hh"
@@ -60,7 +59,6 @@ class SyntheticTraceGenerator : public TraceSource
         std::uint64_t count;
     };
 
-    void rebuild();
     isa::MicroOp makeBranch();
     isa::MicroOp makeOp(isa::OpClass cls);
     std::int16_t pickSource(bool fpPreferred, double meanDistance);
@@ -68,9 +66,10 @@ class SyntheticTraceGenerator : public TraceSource
 
     BenchmarkProfile prof;
     util::Rng rng;
-    std::unique_ptr<util::DiscreteSampler> opMix;
-    std::unique_ptr<util::ZipfSampler> branchZipf;
-    std::unique_ptr<util::ZipfSampler> memZipf;
+    // Built once, in the constructor; reset() leaves them alone.
+    util::DiscreteSampler opMix;
+    util::ZipfSampler branchZipf;
+    util::ZipfSampler memZipf;
 
     std::vector<StaticBranch> branches;
     std::vector<StrideStream> streams;

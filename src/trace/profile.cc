@@ -35,6 +35,9 @@ BenchmarkProfile::validate() const
         errs.addf("meanBlockSize %g below 1", meanBlockSize);
     if (staticBranches < 1)
         errs.addf("staticBranches %d below 1", staticBranches);
+    if (staticBranches > kMaxStaticBranches)
+        errs.addf("staticBranches %d above %d", staticBranches,
+                  kMaxStaticBranches);
     if (src2Prob < 0.0 || src2Prob > 1.0)
         errs.addf("src2Prob %g outside [0, 1]", src2Prob);
     if (strideFraction < 0.0 || strideFraction > 1.0)
@@ -49,6 +52,10 @@ BenchmarkProfile::validate() const
     if (workingSetBytes < 64) {
         errs.addf("working set of %llu bytes is smaller than one cache "
                   "line",
+                  static_cast<unsigned long long>(workingSetBytes));
+    }
+    if (workingSetBytes > kMaxWorkingSetBytes) {
+        errs.addf("working set of %llu bytes is above the 1 GiB limit",
                   static_cast<unsigned long long>(workingSetBytes));
     }
     return errs.status(util::ErrorCode::InvalidConfig);

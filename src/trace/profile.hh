@@ -31,6 +31,13 @@ enum class BenchClass
 
 const char *benchClassName(BenchClass cls);
 
+/** validate()'s ceilings.  The generator's Zipf tables (a double per
+ *  64-byte line and per static branch) live for the process, so a
+ *  1 GiB footprint's 128 MiB table is the most one profile may ask for;
+ *  Table 2 peaks at 16 MiB and 2,048 branches. */
+constexpr std::uint64_t kMaxWorkingSetBytes = std::uint64_t{1} << 30;
+constexpr int kMaxStaticBranches = 65536;
+
 /** Statistical description of one benchmark. */
 struct BenchmarkProfile
 {

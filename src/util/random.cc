@@ -1,8 +1,12 @@
 #include "util/random.hh"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "util/logging.hh"
+#include "util/metrics.hh"
 
 namespace fo4::util
 {
@@ -238,14 +242,35 @@ DiscreteSampler::probability(std::size_t i) const
 ZipfSampler::ZipfSampler(std::size_t n, double s)
 {
     FO4_ASSERT(n > 0, "ZipfSampler requires n > 0");
-    cdf.resize(n);
-    double total = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-        total += 1.0 / std::pow(static_cast<double>(k + 1), s);
-        cdf[k] = total;
-    }
-    for (double &v : cdf)
-        v /= total;
+    // One table per (n, bit pattern of s), kept for the life of the
+    // process: the keys in play are the profiles' sizes and exponents,
+    // which BenchmarkProfile::validate bounds.  A build that throws
+    // leaves its once_flag unset, so nothing is cached.
+    struct Entry
+    {
+        std::once_flag once;
+        std::shared_ptr<const std::vector<double>> cdf;
+    };
+    static std::mutex lock;
+    static std::map<std::pair<std::size_t, std::uint64_t>, Entry> memo;
+    std::unique_lock<std::mutex> guard(lock);
+    Entry &entry = memo[{n, std::bit_cast<std::uint64_t>(s)}];
+    guard.unlock();
+    std::call_once(entry.once, [&] {
+        static auto &built =
+            MetricsRegistry::global().counter("util.zipf_table.built");
+        auto table = std::make_shared<std::vector<double>>(n);
+        double total = 0.0;
+        for (std::size_t k = 0; k < n; ++k) {
+            total += 1.0 / std::pow(static_cast<double>(k + 1), s);
+            (*table)[k] = total;
+        }
+        for (double &v : *table)
+            v /= total;
+        entry.cdf = std::move(table);
+        built.inc();
+    });
+    cdf = entry.cdf;
 }
 
 std::size_t
@@ -253,10 +278,10 @@ ZipfSampler::sample(Rng &rng) const
 {
     const double u = rng.uniform();
     std::size_t lo = 0;
-    std::size_t hi = cdf.size() - 1;
+    std::size_t hi = cdf->size() - 1;
     while (lo < hi) {
         const std::size_t mid = (lo + hi) / 2;
-        if (cdf[mid] < u)
+        if ((*cdf)[mid] < u)
             lo = mid + 1;
         else
             hi = mid;

@@ -16,6 +16,7 @@
 #define FO4_UTIL_RANDOM_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace fo4::util
@@ -144,7 +145,10 @@ class DiscreteSampler
 
 /**
  * Zipf-distributed sampler over {0, .., n-1} with exponent s, used to model
- * skewed memory reference streams.  Precomputes the CDF; O(log n) sample.
+ * skewed memory reference streams.  O(log n) sample over a CDF that is
+ * built once per process for each (n, s) — by the first sampler with
+ * that key, other threads waiting — and shared read-only by every
+ * later sampler with it (counted by util.zipf_table.built).
  */
 class ZipfSampler
 {
@@ -153,10 +157,13 @@ class ZipfSampler
 
     std::size_t sample(Rng &rng) const;
 
-    std::size_t size() const { return cdf.size(); }
+    std::size_t size() const { return cdf->size(); }
+
+    /** The shared CDF; samplers with equal (n, s) return one object. */
+    const std::vector<double> &table() const { return *cdf; }
 
   private:
-    std::vector<double> cdf;
+    std::shared_ptr<const std::vector<double>> cdf;
 };
 
 } // namespace fo4::util

@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include "scratch_dir.hh"
 #include "study/checkpoint.hh"
 #include "svc/store.hh"
 #include "util/blob_store.hh"
@@ -36,18 +37,6 @@ using namespace fo4;
 
 namespace
 {
-
-/** A fresh, empty store directory under the gtest temp root. */
-std::string
-tempDir(const std::string &name)
-{
-    const std::string dir =
-        std::string(::testing::TempDir()) + "/" + name + "." +
-        std::to_string(::getpid());
-    // Clear leftovers from a previous run of the same test binary.
-    std::system(("rm -rf '" + dir + "'").c_str());
-    return dir;
-}
 
 std::string
 slurp(const std::string &path)
@@ -111,7 +100,8 @@ makeCell(std::size_t point, std::size_t job)
 
 TEST(BlobStore, RoundTripPersistsAcrossInstances)
 {
-    const std::string dir = tempDir("blob_roundtrip");
+    const tests::ScratchDir scratch("blob_roundtrip");
+    const std::string &dir = scratch.path();
     const std::string payload("bytes \x00\xff with binary\n", 22);
     {
         util::BlobStore store(dir, 0, "test.blob");
@@ -135,7 +125,8 @@ TEST(BlobStore, RoundTripPersistsAcrossInstances)
 
 TEST(BlobStore, OverwriteReplacesPayload)
 {
-    util::BlobStore store(tempDir("blob_overwrite"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_overwrite");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "old"));
     ASSERT_TRUE(store.put("k", "new"));
     EXPECT_EQ(store.get("k"), "new");
@@ -145,7 +136,8 @@ TEST(BlobStore, OverwriteReplacesPayload)
 TEST(BlobStore, UncreatableDirectoryIsConfigError)
 {
     // A path under a regular file can never become a directory.
-    const std::string file = tempDir("blob_notadir");
+    const tests::ScratchDir scratch("blob_notadir");
+    const std::string file = scratch.file("file");
     spew(file, "i am a file");
     EXPECT_THROW(util::BlobStore(file + "/sub", 0, "test.blob"),
                  util::ConfigError);
@@ -159,7 +151,8 @@ TEST(BlobStore, UncreatableDirectoryIsConfigError)
 
 TEST(BlobStore, FlippedPayloadByteIsQuarantinedMiss)
 {
-    util::BlobStore store(tempDir("blob_flip"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_flip");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "payload-bytes"));
     const std::string path = store.pathFor("k");
     std::string bytes = slurp(path);
@@ -178,7 +171,8 @@ TEST(BlobStore, FlippedPayloadByteIsQuarantinedMiss)
 
 TEST(BlobStore, TruncatedEntryIsQuarantinedMiss)
 {
-    util::BlobStore store(tempDir("blob_trunc"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_trunc");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "a payload long enough to truncate"));
     const std::string path = store.pathFor("k");
     const std::string bytes = slurp(path);
@@ -193,7 +187,8 @@ TEST(BlobStore, TruncatedEntryIsQuarantinedMiss)
 
 TEST(BlobStore, RenamedBlobCannotMasqueradeAsAnotherKey)
 {
-    util::BlobStore store(tempDir("blob_rename"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_rename");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("honest", "honest bytes"));
     // An attacker (or a confused operator) renames the file to a
     // different key: the echoed key inside the frame gives it away.
@@ -206,7 +201,8 @@ TEST(BlobStore, RenamedBlobCannotMasqueradeAsAnotherKey)
 
 TEST(BlobStore, VersionSkewIsMissButNotDeleted)
 {
-    util::BlobStore store(tempDir("blob_version"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_version");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "future bytes"));
     const std::string path = store.pathFor("k");
     std::string bytes = slurp(path);
@@ -222,7 +218,8 @@ TEST(BlobStore, VersionSkewIsMissButNotDeleted)
 
 TEST(BlobStore, BadMagicIsQuarantinedMiss)
 {
-    util::BlobStore store(tempDir("blob_magic"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_magic");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "payload"));
     const std::string path = store.pathFor("k");
     std::string bytes = slurp(path);
@@ -239,7 +236,8 @@ TEST(BlobStore, BadMagicIsQuarantinedMiss)
 
 TEST(BlobStore, EnospcOnWriteDropsTheStoreNotTheCaller)
 {
-    util::BlobStore store(tempDir("blob_enospc"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_enospc");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     {
         ScopedDiskFault fault(store.directory(),
                               util::DiskFault{}); // immediate ENOSPC
@@ -256,7 +254,8 @@ TEST(BlobStore, EnospcOnWriteDropsTheStoreNotTheCaller)
 
 TEST(BlobStore, ShortWriteNeverPublishesAPartialBlob)
 {
-    util::BlobStore store(tempDir("blob_short"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_short");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     {
         // The disk fills 10 bytes into the record.
         ScopedDiskFault fault(
@@ -274,7 +273,8 @@ TEST(BlobStore, ShortWriteNeverPublishesAPartialBlob)
 
 TEST(BlobStore, UnlinkRaceBeforeReadIsACleanMiss)
 {
-    util::BlobStore store(tempDir("blob_race"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_race");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     ASSERT_TRUE(store.put("k", "soon gone"));
     util::BlobStoreHooks hooks;
     hooks.beforeRead = [](const std::string &, const std::string &path) {
@@ -289,7 +289,8 @@ TEST(BlobStore, UnlinkRaceBeforeReadIsACleanMiss)
 
 TEST(BlobStore, ByteFlippedAfterPublishIsCaughtOnRead)
 {
-    util::BlobStore store(tempDir("blob_afterpub"), 0, "test.blob");
+    const tests::ScratchDir scratch("blob_afterpub");
+    util::BlobStore store(scratch.path(), 0, "test.blob");
     util::BlobStoreHooks hooks;
     hooks.afterPublish = [](const std::string &,
                             const std::string &path) {
@@ -318,7 +319,8 @@ TEST(BlobStore, SizeCapEvictsOldestFirst)
 {
     // Records are 32 (header) + 2 (key) + 40 (payload) = 74 bytes; a
     // 160-byte cap holds two.
-    util::BlobStore store(tempDir("blob_evict"), 160, "test.blob");
+    const tests::ScratchDir scratch("blob_evict");
+    util::BlobStore store(scratch.path(), 160, "test.blob");
     const std::string payload(40, 'p');
     ASSERT_TRUE(store.put("k1", payload));
     ASSERT_TRUE(store.put("k2", payload));
@@ -337,7 +339,8 @@ TEST(BlobStore, SizeCapEvictsOldestFirst)
 
 TEST(BlobStore, PayloadLargerThanCapIsRefusedOutright)
 {
-    util::BlobStore store(tempDir("blob_toolarge"), 100, "test.blob");
+    const tests::ScratchDir scratch("blob_toolarge");
+    util::BlobStore store(scratch.path(), 100, "test.blob");
     ASSERT_TRUE(store.put("small", "fits"));
     EXPECT_FALSE(store.put("big", std::string(200, 'x')));
     // Refused before evicting anything: the store was not drained in a
@@ -354,7 +357,8 @@ TEST(BlobStore, EvictionUnderConcurrentReadersIsLinearizableToMiss)
     // bytes, never an exception.  POSIX keeps an already-open fd
     // readable after unlink, so even "evicted mid-read" resolves to
     // one of the two legal outcomes.
-    const std::string dir = tempDir("blob_evict_race");
+    const tests::ScratchDir scratch("blob_evict_race");
+    const std::string &dir = scratch.path();
     util::BlobStore store(dir, 200, "test.blob");
     const std::string hotPayload(40, 'H');
     ASSERT_TRUE(store.put("hot", hotPayload));
@@ -400,7 +404,8 @@ TEST(BlobStore, EvictionUnderConcurrentReadersIsLinearizableToMiss)
 
 TEST(ResultStore, SweepPayloadRoundTripsAcrossInstances)
 {
-    const std::string dir = tempDir("rs_sweep");
+    const tests::ScratchDir scratch("rs_sweep");
+    const std::string &dir = scratch.path();
     const std::string payload = "point,job,bips\n0,0,1.5\n";
     {
         svc::ResultStore store(dir, 0);
@@ -416,7 +421,8 @@ TEST(ResultStore, SweepPayloadRoundTripsAcrossInstances)
 
 TEST(ResultStore, CellRoundTripIsBitExact)
 {
-    svc::ResultStore store(tempDir("rs_cell"), 0);
+    const tests::ScratchDir scratch("rs_cell");
+    svc::ResultStore store(scratch.path(), 0);
     const study::CellRecord cell = makeCell(3, 1);
     store.storeCell(0xf00d, cell);
     const auto got = store.fetchCell(0xf00d, 3, 1);
@@ -431,7 +437,8 @@ TEST(ResultStore, CellRoundTripIsBitExact)
 
 TEST(ResultStore, CellSlotMismatchIsQuarantined)
 {
-    svc::ResultStore store(tempDir("rs_slot"), 0);
+    const tests::ScratchDir scratch("rs_slot");
+    svc::ResultStore store(scratch.path(), 0);
     // Frame a perfectly valid cell record for slot (1, 2) under the
     // blob key of slot (0, 0): the frame verifies, the decode works,
     // and only the slot cross-check can catch the mis-filing.
@@ -467,7 +474,8 @@ TEST(ResultStore, UndecodableCellPayloadIsQuarantined)
             value);
     }
 
-    svc::ResultStore store(tempDir("rs_garbage"), 0);
+    const tests::ScratchDir scratch("rs_garbage");
+    svc::ResultStore store(scratch.path(), 0);
     for (const auto &payload : payloads) {
         ASSERT_TRUE(store.blobs().put(svc::ResultStore::cellKey(0x2, 0, 0),
                                       payload));

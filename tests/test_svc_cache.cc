@@ -32,8 +32,8 @@
 #include <vector>
 
 #include <dirent.h>
-#include <unistd.h>
 
+#include "scratch_dir.hh"
 #include "svc/client.hh"
 #include "svc/coordinator.hh"
 #include "svc/server.hh"
@@ -48,16 +48,6 @@ using util::SvcError;
 
 namespace
 {
-
-std::string
-tempDir(const std::string &name)
-{
-    const std::string dir =
-        std::string(::testing::TempDir()) + "/" + name + "." +
-        std::to_string(::getpid());
-    std::system(("rm -rf '" + dir + "'").c_str());
-    return dir;
-}
 
 /** A modest grid: 2 depths x 2 benchmarks = 4 cells. */
 svc::SweepRequest
@@ -168,7 +158,8 @@ class SvcCache : public ::testing::Test
 
 TEST_F(SvcCache, RestartedServerServesFromCacheByteIdentical)
 {
-    const std::string cacheDir = tempDir("svc_cache_restart");
+    const tests::ScratchDir scratch("svc_cache_restart");
+    const std::string &cacheDir = scratch.path();
     const svc::SweepRequest request = smallRequest();
     const std::string expected = localBytes(request);
 
@@ -241,7 +232,8 @@ TEST_F(SvcCache, ReleasedResultsAreNotFoundAndResubmissionServesTheSameBytes)
 {
     // max_queue=2: the daemon keeps the bytes of its two most recently
     // finished sweeps.  The third finished sweep releases the first.
-    const std::string cacheDir = tempDir("svc_cache_retention");
+    const tests::ScratchDir scratch("svc_cache_retention");
+    const std::string &cacheDir = scratch.path();
     svc::Server server = makeServer(cacheDir, 0, 2);
     svc::Client client("127.0.0.1", server.port());
 
@@ -350,7 +342,8 @@ TEST_F(SvcCache, AFinishedSweepSurvivesOtherClientsFetchesUntilItIsFetched)
 
 TEST_F(SvcCache, CorruptedStoreDegradesToRecomputeSameBytes)
 {
-    const std::string cacheDir = tempDir("svc_cache_chaos");
+    const tests::ScratchDir scratch("svc_cache_chaos");
+    const std::string &cacheDir = scratch.path();
     const svc::SweepRequest request = smallRequest();
     const std::string expected = localBytes(request);
 
@@ -402,7 +395,8 @@ TEST_F(SvcCache, CorruptedStoreDegradesToRecomputeSameBytes)
 
 TEST_F(SvcCache, SweepsWithFailedRowsAreNeverCached)
 {
-    const std::string cacheDir = tempDir("svc_cache_failedrows");
+    const tests::ScratchDir scratch("svc_cache_failedrows");
+    const std::string &cacheDir = scratch.path();
     svc::SweepRequest request = smallRequest();
     request.jobs[1].cycleLimit = 10; // deterministic Deadlock row
 
@@ -522,7 +516,8 @@ TEST_F(SvcCache, UnvouchableTenantNameIsAProtocolError)
 
 TEST_F(SvcCache, WarmCacheWorkerAnswersEveryLeaseFromDisk)
 {
-    const std::string cacheDir = tempDir("worker_cell_cache");
+    const tests::ScratchDir scratch("worker_cell_cache");
+    const std::string &cacheDir = scratch.path();
     const svc::SweepRequest request = smallRequest();
     const std::string expected = localBytes(request);
 
@@ -599,7 +594,8 @@ TEST_F(SvcCache, WarmCacheWorkerAnswersEveryLeaseFromDisk)
 
 TEST_F(SvcCache, RestartedCoordinatorServesSweepFromCache)
 {
-    const std::string cacheDir = tempDir("coord_cache");
+    const tests::ScratchDir scratch("coord_cache");
+    const std::string &cacheDir = scratch.path();
     const svc::SweepRequest request = smallRequest();
     const std::string expected = localBytes(request);
 

@@ -32,7 +32,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <optional>
 #include <random>
@@ -42,6 +41,7 @@
 #include <vector>
 
 #include "chaos_proxy.hh"
+#include "scratch_dir.hh"
 #include "svc/client.hh"
 #include "svc/coordinator.hh"
 #include "svc/lease.hh"
@@ -627,10 +627,8 @@ TEST(Fabric, FailingJournalDiskCostsDurabilityNotTheSweep)
     const bool wasEnabled = util::setMetricsEnabled(true);
     const svc::SweepRequest request = smallRequest();
     const std::string expected = localBytes(request);
-    const std::string dir =
-        std::string(::testing::TempDir()) + "/fabric_failing_journal";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const tests::ScratchDir scratch("fabric_failing_journal");
+    const std::string &dir = scratch.path();
     // The header lands via <journal>.tmp, so only the appends fail.
     util::setDiskFaultHook(
         [](const std::string &path) -> std::optional<util::DiskFault> {
@@ -670,7 +668,6 @@ TEST(Fabric, FailingJournalDiskCostsDurabilityNotTheSweep)
     coord.join();
     util::setDiskFaultHook(nullptr);
     util::setMetricsEnabled(wasEnabled);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(Fabric, RedispatchAfterWorkerDeathWithASurvivor)

@@ -27,10 +27,10 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include <unistd.h>
-
+#include "scratch_dir.hh"
 #include "svc/client.hh"
 #include "svc/coordinator.hh"
 #include "svc/server.hh"
@@ -50,16 +50,6 @@ enum class Daemon
     Fo4d,
     Fo4coord,
 };
-
-std::string
-tempDir(const std::string &name)
-{
-    const std::string dir = std::string(::testing::TempDir()) + "/" + name +
-                            "." + std::to_string(::getpid());
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir;
-}
 
 /** 2 depths x 2 benchmarks = 4 cells. */
 svc::SweepRequest
@@ -156,6 +146,14 @@ class Lifecycle : public ::testing::TestWithParam<Daemon>
         return std::make_unique<svc::Coordinator>(options);
     }
 
+    /** A fresh directory named for this test, removed after it. */
+    std::string
+    tempDir(const std::string &name)
+    {
+        scratch.emplace(name);
+        return scratch->path();
+    }
+
     /** A store under a fresh directory named for this test. */
     svc::DaemonOptions
     withStore(const std::string &name)
@@ -166,6 +164,7 @@ class Lifecycle : public ::testing::TestWithParam<Daemon>
     }
 
     bool wasEnabled = false;
+    std::optional<tests::ScratchDir> scratch;
 };
 
 /** Submit `request` on `raw`: it must be refused with InvalidConfig,

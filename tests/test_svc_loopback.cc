@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "scratch_dir.hh"
 #include "svc/client.hh"
 #include "svc/server.hh"
 #include "svc/sweep.hh"
@@ -37,25 +38,16 @@ using util::ErrorCode;
 namespace
 {
 
-std::string
-tempPath(const std::string &name)
-{
-    const std::string path =
-        std::string(::testing::TempDir()) + "/" + name;
-    std::remove(path.c_str());
-    return path;
-}
-
 /**
- * Record a short capture, then overwrite one byte inside its op frame
- * — the resilient_suite fault, injected here so the wire sweep carries
- * a deterministically failing row (the frame fails its CRC, so the
- * load is a typed TraceCorrupt).
+ * Record a short capture in `scratch`, then overwrite one byte inside
+ * its op frame — the resilient_suite fault, injected here so the wire
+ * sweep carries a deterministically failing row (the frame fails its
+ * CRC, so the load is a typed TraceCorrupt).
  */
 std::string
-makeCorruptTrace()
+makeCorruptTrace(const tests::ScratchDir &scratch)
 {
-    const std::string path = tempPath("svc_loopback_corrupt.fo4t");
+    const std::string path = scratch.file("svc_loopback_corrupt.fo4t");
     auto prof = trace::spec2000Profile("164.gzip");
     trace::SyntheticTraceGenerator gen(prof);
     trace::recordTrace(path, gen, 4096);
@@ -136,7 +128,8 @@ makeServer(int threads, std::size_t maxQueue = 8)
 
 TEST(SvcLoopback, FetchedResultsAreByteIdenticalToLocalRun)
 {
-    const std::string corruptPath = makeCorruptTrace();
+    const tests::ScratchDir scratch("svc_loopback");
+    const std::string corruptPath = makeCorruptTrace(scratch);
     const svc::SweepRequest request = faultedRequest(corruptPath);
 
     // Local references: the wire form of the request, run in-process at

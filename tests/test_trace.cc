@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <map>
 #include <set>
+#include <thread>
+#include <tuple>
+#include <vector>
 
 #include "trace/generator.hh"
 #include "trace/spec2000.hh"
+#include "util/metrics.hh"
 
 using namespace fo4::trace;
 using fo4::isa::MicroOp;
@@ -27,6 +32,32 @@ testProfile()
     p.name = "test";
     p.seed = 42;
     return p;
+}
+
+/** Every MicroOp field, for whole-op comparisons. */
+auto
+fields(const MicroOp &op)
+{
+    return std::tuple(op.seq, op.pc, op.cls, op.src1, op.src2, op.dst,
+                      op.addr, op.taken);
+}
+
+std::vector<MicroOp>
+take(SyntheticTraceGenerator &gen, int n)
+{
+    std::vector<MicroOp> ops;
+    for (int i = 0; i < n; ++i)
+        ops.push_back(gen.next());
+    return ops;
+}
+
+void
+expectSameStream(const std::vector<MicroOp> &got,
+                 const std::vector<MicroOp> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(fields(got[i]), fields(want[i])) << "op " << i;
 }
 
 } // namespace
@@ -50,17 +81,74 @@ TEST(Generator, DeterministicAcrossInstances)
 
 TEST(Generator, ResetRewindsExactly)
 {
-    SyntheticTraceGenerator gen(testProfile());
-    std::vector<MicroOp> first;
-    for (int i = 0; i < 2000; ++i)
-        first.push_back(gen.next());
-    gen.reset();
-    for (int i = 0; i < 2000; ++i) {
-        const MicroOp op = gen.next();
-        EXPECT_EQ(op.cls, first[i].cls);
-        EXPECT_EQ(op.addr, first[i].addr);
-        EXPECT_EQ(op.taken, first[i].taken);
+    // reset() keeps the samplers and redraws only the mutable state, so
+    // both passes must match a fresh generator in every field.
+    for (const auto &prof : spec2000Profiles()) {
+        SCOPED_TRACE(prof.name);
+        SyntheticTraceGenerator gen(prof);
+        const auto first = take(gen, 50000);
+        gen.reset();
+        const auto second = take(gen, 50000);
+        SyntheticTraceGenerator fresh(prof);
+        const auto want = take(fresh, 50000);
+        expectSameStream(first, want);
+        expectSameStream(second, want);
     }
+}
+
+TEST(Generator, ConcurrentFirstBuildsShareTablesAndStreams)
+{
+    // Both of this profile's Zipf keys — (777 branches, 0.9) and
+    // (3001 lines, 0.8125) — are used by no other test.
+    auto prof = testProfile();
+    prof.staticBranches = 777;
+    prof.workingSetBytes = 3001 * 64;
+    prof.zipfExponent = 0.8125;
+    const bool wasEnabled = fo4::util::setMetricsEnabled(true);
+    auto &built = fo4::util::MetricsRegistry::global().counter(
+        "util.zipf_table.built");
+    const std::uint64_t before = built.value();
+
+    constexpr int kThreads = 8;
+    std::vector<std::vector<MicroOp>> streams(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            SyntheticTraceGenerator gen(prof);
+            streams[t] = take(gen, 5000);
+        });
+    for (auto &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(built.value() - before, 2u);
+    for (int t = 1; t < kThreads; ++t) {
+        SCOPED_TRACE(t);
+        expectSameStream(streams[t], streams[0]);
+    }
+    fo4::util::setMetricsEnabled(wasEnabled);
+}
+
+TEST(Profile, OversizedTablesAreRefusedWithOtherViolations)
+{
+    // validate() only: an over-bound profile is never generated.
+    auto prof = testProfile();
+    prof.workingSetBytes = kMaxWorkingSetBytes;
+    prof.staticBranches = kMaxStaticBranches;
+    EXPECT_TRUE(prof.validate().isOk());
+
+    prof.workingSetBytes = kMaxWorkingSetBytes + 64;
+    prof.staticBranches = kMaxStaticBranches + 1;
+    prof.meanBlockSize = 0.5;
+    const auto st = prof.validate();
+    ASSERT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), fo4::util::ErrorCode::InvalidConfig);
+    EXPECT_NE(st.message().find("above the 1 GiB limit"), std::string::npos);
+    EXPECT_NE(st.message().find("staticBranches 65537 above 65536"),
+              std::string::npos);
+    EXPECT_NE(st.message().find("meanBlockSize"), std::string::npos);
+    EXPECT_THROW(prof.validateOrThrow(), fo4::util::ConfigError);
 }
 
 TEST(Generator, SequenceNumbersAreContiguous)

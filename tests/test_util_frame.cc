@@ -28,6 +28,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "scratch_dir.hh"
 #include "study/checkpoint.hh"
 #include "svc/protocol.hh"
 #include "trace/capture.hh"
@@ -787,7 +788,8 @@ TEST(Frame, DiskFaultsNeverLeaveAPublishedFile)
     EXPECT_EQ(slurp(path), "previous");
     EXPECT_FALSE(fileExists(tmp));
     {
-        const std::string dir = tempPath("frame_fault_blobs");
+        const tests::ScratchDir scratch("frame_fault_blobs");
+        const std::string &dir = scratch.path();
         util::BlobStore store(dir, 0, "frame.blob");
         ScopedDiskFault fault(dir + "/", util::DiskFault{});
         EXPECT_FALSE(store.put("k", "v"));
@@ -833,10 +835,9 @@ TEST(PinnedBytes, JournalOfCellRecordsReencodesByteForByte)
 TEST(PinnedBytes, ResultStoreBlobReencodesByteForByte)
 {
     const std::string pinned = fixture("pinned_cell.blob");
-    const std::string dir = tempPath("pinned_blob_dir");
-    const std::string out = tempPath("pinned_blob_out");
-    std::remove((dir + "/pinned_cell.blob").c_str());
-    std::remove((out + "/pinned_cell.blob").c_str());
+    const tests::ScratchDir scratch("pinned_blob");
+    const std::string dir = scratch.file("dir");
+    const std::string out = scratch.file("out");
 
     util::BlobStore store(dir, 0, "pinned.blob");
     spew(store.pathFor("pinned_cell"), pinned);

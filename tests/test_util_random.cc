@@ -8,6 +8,7 @@
 #include <cmath>
 #include <map>
 
+#include "util/metrics.hh"
 #include "util/random.hh"
 
 using fo4::util::DiscreteSampler;
@@ -206,6 +207,25 @@ TEST(ZipfSampler, InRange)
     Rng rng(21);
     for (int i = 0; i < 10000; ++i)
         EXPECT_LT(z.sample(rng), 5u);
+}
+
+TEST(ZipfSampler, EqualKeysShareOneTable)
+{
+    const bool wasEnabled = fo4::util::setMetricsEnabled(true);
+    auto &built = fo4::util::MetricsRegistry::global().counter(
+        "util.zipf_table.built");
+    const std::uint64_t before = built.value();
+
+    // Keys no other test uses, so this test builds each of them first.
+    const ZipfSampler a(4099, 0.83), b(4099, 0.83);
+    EXPECT_EQ(&a.table(), &b.table());
+    EXPECT_EQ(built.value() - before, 1u);
+
+    const ZipfSampler c(4099, 0.84);
+    EXPECT_NE(&c.table(), &a.table());
+    EXPECT_EQ(c.size(), a.size());
+    EXPECT_EQ(built.value() - before, 2u);
+    fo4::util::setMetricsEnabled(wasEnabled);
 }
 
 // Property sweep: geometric mean tracks (1-p)/p across p values.
