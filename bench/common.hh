@@ -10,6 +10,7 @@
 #define FO4_BENCH_COMMON_HH
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -215,7 +216,9 @@ verdict(const std::vector<Clause> &clauses)
  *                     deterministic at any jobs= value);
  *  - trace=PATH       Chrome trace_event JSON of one serially-rerun
  *                     cell (load in chrome://tracing / ui.perfetto.dev);
- *  - trace_start=N    first recorded cycle (default 0);
+ *  - trace_start=N    first recorded cycle (default 0), at most
+ *                     INT64_MAX - trace_cycles so the window's end is
+ *                     representable;
  *  - trace_cycles=N   recording-window length in cycles.
  * Parsing either path (or verbose=) also enables the global
  * engineering-metrics registry for the process.
@@ -237,8 +240,9 @@ observabilityFromArgs(const util::Config &cfg)
     ObservabilityOptions o;
     o.statsPath = cfg.getString("stats", "");
     o.tracePath = cfg.getString("trace", "");
-    o.traceStart = cfg.getInt("trace_start", 0);
     o.traceCycles = cfg.getPositiveInt("trace_cycles", o.traceCycles);
+    o.traceStart =
+        cfg.getIntIn("trace_start", 0, 0, INT64_MAX - o.traceCycles);
     if (o.wantsStats() || o.wantsTrace() ||
         cfg.getBool("verbose", false))
         util::setMetricsEnabled(true);

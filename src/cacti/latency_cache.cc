@@ -1,7 +1,6 @@
 #include "cacti/latency_cache.hh"
 
-#include <cstring>
-
+#include "util/frame.hh"
 #include "util/metrics.hh"
 
 namespace fo4::cacti
@@ -33,19 +32,9 @@ struct CacheMetrics
     }
 };
 
-/** FNV-1a over a value's bytes; doubles here are set, not computed, so
- *  bitwise identity is the right equality for calibration constants. */
-std::uint64_t
-fnv1a(const void *data, std::size_t size, std::uint64_t hash)
-{
-    const auto *bytes = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
+/** FNV-1a over the parameters' bytes; doubles here are set, not
+ *  computed, so bitwise identity is the right equality for calibration
+ *  constants. */
 std::uint64_t
 fingerprint(const ModelParams &p)
 {
@@ -56,7 +45,7 @@ fingerprint(const ModelParams &p)
         p.camMatchPerRow, p.camMatchFixed, p.comparePerLog2,
         p.portGrowth,
     };
-    return fnv1a(fields, sizeof(fields), 14695981039346656037ull);
+    return util::fnv1a(fields, sizeof(fields));
 }
 
 } // namespace
@@ -65,8 +54,8 @@ std::size_t
 LatencyCache::KeyHash::operator()(const Key &k) const
 {
     std::uint64_t h = k.paramsFingerprint;
-    h = fnv1a(&k.kind, sizeof(k.kind), h);
-    h = fnv1a(&k.capacity, sizeof(k.capacity), h);
+    h = util::fnv1a(&k.kind, sizeof(k.kind), h);
+    h = util::fnv1a(&k.capacity, sizeof(k.capacity), h);
     return static_cast<std::size_t>(h);
 }
 

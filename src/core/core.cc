@@ -36,15 +36,6 @@ StallBreakdown::total() const
     return sum;
 }
 
-StallBreakdown
-StallBreakdown::operator-(const StallBreakdown &other) const
-{
-    StallBreakdown d;
-    for (int i = 0; i < numStallCauses; ++i)
-        d.byCause[i] = byCause[i] - other.byCause[i];
-    return d;
-}
-
 StallBreakdown &
 StallBreakdown::operator+=(const StallBreakdown &other)
 {
@@ -53,15 +44,13 @@ StallBreakdown::operator+=(const StallBreakdown &other)
     return *this;
 }
 
-OccupancySample
-OccupancySample::operator-(const OccupancySample &other) const
+SimResult
+SimResult::operator-(const SimResult &other) const
 {
-    OccupancySample d;
-    d.cycles = cycles - other.cycles;
-    d.frontSum = frontSum - other.frontSum;
-    d.windowSum = windowSum - other.windowSum;
-    d.robSum = robSum - other.robSum;
-    d.lsqSum = lsqSum - other.lsqSum;
+    SimResult d;
+    forEachCounter([](std::uint64_t &out, std::uint64_t a,
+                      std::uint64_t b) { out = a - b; },
+                   d, *this, other);
     return d;
 }
 

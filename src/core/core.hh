@@ -68,7 +68,6 @@ struct StallBreakdown
     /** Sum over every cause (== SimResult::stallCycles). */
     std::uint64_t total() const;
 
-    StallBreakdown operator-(const StallBreakdown &other) const;
     StallBreakdown &operator+=(const StallBreakdown &other);
 };
 
@@ -93,8 +92,6 @@ struct OccupancySample
                             static_cast<double>(cycles)
                       : 0.0;
     }
-
-    OccupancySample operator-(const OccupancySample &other) const;
 };
 
 /** Aggregate outcome of one simulation run. */
@@ -109,8 +106,8 @@ struct SimResult
     std::uint64_t dl1Misses = 0;
     std::uint64_t l2Misses = 0;
 
-    // --- observability (deterministic; rides the byte-identity
-    //     contract of study::serializeSuite) ---
+    // --- observability (deterministic; part of the byte-identity
+    //     contract like the counters above) ---
 
     /** Cycles in which the retire stage (commit for the out-of-order
      *  core, issue for the in-order core) made zero progress. */
@@ -149,28 +146,53 @@ struct SimResult
                     : 0.0;
     }
 
-    /** Element-wise difference; used to discard warm-up statistics. */
-    SimResult
-    operator-(const SimResult &other) const
-    {
-        SimResult d;
-        d.instructions = instructions - other.instructions;
-        d.cycles = cycles - other.cycles;
-        d.branches = branches - other.branches;
-        d.mispredicts = mispredicts - other.mispredicts;
-        d.loads = loads - other.loads;
-        d.stores = stores - other.stores;
-        d.dl1Misses = dl1Misses - other.dl1Misses;
-        d.l2Misses = l2Misses - other.l2Misses;
-        d.stallCycles = stallCycles - other.stallCycles;
-        d.stalls = stalls - other.stalls;
-        d.dispatchWindowFull = dispatchWindowFull - other.dispatchWindowFull;
-        d.dispatchRobFull = dispatchRobFull - other.dispatchRobFull;
-        d.dispatchLsqFull = dispatchLsqFull - other.dispatchLsqFull;
-        d.occupancy = occupancy - other.occupancy;
-        return d;
-    }
+    /** Counter-wise difference; used to discard warm-up statistics. */
+    SimResult operator-(const SimResult &other) const;
 };
+
+/**
+ * The one ordered list of SimResult's counters: the 8 run counters,
+ * stallCycles and its 8 causes, the 3 dispatch counters and the 5
+ * occupancy fields.  Calls `f` once per counter, in that order, with
+ * the same counter of every result in `rs`.  The warm-up subtraction,
+ * study::serializeSuite's rendering and the journal's cell record walk
+ * this list, so its order is the order of those bytes.  A new counter
+ * joins the list (the assert below insists) and raises
+ * util::kJournalVersion.
+ */
+template <class F, class... R>
+constexpr void
+forEachCounter(F &&f, R &...rs)
+{
+    f(rs.instructions...);
+    f(rs.cycles...);
+    f(rs.branches...);
+    f(rs.mispredicts...);
+    f(rs.loads...);
+    f(rs.stores...);
+    f(rs.dl1Misses...);
+    f(rs.l2Misses...);
+    f(rs.stallCycles...);
+    for (int c = 0; c < numStallCauses; ++c)
+        f(rs.stalls.byCause[c]...);
+    f(rs.dispatchWindowFull...);
+    f(rs.dispatchRobFull...);
+    f(rs.dispatchLsqFull...);
+    f(rs.occupancy.cycles...);
+    f(rs.occupancy.frontSum...);
+    f(rs.occupancy.windowSum...);
+    f(rs.occupancy.robSum...);
+    f(rs.occupancy.lsqSum...);
+}
+
+static_assert(
+    [] {
+        SimResult r;
+        std::size_t n = 0;
+        forEachCounter([&n](std::uint64_t) { ++n; }, r);
+        return n * sizeof(std::uint64_t);
+    }() == sizeof(SimResult),
+    "every SimResult field must be in forEachCounter's list");
 
 /** A cycle-level processor model. */
 class Core

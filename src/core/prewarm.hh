@@ -16,10 +16,17 @@
 namespace fo4::core
 {
 
-/** Stream `count` instructions through caches and predictor, then rewind
- *  the trace. */
+/**
+ * Stream `count` instructions through caches and predictor, then rewind
+ * the trace.  The one prewarm procedure of both engines: the reference
+ * cores and a batched core without a shared warm state call it with a
+ * TraceSource, and WarmStartCache with a cursor over decoded records.
+ * `Source` is any type with next() and reset(); a final class keeps the
+ * reads devirtualized.
+ */
+template <class Source>
 inline void
-prewarmState(trace::TraceSource &trace, std::uint64_t count,
+prewarmState(Source &trace, std::uint64_t count,
              mem::MemoryHierarchy &memory, bp::BranchPredictor &bpred)
 {
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -1,10 +1,31 @@
 #include "core/warm_start.hh"
 
+#include "core/prewarm.hh"
 #include "util/metrics.hh"
 #include "util/status.hh"
 
 namespace fo4::core
 {
+
+namespace
+{
+
+/** prewarmState's source over a decoded trace, read in stream order. */
+struct RecordCursor
+{
+    trace::DecodedTrace &records;
+    std::uint64_t pos = 0;
+
+    isa::MicroOp
+    next()
+    {
+        return trace::unpackTraceRecord(records.record(pos++));
+    }
+
+    void reset() { pos = 0; }
+};
+
+} // namespace
 
 WarmStartCache &
 WarmStartCache::global()
@@ -46,24 +67,8 @@ WarmStartCache::acquire(trace::DecodedTrace &trace, std::uint64_t prewarm,
                                            params.memoryMode),
                       prototype.clone()});
         state->bpred->reset();
-        // The reference prewarm procedure (core/prewarm.hh), fed from
-        // the decoded records: functional accesses in stream order,
-        // then the bus bookkeeping resets.
-        for (std::uint64_t i = 0; i < prewarm; ++i) {
-            const isa::MicroOp op =
-                trace::unpackTraceRecord(trace.record(i));
-            if (op.isLoad()) {
-                state->memory.loadLatency(op.addr,
-                                          static_cast<std::int64_t>(i));
-            } else if (op.isStore()) {
-                state->memory.storeLatency(op.addr,
-                                           static_cast<std::int64_t>(i));
-            } else if (op.isBranch()) {
-                state->bpred->predict(op);
-                state->bpred->update(op, op.taken);
-            }
-        }
-        state->memory.resetContention();
+        RecordCursor cursor{trace};
+        prewarmState(cursor, prewarm, state->memory, *state->bpred);
         entry->state = std::move(state);
         built.inc();
     });

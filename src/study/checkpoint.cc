@@ -25,59 +25,13 @@ namespace
 // Identity fingerprint.
 //
 // Every input that can influence a result byte is rendered into one
-// canonical text (doubles in hexfloat, strings length-prefixed so no
-// concatenation can collide) and hashed with FNV-1a.  Anything *not*
-// rendered here — thread count, retry policy, journal path — is
-// asserted by the determinism contract to be unable to change results,
-// and therefore must not block a resume.
+// canonical text (util::IdentityHasher) and hashed with FNV-1a.
+// Anything *not* rendered here — thread count, retry policy, journal
+// path — is asserted by the determinism contract to be unable to
+// change results, and therefore must not block a resume.
 // ---------------------------------------------------------------------
 
-class IdentityHasher
-{
-  public:
-    void
-    i(long long v)
-    {
-        text += util::strprintf("i%lld;", v);
-    }
-
-    void
-    u(unsigned long long v)
-    {
-        text += util::strprintf("u%llu;", v);
-    }
-
-    void
-    d(double v)
-    {
-        text += util::strprintf("d%a;", v);
-    }
-
-    void
-    s(const std::string &v)
-    {
-        text += util::strprintf("s%zu:", v.size());
-        text += v;
-        text += ';';
-    }
-
-    /** The canonical text hash() digests. */
-    const std::string &rendering() const { return text; }
-
-    std::uint64_t
-    hash() const
-    {
-        std::uint64_t h = 14695981039346656037ull;
-        for (const char c : text) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        return h;
-    }
-
-  private:
-    std::string text;
-};
+using util::IdentityHasher;
 
 void
 hashCacheParams(IdentityHasher &h, const mem::CacheParams &c)
@@ -137,47 +91,13 @@ hashClock(IdentityHasher &h, const tech::ClockModel &c)
 }
 
 void
-hashProfile(IdentityHasher &h, const trace::BenchmarkProfile &p)
-{
-    h.s(p.name);
-    h.i(static_cast<int>(p.cls));
-    h.d(p.wIntAlu);
-    h.d(p.wIntMult);
-    h.d(p.wFpAdd);
-    h.d(p.wFpMult);
-    h.d(p.wFpDiv);
-    h.d(p.wFpSqrt);
-    h.d(p.wLoad);
-    h.d(p.wStore);
-    h.d(p.meanDepDistance);
-    h.d(p.minDepDistance);
-    h.d(p.src2Prob);
-    h.d(p.fpSourceAffinity);
-    h.d(p.fpLoadFraction);
-    h.d(p.meanBlockSize);
-    h.i(p.staticBranches);
-    h.d(p.biasedBranchFraction);
-    h.d(p.strongBias);
-    h.d(p.patternBranchFraction);
-    h.d(p.correlatedBranchFraction);
-    h.d(p.takenBiasFraction);
-    h.d(p.branchDepDistance);
-    h.u(p.workingSetBytes);
-    h.d(p.strideFraction);
-    h.i(p.strideStreams);
-    h.d(p.lineStrideProb);
-    h.d(p.zipfExponent);
-    h.u(p.seed);
-}
-
-void
 hashJob(IdentityHasher &h, const BenchJob &job)
 {
     h.s(job.name);
     h.i(static_cast<int>(job.cls));
     h.i(job.profile.has_value());
     if (job.profile)
-        hashProfile(h, *job.profile);
+        h.append(job.profile->identityKey());
     h.s(job.tracePath);
     h.i(job.params.has_value());
     if (job.params)
@@ -333,28 +253,10 @@ encodeCellRecord(const CellRecord &cell)
     util::appendU32(out, static_cast<std::uint32_t>(cell.job));
     putStr(out, r.name);
     util::appendU32(out, static_cast<std::uint32_t>(r.cls));
-    util::appendU64(out, r.sim.instructions);
-    util::appendU64(out, r.sim.cycles);
-    util::appendU64(out, r.sim.branches);
-    util::appendU64(out, r.sim.mispredicts);
-    util::appendU64(out, r.sim.loads);
-    util::appendU64(out, r.sim.stores);
-    util::appendU64(out, r.sim.dl1Misses);
-    util::appendU64(out, r.sim.l2Misses);
-    // Observability fields (journal format v2): stall attribution,
-    // dispatch-block counters and occupancy sums are results too, so a
-    // replayed cell must restore them bit-for-bit.
-    util::appendU64(out, r.sim.stallCycles);
-    for (const auto v : r.sim.stalls.byCause)
-        util::appendU64(out, v);
-    util::appendU64(out, r.sim.dispatchWindowFull);
-    util::appendU64(out, r.sim.dispatchRobFull);
-    util::appendU64(out, r.sim.dispatchLsqFull);
-    util::appendU64(out, r.sim.occupancy.cycles);
-    util::appendU64(out, r.sim.occupancy.frontSum);
-    util::appendU64(out, r.sim.occupancy.windowSum);
-    util::appendU64(out, r.sim.occupancy.robSum);
-    util::appendU64(out, r.sim.occupancy.lsqSum);
+    // Every counter, in core::forEachCounter's order, so a replayed
+    // cell restores them bit-for-bit.
+    core::forEachCounter([&out](std::uint64_t v) { util::appendU64(out, v); },
+                         r.sim);
     util::appendU64(out, doubleBits(r.bips));
     util::appendU32(out, static_cast<std::uint32_t>(r.error.code()));
     putStr(out, r.error.message());
@@ -373,25 +275,8 @@ decodeCellRecord(const std::string &payload, const std::string &origin)
     if (cls > static_cast<std::uint32_t>(trace::BenchClass::NonVectorFp))
         c.refuse(util::strprintf("unknown benchmark class %u", cls));
     cell.result.cls = static_cast<trace::BenchClass>(cls);
-    cell.result.sim.instructions = c.u64();
-    cell.result.sim.cycles = c.u64();
-    cell.result.sim.branches = c.u64();
-    cell.result.sim.mispredicts = c.u64();
-    cell.result.sim.loads = c.u64();
-    cell.result.sim.stores = c.u64();
-    cell.result.sim.dl1Misses = c.u64();
-    cell.result.sim.l2Misses = c.u64();
-    cell.result.sim.stallCycles = c.u64();
-    for (auto &v : cell.result.sim.stalls.byCause)
-        v = c.u64();
-    cell.result.sim.dispatchWindowFull = c.u64();
-    cell.result.sim.dispatchRobFull = c.u64();
-    cell.result.sim.dispatchLsqFull = c.u64();
-    cell.result.sim.occupancy.cycles = c.u64();
-    cell.result.sim.occupancy.frontSum = c.u64();
-    cell.result.sim.occupancy.windowSum = c.u64();
-    cell.result.sim.occupancy.robSum = c.u64();
-    cell.result.sim.occupancy.lsqSum = c.u64();
+    core::forEachCounter([&c](std::uint64_t &v) { v = c.u64(); },
+                         cell.result.sim);
     cell.result.bips = doubleFromBits(c.u64());
     const std::uint32_t code = c.u32();
     const std::string message = c.str();

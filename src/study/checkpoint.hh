@@ -335,9 +335,9 @@ class CheckpointedRunner
 };
 
 /**
- * Identity fingerprint of a grid run: FNV-1a over a canonical rendering
- * of every result-influencing input, doubles in hexfloat (the
- * serializeSuite discipline).  Two runs with equal fingerprints would
+ * Identity fingerprint of a grid run: FNV-1a over the canonical
+ * rendering (util::IdentityHasher) of every result-influencing input,
+ * doubles in hexfloat.  Two runs with equal fingerprints would
  * produce byte-identical results; a journal may only be resumed by a
  * run whose fingerprint matches its header.
  */

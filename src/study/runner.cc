@@ -1,5 +1,8 @@
 #include "study/runner.hh"
 
+#include <charconv>
+#include <iterator>
+
 #include "bp/predictors.hh"
 #include "trace/decoded_trace.hh"
 #include "trace/generator.hh"
@@ -322,35 +325,16 @@ serializeSuite(const SuiteResult &suite)
 {
     std::string out;
     out.reserve(suite.benchmarks.size() * 320);
+    // "|v" in decimal, as printf's %d / %llu writes it, with no
+    // temporary string.
+    const auto field = [&out](auto v) {
+        char buf[24] = {'|'};
+        out.append(buf, std::to_chars(buf + 1, std::end(buf), v).ptr);
+    };
     for (const auto &b : suite.benchmarks) {
-        out += util::strprintf(
-            "%s|%d|%llu|%llu|%llu|%llu|%llu|%llu|%llu|%llu",
-            b.name.c_str(), static_cast<int>(b.cls),
-            static_cast<unsigned long long>(b.sim.instructions),
-            static_cast<unsigned long long>(b.sim.cycles),
-            static_cast<unsigned long long>(b.sim.branches),
-            static_cast<unsigned long long>(b.sim.mispredicts),
-            static_cast<unsigned long long>(b.sim.loads),
-            static_cast<unsigned long long>(b.sim.stores),
-            static_cast<unsigned long long>(b.sim.dl1Misses),
-            static_cast<unsigned long long>(b.sim.l2Misses));
-        // Stall attribution and occupancy are result statistics, so they
-        // are part of the byte-identity contract too.
-        out += util::strprintf(
-            "|%llu", static_cast<unsigned long long>(b.sim.stallCycles));
-        for (const auto v : b.sim.stalls.byCause)
-            out += util::strprintf("|%llu",
-                                   static_cast<unsigned long long>(v));
-        out += util::strprintf(
-            "|%llu|%llu|%llu|%llu|%llu|%llu|%llu|%llu",
-            static_cast<unsigned long long>(b.sim.dispatchWindowFull),
-            static_cast<unsigned long long>(b.sim.dispatchRobFull),
-            static_cast<unsigned long long>(b.sim.dispatchLsqFull),
-            static_cast<unsigned long long>(b.sim.occupancy.cycles),
-            static_cast<unsigned long long>(b.sim.occupancy.frontSum),
-            static_cast<unsigned long long>(b.sim.occupancy.windowSum),
-            static_cast<unsigned long long>(b.sim.occupancy.robSum),
-            static_cast<unsigned long long>(b.sim.occupancy.lsqSum));
+        out += b.name.c_str(); // as %s: up to a NUL
+        field(static_cast<int>(b.cls));
+        core::forEachCounter(field, b.sim);
         out += util::strprintf("|%a|%s|%s\n", b.bips,
                                util::errorCodeName(b.error.code()),
                                b.error.message().c_str());

@@ -48,12 +48,6 @@ Client::Client(const std::string &hostIn, std::uint16_t portIn)
 {
 }
 
-Client::Client(const std::string &hostIn, std::uint16_t portIn,
-               int timeoutMs)
-    : Client(hostIn, portIn, Options{.ioTimeoutMs = timeoutMs})
-{
-}
-
 Frame
 Client::roundTrip(MsgType type, std::string_view body, bool idempotent)
 {

@@ -68,9 +68,6 @@ class Client
     /** Default options. */
     Client(const std::string &host, std::uint16_t port);
 
-    /** Legacy shape: `timeoutMs` is the per-round-trip deadline. */
-    Client(const std::string &host, std::uint16_t port, int timeoutMs);
-
     /** Submit a sweep.  Returns (job id, total grid cells); rethrows
      *  the server's refusal (Overloaded, InvalidConfig, ...). */
     std::pair<std::uint64_t, std::uint64_t>

@@ -1,5 +1,6 @@
 #include "trace/profile.hh"
 
+#include "util/frame.hh"
 #include "util/status.hh"
 
 namespace fo4::trace
@@ -64,24 +65,26 @@ BenchmarkProfile::validate() const
 std::string
 BenchmarkProfile::identityKey() const
 {
-    std::string key;
-    // Length-prefix the name so no choice of name can collide with the
-    // rendering of another profile's fields.
-    key += util::strprintf("%zu:%s|%d|", name.size(), name.c_str(),
-                           static_cast<int>(cls));
+    util::IdentityHasher h;
+    h.s(name);
+    h.i(static_cast<int>(cls));
     for (const double d :
          {wIntAlu, wIntMult, wFpAdd, wFpMult, wFpDiv, wFpSqrt, wLoad,
           wStore, meanDepDistance, minDepDistance, src2Prob,
-          fpSourceAffinity, fpLoadFraction, meanBlockSize,
-          biasedBranchFraction, strongBias, patternBranchFraction,
-          correlatedBranchFraction, takenBiasFraction, branchDepDistance,
-          strideFraction, lineStrideProb, zipfExponent})
-        key += util::strprintf("%a|", d);
-    key += util::strprintf("%d|%llu|%d|%llu", staticBranches,
-                           static_cast<unsigned long long>(workingSetBytes),
-                           strideStreams,
-                           static_cast<unsigned long long>(seed));
-    return key;
+          fpSourceAffinity, fpLoadFraction, meanBlockSize})
+        h.d(d);
+    h.i(staticBranches);
+    for (const double d :
+         {biasedBranchFraction, strongBias, patternBranchFraction,
+          correlatedBranchFraction, takenBiasFraction, branchDepDistance})
+        h.d(d);
+    h.u(workingSetBytes);
+    h.d(strideFraction);
+    h.i(strideStreams);
+    h.d(lineStrideProb);
+    h.d(zipfExponent);
+    h.u(seed);
+    return h.rendering();
 }
 
 void

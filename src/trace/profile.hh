@@ -119,10 +119,10 @@ struct BenchmarkProfile
     void validateOrThrow() const;
 
     /**
-     * Canonical rendering of every field that shapes the generated
-     * instruction stream, doubles in hexfloat so no precision is lost.
-     * Two profiles with equal keys generate identical streams; used as
-     * the DecodedTrace registry key.
+     * Canonical rendering (util::IdentityHasher) of every field that
+     * shapes the generated instruction stream.  Two profiles with equal
+     * keys generate identical streams.  It is the profile's part of
+     * study::gridFingerprint and the DecodedTrace registry key.
      */
     std::string identityKey() const;
 };

@@ -15,7 +15,9 @@
  *    torn-tail decision;
  *  - one whole-file reader and one checked in-place whole-file writer;
  *  - one atomic publisher (tmp → fsync → rename → directory fsync)
- *    whose writes honour the disk-fault hook.
+ *    whose writes honour the disk-fault hook;
+ *  - the identity rendering and its FNV-1a hash, whose value is the
+ *    journal header's tag and names result-store blobs.
  *
  * Each format keeps its own semantics on top — which verdict is a
  * typed error, which is salvage, what the payload means — but none of
@@ -75,6 +77,57 @@ Status writeAllStatus(int fd, const void *data, std::size_t size,
 /** CRC-32 (IEEE 802.3, reflected); chainable via `crc`. */
 std::uint32_t crc32(const void *data, std::size_t size,
                     std::uint32_t crc = 0);
+
+// ---------------------------------------------------------------------
+// Identity rendering
+// ---------------------------------------------------------------------
+
+/** 64-bit FNV-1a over `size` bytes; chainable via `hash`. */
+inline std::uint64_t
+fnv1a(const void *data, std::size_t size,
+      std::uint64_t hash = 14695981039346656037ull)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t k = 0; k < size; ++k) {
+        hash ^= bytes[k];
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+/**
+ * The canonical text of an identity: each field that can change a
+ * result byte, tagged by kind — `i` signed, `u` unsigned, `d` a double
+ * in hexfloat (no precision lost), `s` a length-prefixed string (no
+ * concatenation can collide).  study::gridFingerprint hashes one
+ * rendering of a whole grid; a profile's part of it is
+ * trace::BenchmarkProfile::identityKey(), which also keys the decoded
+ * traces and warm states held in memory.
+ */
+class IdentityHasher
+{
+  public:
+    void i(long long v) { text += strprintf("i%lld;", v); }
+    void u(unsigned long long v) { text += strprintf("u%llu;", v); }
+    void d(double v) { text += strprintf("d%a;", v); }
+
+    void
+    s(const std::string &v)
+    {
+        text += strprintf("s%zu:", v.size());
+        text += v;
+        text += ';';
+    }
+
+    /** Append a rendering made by another IdentityHasher. */
+    void append(const std::string &rendering) { text += rendering; }
+
+    const std::string &rendering() const { return text; }
+    std::uint64_t hash() const { return fnv1a(text.data(), text.size()); }
+
+  private:
+    std::string text;
+};
 
 // ---------------------------------------------------------------------
 // Little-endian integers

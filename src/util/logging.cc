@@ -61,16 +61,6 @@ panic(const char *fmt, ...)
 }
 
 void
-fatal(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("fatal", fmt, args);
-    va_end(args);
-    std::exit(1);
-}
-
-void
 warn(const char *fmt, ...)
 {
     va_list args;

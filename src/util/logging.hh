@@ -1,14 +1,12 @@
 /**
  * @file
- * Error and status reporting helpers, following the gem5 convention:
- * panic() for internal invariant violations (simulator bugs), fatal() for
- * unrecoverable user errors in CLI-only code, warn() for non-fatal
- * status messages.
+ * Error and status reporting helpers: panic() for internal invariant
+ * violations (simulator bugs), warn() for non-fatal status messages.
  *
- * Library code reports recoverable failures (bad configuration, corrupt
- * traces, watchdog expiry) by throwing the SimError hierarchy in
- * util/status.hh instead of calling fatal(); CLIs restore the old
- * print-and-exit behaviour with util::runTopLevel().
+ * Every other failure (bad configuration, corrupt traces, watchdog
+ * expiry) is a recoverable one: library code throws the SimError
+ * hierarchy in util/status.hh, and CLIs turn it into an error report
+ * and exit status with util::runTopLevel().
  */
 
 #ifndef FO4_UTIL_LOGGING_HH
@@ -25,13 +23,6 @@ namespace fo4::util
  * that indicate a bug in the simulator itself, never for user error.
  */
 [[noreturn]] void panic(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/**
- * Report an unrecoverable user error (bad configuration, invalid
- * arguments) and exit with status 1.
- */
-[[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /** Report a suspicious but survivable condition. */

@@ -287,8 +287,8 @@ class Expected
 /**
  * Run a CLI body, converting uncaught SimErrors into an error report on
  * stderr and a nonzero exit status — the single top-level handler that
- * preserves the old fatal()-style behaviour for command-line tools
- * while letting library callers recover.
+ * ends a command-line tool on error while letting library callers
+ * recover.
  *
  * Exit-code contract: 0 = the body's own success code, 1 = a typed
  * SimError (bad configuration, corrupt input, ...), 2 = an unexpected

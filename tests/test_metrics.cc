@@ -284,6 +284,30 @@ TEST(TraceEventRing, ChromeJsonNamesLanesAndEvents)
               std::count(json.begin(), json.end(), '}'));
 }
 
+TEST(TraceEventRing, TraceStartKeepsTheWindowEndRepresentable)
+{
+    MetricsFlagGuard g(false); // trace= turns the registry on
+    const auto parse = [](std::vector<const char *> args) {
+        args.insert(args.begin(), "bench");
+        return bench::observabilityFromArgs(util::Config::fromArgs(
+            static_cast<int>(args.size()), args.data()));
+    };
+    for (const char *start :
+         {"trace_start=-5", "trace_start=9223372036854775807"}) {
+        try {
+            (void)parse({"trace=/dev/null", start});
+            ADD_FAILURE() << start << " was accepted";
+        } catch (const util::ConfigError &e) {
+            EXPECT_EQ(e.code(), util::ErrorCode::InvalidConfig) << e.what();
+        }
+    }
+    // The last start whose window end (start + trace_cycles) fits.
+    const auto last = parse({"trace=/dev/null", "trace_cycles=10",
+                             "trace_start=9223372036854775797"});
+    EXPECT_EQ(last.traceStart, INT64_MAX - 10);
+    EXPECT_EQ(parse({}).traceStart, 0);
+}
+
 // ---------------------------------------------------------------------
 // Stats determinism
 // ---------------------------------------------------------------------
