@@ -14,6 +14,9 @@ namespace
 
 constexpr std::uint64_t noProducer = ~0ull;
 
+/** Wake cycle of an entry still waiting on an unissued producer. */
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+
 std::uint64_t
 nextPowerOfTwo(std::uint64_t v)
 {
@@ -53,75 +56,39 @@ BatchedOooCore::BatchedOooCore(const CoreParams &params,
     aDst.resize(size);
     aMispredicted.resize(size);
     aLoadMiss.resize(size);
+    aWaited.resize(size);
     slotMask = size - 1;
 
     win.reserve(prm.window.capacity);
+    perStage = static_cast<std::size_t>(prm.window.entriesPerStage());
     issuedScratch.reserve(16);
 }
 
-int
-BatchedOooCore::stageOf(std::size_t position) const
-{
-    const int stage =
-        static_cast<int>(position) / prm.window.entriesPerStage();
-    return stage >= prm.window.wakeupStages ? prm.window.wakeupStages - 1
-                                            : stage;
-}
-
-std::int64_t
-BatchedOooCore::depReady(InflightRef producer, int stage) const
-{
-    // The reference WakeupOracle::dependentReadyCycle, devirtualized.
-    if (aIssueCycle[producer] < 0)
-        return -1;
-    const int wakeup = prm.issueLatency + prm.extraWakeup + stage;
-    const int spacing =
-        aDepLat[producer] > wakeup ? aDepLat[producer] : wakeup;
-    return aIssueCycle[producer] + spacing;
-}
-
-bool
-BatchedOooCore::wokenEntry(WinEntry &entry, std::size_t position,
-                           std::int64_t when) const
-{
-    const int stage = stageOf(position);
-    bool allReady = true;
-    for (int s = 0; s < 2; ++s) {
-        const InflightRef producer = entry.producers[s];
-        if (producer == invalidRef)
-            continue;
-        if (entry.srcReadyAt[s] < 0) {
-            const std::int64_t ready = depReady(producer, stage);
-            if (ready < 0) {
-                allReady = false;
-                continue;
-            }
-            entry.srcReadyAt[s] = ready;
-        }
-        if (entry.srcReadyAt[s] > when)
-            allReady = false;
-    }
-    return allReady;
-}
-
 void
-BatchedOooCore::wakeupPass(std::int64_t when)
+BatchedOooCore::freezeIssued(WinEntry &entry, std::size_t position) const
 {
-    // Idempotent within a cycle: a cached awake result stays valid, and
-    // the frozen per-source cycles depend only on producer schedules and
-    // the entry's position, neither of which moves between passes.
-    for (std::size_t i = 0; i < win.size(); ++i) {
-        if (!win[i].awake)
-            win[i].awake = wokenEntry(win[i], i, now);
+    // The reference WakeupOracle::dependentReadyCycle, devirtualized, at
+    // the stage of the position where the reference window's wakeup pass
+    // first sees the producer's broadcast.  A position is always below
+    // the capacity, so its stage never passes the last one.
+    for (InflightRef &producer : entry.producers) {
+        if (producer == invalidRef || aIssueCycle[producer] < 0)
+            continue;
+        const int stage = static_cast<int>(position / perStage);
+        const int wakeup = prm.issueLatency + prm.extraWakeup + stage;
+        const int spacing =
+            aDepLat[producer] > wakeup ? aDepLat[producer] : wakeup;
+        entry.readyAt =
+            std::max(entry.readyAt, aIssueCycle[producer] + spacing);
+        producer = invalidRef;
     }
-    (void)when;
+    if (entry.producers[0] == invalidRef && entry.producers[1] == invalidRef)
+        entry.wakeAt = entry.readyAt;
 }
 
 void
 BatchedOooCore::selectAndRemove()
 {
-    wakeupPass(now);
-
     const bool partitioned =
         prm.window.select == SelectModel::Partitioned;
     int intLeft = prm.intIssueWidth;
@@ -131,8 +98,8 @@ BatchedOooCore::selectAndRemove()
     std::size_t out = 0;
     for (std::size_t i = 0; i < win.size(); ++i) {
         const WinEntry &e = win[i];
-        bool take = e.awake &&
-                    (!partitioned || stageOf(i) == 0 || e.preselected);
+        bool take = e.wakeAt <= now &&
+                    (!partitioned || i < perStage || e.preselected);
         if (take) {
             if (e.fp) {
                 take = fpLeft > 0;
@@ -154,21 +121,21 @@ BatchedOooCore::selectAndRemove()
     }
     win.resize(out);
 
+    // Preselect for next cycle at the compacted positions, one stage
+    // at a time.  First-stage entries stay there, and select sees them
+    // all without a latch.
     if (partitioned) {
-        std::array<int, 8> capLeft = prm.window.preselectCap;
-        for (std::size_t i = 0; i < win.size(); ++i) {
-            WinEntry &e = win[i];
-            e.preselected = false;
-            const int stage = stageOf(i);
-            if (stage == 0)
-                continue;
-            if (!e.awake)
-                e.awake = wokenEntry(e, i, now);
-            const int capIdx = stage - 1;
-            if (e.awake && capIdx < static_cast<int>(capLeft.size()) &&
-                capLeft[capIdx] > 0) {
-                --capLeft[capIdx];
-                e.preselected = true;
+        std::size_t capIdx = 0;
+        for (std::size_t begin = perStage; begin < win.size();
+             begin += perStage, ++capIdx) {
+            int capLeft = capIdx < prm.window.preselectCap.size()
+                              ? prm.window.preselectCap[capIdx]
+                              : 0;
+            const std::size_t end = std::min(begin + perStage, win.size());
+            for (std::size_t i = begin; i < end; ++i) {
+                WinEntry &e = win[i];
+                e.preselected = capLeft > 0 && e.wakeAt <= now;
+                capLeft -= e.preselected;
             }
         }
     }
@@ -224,7 +191,9 @@ void
 BatchedOooCore::doIssue()
 {
     selectAndRemove();
+    bool broadcast = false;
     for (const InflightRef ref : issuedScratch) {
+        broadcast |= aWaited[ref] != 0;
         aIssueCycle[ref] = now;
         aDoneCycle[ref] = now + prm.regReadStages + aExecLat[ref];
         if (aMispredicted[ref] &&
@@ -233,6 +202,14 @@ BatchedOooCore::doIssue()
                 aDoneCycle[ref] + prm.extraMispredictPenalty + 1;
             haltingBranch = ~0ull;
             mispredictShadowEnd = fetchResumeCycle + frontDepth;
+        }
+    }
+    // Consumers of this cycle's issues freeze at their post-compaction
+    // positions, which they keep until the next cycle's select.
+    if (broadcast) {
+        for (std::size_t i = 0; i < win.size(); ++i) {
+            if (win[i].wakeAt == kNever)
+                freezeIssued(win[i], i);
         }
     }
 }
@@ -266,23 +243,28 @@ BatchedOooCore::doDispatch(SimResult &result)
 
         WinEntry e;
         e.ref = static_cast<InflightRef>(dispatchSeq & slotMask);
-        e.seq = dispatchSeq;
         e.fp = isa::isFloat(aCls[h]);
         e.mem = memOp;
-        e.awake = false;
         e.preselected = false;
         e.producers = {invalidRef, invalidRef};
-        e.srcReadyAt = {-1, -1};
+        e.readyAt = 0;
+        e.wakeAt = kNever;
         int nsrc = 0;
         for (const std::int16_t src : {aSrc1[h], aSrc2[h]}) {
             if (src == isa::noReg)
                 continue;
             const std::uint64_t pseq = renameMap[src];
             if (pseq != noProducer && pseq >= commitSeq) {
-                e.producers[nsrc++] =
+                const auto producer =
                     static_cast<InflightRef>(pseq & slotMask);
+                e.producers[nsrc++] = producer;
+                if (aIssueCycle[producer] < 0)
+                    aWaited[producer] = 1;
             }
         }
+        // Sources whose producers already issued freeze at the position
+        // the entry takes, which it keeps until the next cycle's select.
+        freezeIssued(e, win.size());
 
         aExecLat[h] = prm.execLatency(aCls[h]);
         aDepLat[h] = aExecLat[h];
@@ -332,6 +314,7 @@ BatchedOooCore::doFetch(SimResult &result)
         aDst[h] = op.dst;
         aMispredicted[h] = 0;
         aLoadMiss[h] = 0;
+        aWaited[h] = 0;
         const std::uint64_t seq = fetchSeq;
         ++fetchSeq;
 
@@ -403,35 +386,16 @@ BatchedOooCore::skipIdleSpan(SimResult &result, OccupancySample &occ,
         // wake event, folded in below.
     }
 
-    // Issue: any awake entry can be selected (or latched by preselect),
-    // so the window must be entirely asleep.  The pre-freeze performed
-    // by this wakeup pass is exactly what the cycle's own pass would
-    // compute — producer schedules and entry positions cannot change
-    // between here and doIssue.
-    wakeupPass(now);
-    for (const WinEntry &e : win) {
-        if (e.awake)
-            return 0;
-    }
-    // First wake event: entries whose sources' wakeup cycles are all
-    // frozen wake at their max.  Entries waiting on an unissued
-    // producer cannot wake before some other entry issues, which
-    // requires a wake event of its own — they never bound the span.
-    for (const WinEntry &e : win) {
-        bool known = true;
-        std::int64_t wake = -1;
-        for (int s = 0; s < 2; ++s) {
-            if (e.producers[s] == invalidRef)
-                continue;
-            if (e.srcReadyAt[s] < 0) {
-                known = false;
-                break;
-            }
-            wake = std::max(wake, e.srcReadyAt[s]);
-        }
-        if (known && wake > now)
-            event = std::min(event, wake);
-    }
+    // Issue: an awake entry can be selected (or latched by preselect),
+    // so the span ends at the window's first wake cycle.  Entries
+    // waiting on an unissued producer (kNever) cannot wake before some
+    // other entry issues, which needs a wake cycle of its own.
+    std::int64_t firstWake = kNever;
+    for (const WinEntry &e : win)
+        firstWake = std::min(firstWake, e.wakeAt);
+    if (firstWake <= now)
+        return 0;
+    event = std::min(event, firstWake);
 
     // Dispatch: blocked on a future ready cycle (bounds the span) or on
     // a structural limit that cannot clear while nothing commits or

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -88,8 +87,9 @@ randomParams(Rng &rng)
     p.lsqSize = 1 + static_cast<int>(rng.below(48));
     p.fetchQueueSize = 1 + static_cast<int>(rng.below(32));
     p.window.capacity = 2 + static_cast<int>(rng.below(31));
+    // Every stage count CoreParams::validate accepts: Fig 11 runs 10.
     p.window.wakeupStages =
-        1 + static_cast<int>(rng.below(std::min(p.window.capacity, 5)));
+        1 + static_cast<int>(rng.below(p.window.capacity));
     p.window.select = rng.chance(0.5) ? core::SelectModel::Partitioned
                                       : core::SelectModel::Full;
     p.fetchStages = 1 + static_cast<int>(rng.below(5));
@@ -258,6 +258,32 @@ TEST(CoreDifferential, ClockPeriodSweepColumnIsByteIdentical)
     // Guard against the batched path silently degrading to reference:
     // a batched run must have materialized its stream in the registry.
     EXPECT_GE(trace::DecodedTraceRegistry::global().size(), 1u);
+}
+
+TEST(CoreDifferential, SegmentedWindowColumnIsByteIdentical)
+{
+    // The deepest segmented window a bench runs (Fig 11's 10 stages)
+    // under Fig 12's partitioned select, where a source's wakeup cycle
+    // depends on the stage its consumer holds when the producer issues.
+    study::ScalingOptions options;
+    options.windowEntries = 32;
+    options.window.wakeupStages = 10;
+    options.window.select = core::SelectModel::Partitioned;
+    const auto spec = baseSpec();
+    for (const char *bench : {"179.art", "164.gzip"}) {
+        const auto job =
+            study::BenchJob::fromProfile(trace::spec2000Profile(bench));
+        for (const double u : {3.0, 6.0, 12.0}) {
+            const auto params = study::scaledCoreParams(u, options);
+            const auto clock = study::scaledClock(u);
+            const auto reference = runOne(params, clock, job, spec,
+                                          study::SimImpl::Reference);
+            const auto batched =
+                runOne(params, clock, job, spec, study::SimImpl::Batched);
+            EXPECT_EQ(batched, reference)
+                << bench << " t_useful=" << u;
+        }
+    }
 }
 
 TEST(CoreDifferential, WatchdogDumpsAreByteIdentical)

@@ -9,10 +9,11 @@
  *    paper's printed values with explicit tolerances;
  *  - simulation-derived numbers (the Fig 4b / Fig 5 integer optimum,
  *    the Fig 5 non-vector FP optimum, the Cray-1S optimum, the Fig 8
- *    loop ordering, the Fig 11 loss at 4 stages) are pinned as the
- *    argmax, ordering or loss of a fixed-length sweep.  The synthetic
- *    traces are seeded, so these sweeps are exactly reproducible: a
- *    changed argmax means the model changed, not the weather.
+ *    loop ordering, the Fig 11 losses at 4 and 10 stages, the Fig 12
+ *    select cost) are pinned as the argmax, ordering or loss of a
+ *    fixed-length sweep.  The synthetic traces are seeded, so these
+ *    sweeps are exactly reproducible: a changed argmax means the model
+ *    changed, not the weather.
  *
  * Policy (see README "Golden numbers"): a pinned value may only be
  * updated when a model change is *intended* to move it, the new value
@@ -88,22 +89,39 @@ classSweep(const study::SweepOptions &options, const study::RunSpec &spec,
     return bips;
 }
 
-/** Integer harmonic IPC of each configuration, in order. */
+/** Harmonic IPC of each configuration over the given suite, in order. */
 std::vector<double>
-integerIpc(const std::vector<core::CoreParams> &configs)
+suiteIpc(const std::vector<core::CoreParams> &configs,
+         const std::vector<trace::BenchmarkProfile> &profiles)
 {
     std::vector<study::GridPoint> points;
     for (const auto &params : configs)
         points.push_back({params, tech::ClockModel{}});
     const auto suites = allThreads().runGrid(
-        points,
-        study::jobsFromProfiles(
-            trace::spec2000Profiles(trace::BenchClass::Integer)),
-        goldenSpec());
+        points, study::jobsFromProfiles(profiles), goldenSpec());
     std::vector<double> ipc;
     for (const auto &suite : suites)
         ipc.push_back(suite.harmonicIpcAll());
     return ipc;
+}
+
+/** Integer harmonic IPC of each configuration, in order. */
+std::vector<double>
+integerIpc(const std::vector<core::CoreParams> &configs)
+{
+    return suiteIpc(configs,
+                    trace::spec2000Profiles(trace::BenchClass::Integer));
+}
+
+/** Floating-point harmonic IPC of each configuration, over the vector
+ *  and non-vector suites pooled as the Section 5 benches pool them. */
+std::vector<double>
+fpIpc(const std::vector<core::CoreParams> &configs)
+{
+    auto profiles = trace::spec2000Profiles(trace::BenchClass::VectorFp);
+    for (auto &p : trace::spec2000Profiles(trace::BenchClass::NonVectorFp))
+        profiles.push_back(p);
+    return suiteIpc(configs, profiles);
 }
 
 } // namespace
@@ -323,4 +341,55 @@ TEST(GoldenPaper, Fig11FourWakeupStagesCostUnderOnePercent)
     segmented.window.wakeupStages = 4;
     const auto ipc = integerIpc({base, segmented});
     EXPECT_LT(1.0 - ipc[1] / ipc[0], 0.01);
+}
+
+TEST(GoldenPaper, Fig11TenWakeupStagesCostAModestAmount)
+{
+    // E11 / Figure 11 at its deepest point: 10 wakeup stages cost more
+    // than 4, in both classes, but stay under the bench's own "modest
+    // amount" bound of 15%.  The paper loses 11% integer and 5% FP; this
+    // model loses 2.6% of each at this scale (0.55% integer and 0.43%
+    // FP at 4 stages), because synthetic dependence locality concentrates
+    // wakeups in the lowest stages (EXPERIMENTS.md, divergence 4).
+    auto base = core::CoreParams::alpha21264();
+    base.window.capacity = 32;
+    auto four = base;
+    four.window.wakeupStages = 4;
+    auto ten = base;
+    ten.window.wakeupStages = 10;
+    for (const bool fp : {false, true}) {
+        const auto ipc =
+            fp ? fpIpc({base, four, ten}) : integerIpc({base, four, ten});
+        const double lossAt4 = 1.0 - ipc[1] / ipc[0];
+        const double lossAt10 = 1.0 - ipc[2] / ipc[0];
+        EXPECT_GE(lossAt10, lossAt4) << (fp ? "FP" : "integer");
+        EXPECT_LT(lossAt10, 0.15) << (fp ? "FP" : "integer");
+    }
+}
+
+TEST(GoldenPaper, Fig12PartitionedSelectCostsUnderFivePercent)
+{
+    // E12 / Figure 12: the 32-entry, 4-stage window with partitioned
+    // select (stage 1 plus preselect caps 5/2/1) loses under 5% of IPC
+    // in both classes against the single-cycle window, and never less
+    // than segmented wakeup alone.  The paper loses ~4% integer and ~1%
+    // FP; this model loses 1.2% integer and 2.1% FP at this scale, so
+    // the paper's FP-loses-less ordering flips (EXPERIMENTS.md, E12).
+    auto mono = core::CoreParams::alpha21264();
+    mono.window.capacity = 32;
+    auto segmented = mono;
+    segmented.window.wakeupStages = 4;
+    auto partitioned = segmented;
+    partitioned.window.select = core::SelectModel::Partitioned;
+    partitioned.window.preselectCap = {5, 2, 1, 1, 1, 1, 1, 1};
+    for (const bool fp : {false, true}) {
+        const std::vector<core::CoreParams> configs{mono, segmented,
+                                                    partitioned};
+        const auto ipc = fp ? fpIpc(configs) : integerIpc(configs);
+        const double segmentedLoss = 1.0 - ipc[1] / ipc[0];
+        const double partitionedLoss = 1.0 - ipc[2] / ipc[0];
+        EXPECT_LT(partitionedLoss, 0.05) << (fp ? "FP" : "integer");
+        EXPECT_GE(partitionedLoss, segmentedLoss)
+            << (fp ? "FP" : "integer");
+    }
 }
