@@ -73,7 +73,7 @@ keyUnion(std::initializer_list<std::vector<util::KeyDoc>> lists)
 /**
  * Under verbose=, print the structure-latency cache counters — the
  * sweep memoization working shows up as a high hit count and exactly
- * one insert per distinct (calibration, structure, capacity) point.
+ * one miss per distinct (calibration, structure, capacity) point.
  */
 inline void
 printLatencyCacheStats(bool verbose)
@@ -81,12 +81,10 @@ printLatencyCacheStats(bool verbose)
     if (!verbose)
         return;
     const auto s = cacti::LatencyCache::global().stats();
-    std::printf("\nlatency cache: %llu lookups (%llu hits, %llu misses), "
-                "%llu inserts\n",
+    std::printf("\nlatency cache: %llu lookups (%llu hits, %llu misses)\n",
                 static_cast<unsigned long long>(s.lookups()),
                 static_cast<unsigned long long>(s.hits),
-                static_cast<unsigned long long>(s.misses),
-                static_cast<unsigned long long>(s.inserts));
+                static_cast<unsigned long long>(s.misses));
 }
 
 /**
@@ -249,58 +247,69 @@ observabilityFromArgs(const util::Config &cfg)
     return o;
 }
 
+/**
+ * The stats CSV's one column table: calls `f(name, value)` for each
+ * column after the point label, in CSV order, with `b`'s rendered
+ * value.  Counters print as integers and occupancies as per-cycle
+ * means with a fixed format, so two byte-identical suites produce
+ * byte-identical rows — the determinism contract extends to this CSV.
+ */
+template <class F>
+void
+forEachStatsColumn(const study::BenchResult &b, F &&f)
+{
+    const auto count = [](std::uint64_t v) {
+        return util::strprintf("%llu", static_cast<unsigned long long>(v));
+    };
+    const auto &sim = b.sim;
+    f("benchmark", b.name);
+    f("class", trace::benchClassName(b.cls));
+    f("status", b.failed() ? util::errorCodeName(b.error.code()) : "ok");
+    f("instructions", count(sim.instructions));
+    f("cycles", count(sim.cycles));
+    f("stall_cycles", count(sim.stallCycles));
+    for (int i = 0; i < core::numStallCauses; ++i) {
+        f(std::string("stall_") +
+              core::stallCauseName(static_cast<core::StallCause>(i)),
+          count(sim.stalls.byCause[i]));
+    }
+    f("dispatch_window_full", count(sim.dispatchWindowFull));
+    f("dispatch_rob_full", count(sim.dispatchRobFull));
+    f("dispatch_lsq_full", count(sim.dispatchLsqFull));
+    const auto &occ = sim.occupancy;
+    const auto mean = [&occ](std::uint64_t sum) {
+        return util::strprintf("%.6f", occ.mean(sum));
+    };
+    f("occ_front", mean(occ.frontSum));
+    f("occ_window", mean(occ.windowSum));
+    f("occ_rob", mean(occ.robSum));
+    f("occ_lsq", mean(occ.lsqSum));
+}
+
 /** Header row of the stats CSV (shared by benches and identity tests). */
 inline std::vector<std::string>
 statsHeader(const std::string &pointColumn = "t_useful")
 {
-    std::vector<std::string> h{pointColumn, "benchmark", "class",
-                               "status", "instructions", "cycles",
-                               "stall_cycles"};
-    for (int i = 0; i < core::numStallCauses; ++i) {
-        h.push_back(std::string("stall_") +
-                    core::stallCauseName(
-                        static_cast<core::StallCause>(i)));
-    }
-    h.insert(h.end(),
-             {"dispatch_window_full", "dispatch_rob_full",
-              "dispatch_lsq_full", "occ_front", "occ_window", "occ_rob",
-              "occ_lsq"});
+    std::vector<std::string> h{pointColumn};
+    forEachStatsColumn(study::BenchResult{},
+                       [&h](std::string name, const std::string &) {
+                           h.push_back(std::move(name));
+                       });
     return h;
 }
 
-/**
- * One stats row per benchmark of `suite`, labelled `point` (e.g. the
- * t_useful value).  Every cell is rendered with a fixed format from
- * integer counters, so two byte-identical suites produce byte-identical
- * rows — the determinism contract extends to this CSV.
- */
+/** One stats row per benchmark of `suite`, labelled `point` (e.g. the
+ *  t_useful value). */
 inline std::vector<std::vector<std::string>>
 statsRows(const std::string &point, const study::SuiteResult &suite)
 {
     std::vector<std::vector<std::string>> rows;
     rows.reserve(suite.benchmarks.size());
     for (const auto &b : suite.benchmarks) {
-        std::vector<std::string> row{
-            point, b.name, trace::benchClassName(b.cls),
-            b.failed() ? util::errorCodeName(b.error.code()) : "ok",
-            util::strprintf("%llu", static_cast<unsigned long long>(
-                                        b.sim.instructions)),
-            util::strprintf("%llu", static_cast<unsigned long long>(
-                                        b.sim.cycles)),
-            util::strprintf("%llu", static_cast<unsigned long long>(
-                                        b.sim.stallCycles))};
-        for (const auto v : b.sim.stalls.byCause)
-            row.push_back(util::strprintf(
-                "%llu", static_cast<unsigned long long>(v)));
-        for (const auto v :
-             {b.sim.dispatchWindowFull, b.sim.dispatchRobFull,
-              b.sim.dispatchLsqFull})
-            row.push_back(util::strprintf(
-                "%llu", static_cast<unsigned long long>(v)));
-        const auto &occ = b.sim.occupancy;
-        for (const auto sum : {occ.frontSum, occ.windowSum, occ.robSum,
-                               occ.lsqSum})
-            row.push_back(util::strprintf("%.6f", occ.mean(sum)));
+        std::vector<std::string> row{point};
+        forEachStatsColumn(b, [&row](const std::string &, std::string v) {
+            row.push_back(std::move(v));
+        });
         rows.push_back(std::move(row));
     }
     return rows;
@@ -320,19 +329,14 @@ sweepStatsRows(const std::vector<study::SweepPointResult> &points)
     return rows;
 }
 
-/** Flatten rows to one string (what the byte-identity tests compare). */
+/** Rows as the CSV bytes writeStats publishes (what the byte-identity
+ *  tests compare). */
 inline std::string
 statsRowsToString(const std::vector<std::vector<std::string>> &rows)
 {
     std::string out;
-    for (const auto &row : rows) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                out += ',';
-            out += row[i];
-        }
-        out += '\n';
-    }
+    for (const auto &row : rows)
+        out += util::csvRow(row);
     return out;
 }
 

@@ -15,7 +15,6 @@ struct CacheMetrics
 {
     util::MetricCounter &hits;
     util::MetricCounter &misses;
-    util::MetricCounter &inserts;
 
     static CacheMetrics &
     get()
@@ -25,8 +24,6 @@ struct CacheMetrics
                 "cacti.latency_cache.hit"),
             util::MetricsRegistry::global().counter(
                 "cacti.latency_cache.miss"),
-            util::MetricsRegistry::global().counter(
-                "cacti.latency_cache.insert"),
         };
         return m;
     }
@@ -50,15 +47,6 @@ fingerprint(const ModelParams &p)
 
 } // namespace
 
-std::size_t
-LatencyCache::KeyHash::operator()(const Key &k) const
-{
-    std::uint64_t h = k.paramsFingerprint;
-    h = util::fnv1a(&k.kind, sizeof(k.kind), h);
-    h = util::fnv1a(&k.capacity, sizeof(k.capacity), h);
-    return static_cast<std::size_t>(h);
-}
-
 LatencyCache &
 LatencyCache::global()
 {
@@ -70,25 +58,17 @@ double
 LatencyCache::latencyFo4(const StructureModel &model, StructureKind kind,
                          std::uint64_t capacity)
 {
-    const Key key{fingerprint(model.params()), kind, capacity};
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        const auto it = table.find(key);
-        if (it != table.end()) {
-            ++counters.hits;
-            CacheMetrics::get().hits.inc();
-            return it->second;
-        }
-        ++counters.misses;
-    }
-    CacheMetrics::get().misses.inc();
-    // Compute outside the lock: the subarray search is the slow part,
-    // and concurrent first lookups of the same key are idempotent.
-    const double latency = model.latencyFo4(kind, capacity);
-    std::lock_guard<std::mutex> lock(mutex);
-    if (table.emplace(key, latency).second) {
-        ++counters.inserts;
-        CacheMetrics::get().inserts.inc();
+    bool built = false;
+    const double latency =
+        table.get({fingerprint(model.params()), kind, capacity}, [&] {
+            built = true;
+            ++misses;
+            CacheMetrics::get().misses.inc();
+            return model.latencyFo4(kind, capacity);
+        });
+    if (!built) {
+        ++hits;
+        CacheMetrics::get().hits.inc();
     }
     return latency;
 }
@@ -96,16 +76,15 @@ LatencyCache::latencyFo4(const StructureModel &model, StructureKind kind,
 LatencyCacheStats
 LatencyCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mutex);
-    return counters;
+    return {hits.load(), misses.load()};
 }
 
 void
 LatencyCache::clear()
 {
-    std::lock_guard<std::mutex> lock(mutex);
     table.clear();
-    counters = LatencyCacheStats{};
+    hits = 0;
+    misses = 0;
 }
 
 } // namespace fo4::cacti

@@ -11,34 +11,30 @@
  * clock-independent latency therefore covers every (clock period,
  * capacity, calibration) combination the sweep grid touches.
  *
- * Thread safety: a single mutex guards the table.  Entries are values
- * (doubles), so a hit copies out under the lock and never hands out a
- * reference that rehashing could invalidate.
+ * The table is a util::OnceMap: each point is computed exactly once,
+ * concurrent first lookups of it wait for that one computation, and a
+ * computation that throws caches nothing.
  */
 
 #ifndef FO4_CACTI_LATENCY_CACHE_HH
 #define FO4_CACTI_LATENCY_CACHE_HH
 
+#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
+#include <tuple>
 
 #include "cacti/structures.hh"
+#include "util/once_map.hh"
 
 namespace fo4::cacti
 {
 
-/** Hit/miss/insert counters, for tests and the engineering benches. */
+/** Hit/miss counters, for tests and the engineering benches; a miss
+ *  is a computation, so misses == distinct points looked up. */
 struct LatencyCacheStats
 {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    /**
-     * Entries actually added to the table.  Under concurrency this can
-     * lag `misses`: two threads may miss on the same key, both compute,
-     * and only the first emplace inserts.  Serially, inserts == misses.
-     */
-    std::uint64_t inserts = 0;
     std::uint64_t lookups() const { return hits + misses; }
 };
 
@@ -63,28 +59,12 @@ class LatencyCache
     void clear();
 
   private:
-    struct Key
-    {
-        std::uint64_t paramsFingerprint;
-        StructureKind kind;
-        std::uint64_t capacity;
+    /** (calibration fingerprint, structure, capacity). */
+    using Key = std::tuple<std::uint64_t, StructureKind, std::uint64_t>;
 
-        bool
-        operator==(const Key &o) const
-        {
-            return paramsFingerprint == o.paramsFingerprint &&
-                   kind == o.kind && capacity == o.capacity;
-        }
-    };
-
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const;
-    };
-
-    mutable std::mutex mutex;
-    std::unordered_map<Key, double, KeyHash> table;
-    LatencyCacheStats counters;
+    util::OnceMap<Key, double> table;
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> misses{0};
 };
 
 } // namespace fo4::cacti

@@ -40,7 +40,7 @@
 #include <memory>
 #include <string>
 
-#include "bp/predictor.hh"
+#include "bp/predictors.hh"
 #include "core/core.hh"
 #include "core/prewarm.hh"
 #include "core/warm_start.hh"
@@ -68,20 +68,14 @@ class BatchedCore : public Core
     void setRetireSink(trace::RetireSink *sink) override { retireSink = sink; }
 
   protected:
-    /**
-     * `predictorKey` names the predictor's factory configuration and
-     * enables the shared warm-state cache; empty disables sharing (the
-     * core then prewarms per run, still byte-identically).
-     */
-    BatchedCore(const CoreParams &params,
-                std::unique_ptr<bp::BranchPredictor> predictor,
-                std::string predictorKey)
-        : prm(validated(params)), bpred(std::move(predictor)),
-          bpredKey(std::move(predictorKey)),
+    /** `predictor` is the predictor's factory name (bp::makePredictor);
+     *  it also keys the shared warm-state cache. */
+    BatchedCore(const CoreParams &params, const std::string &predictor)
+        : prm(validated(params)), bpred(bp::makePredictor(predictor)),
+          bpredKey(predictor),
           memory(params.dl1, params.l2, params.memLatencies,
                  params.memoryMode)
     {
-        FO4_ASSERT(bpred != nullptr, "core needs a branch predictor");
     }
 
     /** The run's next op.  The decoded fast path skips the virtual
@@ -141,7 +135,7 @@ BatchedCore<Model>::run(trace::TraceSource &trace,
     } detach{*this};
 
     view = dynamic_cast<trace::DecodedTraceView *>(&trace);
-    if (prewarm > 0 && view != nullptr && !bpredKey.empty()) {
+    if (prewarm > 0 && view != nullptr) {
         // One shared prewarm per sweep column instead of one per cell.
         const auto warm = WarmStartCache::global().acquire(
             view->trace(), prewarm, prm, *bpred, bpredKey);

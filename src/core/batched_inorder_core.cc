@@ -2,16 +2,14 @@
 
 #include <algorithm>
 
-#include "bp/predictors.hh"
 #include "isa/opclass.hh"
 
 namespace fo4::core
 {
 
-BatchedInorderCore::BatchedInorderCore(
-    const CoreParams &params, std::unique_ptr<bp::BranchPredictor> predictor,
-    std::string predictorKey)
-    : BatchedCore(params, std::move(predictor), std::move(predictorKey)),
+BatchedInorderCore::BatchedInorderCore(const CoreParams &params,
+                                       const std::string &predictor)
+    : BatchedCore(params, predictor),
       // Same queue sizing as the reference InorderCore: the classic
       // pipeline holds fetch/decode contents plus one issue buffer.
       qCap(static_cast<std::size_t>(params.fetchStages +
@@ -289,8 +287,7 @@ std::unique_ptr<Core>
 makeBatchedInorderCore(const CoreParams &params,
                        const std::string &predictor)
 {
-    return std::make_unique<BatchedInorderCore>(
-        params, bp::makePredictor(predictor), predictor);
+    return std::make_unique<BatchedInorderCore>(params, predictor);
 }
 
 } // namespace fo4::core

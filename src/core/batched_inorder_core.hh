@@ -32,9 +32,7 @@ namespace fo4::core
 class BatchedInorderCore : public BatchedCore<BatchedInorderCore>
 {
   public:
-    BatchedInorderCore(const CoreParams &params,
-                       std::unique_ptr<bp::BranchPredictor> predictor,
-                       std::string predictorKey = "");
+    BatchedInorderCore(const CoreParams &params, const std::string &predictor);
 
   private:
     friend class BatchedCore<BatchedInorderCore>;

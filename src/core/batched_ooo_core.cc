@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "bp/predictors.hh"
 #include "isa/opclass.hh"
 
 namespace fo4::core
@@ -29,9 +28,8 @@ nextPowerOfTwo(std::uint64_t v)
 } // namespace
 
 BatchedOooCore::BatchedOooCore(const CoreParams &params,
-                               std::unique_ptr<bp::BranchPredictor> predictor,
-                               std::string predictorKey)
-    : BatchedCore(params, std::move(predictor), std::move(predictorKey))
+                               const std::string &predictor)
+    : BatchedCore(params, predictor)
 {
     frontDepth = prm.fetchStages + prm.decodeStages + prm.renameStages;
     frontCap = prm.fetchQueueSize +
@@ -501,8 +499,7 @@ template class BatchedCore<BatchedOooCore>;
 std::unique_ptr<Core>
 makeBatchedOooCore(const CoreParams &params, const std::string &predictor)
 {
-    return std::make_unique<BatchedOooCore>(
-        params, bp::makePredictor(predictor), predictor);
+    return std::make_unique<BatchedOooCore>(params, predictor);
 }
 
 } // namespace fo4::core

@@ -45,9 +45,7 @@ namespace fo4::core
 class BatchedOooCore : public BatchedCore<BatchedOooCore>
 {
   public:
-    BatchedOooCore(const CoreParams &params,
-                   std::unique_ptr<bp::BranchPredictor> predictor,
-                   std::string predictorKey = "");
+    BatchedOooCore(const CoreParams &params, const std::string &predictor);
 
     void setRetireSink(trace::RetireSink *sink) override
     {

@@ -49,48 +49,31 @@ WarmStartCache::acquire(trace::DecodedTrace &trace, std::uint64_t prewarm,
         params.l2.lineBytes, params.l2.associativity,
         static_cast<int>(params.memoryMode));
 
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> guard(lock);
-        auto &slot = entries[key];
-        if (!slot)
-            slot = std::make_shared<Entry>();
-        entry = slot;
-    }
-
-    std::call_once(entry->once, [&] {
+    auto state = states.get(key, [&] {
         static auto &built =
             util::MetricsRegistry::global().counter("core.warm_state.built");
-        auto state = std::make_shared<WarmState>(
+        auto warm = std::make_shared<WarmState>(
             WarmState{mem::MemoryHierarchy(params.dl1, params.l2,
                                            params.memLatencies,
                                            params.memoryMode),
                       prototype.clone()});
-        state->bpred->reset();
+        warm->bpred->reset();
         RecordCursor cursor{trace};
-        prewarmState(cursor, prewarm, state->memory, *state->bpred);
-        entry->state = std::move(state);
+        prewarmState(cursor, prewarm, warm->memory, *warm->bpred);
         built.inc();
+        return std::shared_ptr<const WarmState>(std::move(warm));
     });
 
     static auto &served =
         util::MetricsRegistry::global().counter("core.warm_state.served");
     served.inc();
-    return entry->state;
-}
-
-std::size_t
-WarmStartCache::size() const
-{
-    std::lock_guard<std::mutex> guard(lock);
-    return entries.size();
+    return state;
 }
 
 void
 WarmStartCache::clear()
 {
-    std::lock_guard<std::mutex> guard(lock);
-    entries.clear();
+    states.clear();
 }
 
 } // namespace fo4::core

@@ -9,6 +9,10 @@
  * geometry, predictor) key and hands each cell a copy, replacing an
  * O(prewarm) replay per cell with an O(cache size) copy.
  *
+ * The states live in a util::OnceMap: each key's state is computed
+ * exactly once, cells wanting it meanwhile wait for that one
+ * computation, and one that throws caches nothing.
+ *
  * Byte-identity: the donor state is produced by exactly the reference
  * prewarm procedure (core/prewarm.hh) from a cold hierarchy and a
  * reset predictor, so an adopting core starts from bit-identical state
@@ -18,15 +22,14 @@
 #ifndef FO4_CORE_WARM_START_HH
 #define FO4_CORE_WARM_START_HH
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "bp/predictor.hh"
 #include "core/params.hh"
 #include "mem/hierarchy.hh"
 #include "trace/decoded_trace.hh"
+#include "util/once_map.hh"
 
 namespace fo4::core
 {
@@ -39,11 +42,8 @@ struct WarmState
     std::unique_ptr<bp::BranchPredictor> bpred;
 };
 
-/**
- * Process-wide cache of prewarmed states.  acquire() computes the state
- * for its key exactly once (other threads wanting the same key wait),
- * then serves shared references.
- */
+/** Process-wide cache of prewarmed states, served as shared
+ *  references. */
 class WarmStartCache
 {
   public:
@@ -61,18 +61,10 @@ class WarmStartCache
             const CoreParams &params, const bp::BranchPredictor &prototype,
             const std::string &predictorKey);
 
-    std::size_t size() const;
     void clear();
 
   private:
-    struct Entry
-    {
-        std::once_flag once;
-        std::shared_ptr<const WarmState> state;
-    };
-
-    mutable std::mutex lock;
-    std::map<std::string, std::shared_ptr<Entry>> entries;
+    util::OnceMap<std::string, std::shared_ptr<const WarmState>> states;
 };
 
 } // namespace fo4::core

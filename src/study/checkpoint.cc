@@ -454,18 +454,11 @@ CheckpointedRunner::runGrid(const std::vector<GridPoint> &points,
     lastReport = CheckpointReport{};
     lastReport.totalCells = points.size() * nJobs;
     const auto runStart = std::chrono::steady_clock::now();
-    const cacti::LatencyCacheStats cache0 =
-        cacti::LatencyCache::global().stats();
     const auto finishReport = [&] {
         lastReport.wallMs =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - runStart)
                 .count();
-        const cacti::LatencyCacheStats cache1 =
-            cacti::LatencyCache::global().stats();
-        lastReport.cacheDelta.hits = cache1.hits - cache0.hits;
-        lastReport.cacheDelta.misses = cache1.misses - cache0.misses;
-        lastReport.cacheDelta.inserts = cache1.inserts - cache0.inserts;
     };
 
     std::vector<SuiteResult> results(points.size());

@@ -51,7 +51,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cacti/latency_cache.hh"
 #include "study/runner.hh"
 #include "study/scaling.hh"
 #include "util/cancel.hh"
@@ -271,8 +270,6 @@ struct CheckpointReport
     std::vector<CellTiming> cellTimings;
     /** Wall time of the whole runGrid call, milliseconds. */
     double wallMs = 0.0;
-    /** LatencyCache::global() stats delta across the run. */
-    cacti::LatencyCacheStats cacheDelta;
 };
 
 /**

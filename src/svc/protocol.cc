@@ -86,6 +86,23 @@ parseHexDouble(std::string_view text, const char *what)
     return v;
 }
 
+/** The words of a space-separated list (empty words skipped). */
+std::vector<std::string_view>
+splitSpaces(std::string_view text)
+{
+    std::vector<std::string_view> words;
+    std::size_t start = 0;
+    while (start < text.size()) {
+        auto space = text.find(' ', start);
+        if (space == std::string_view::npos)
+            space = text.size();
+        if (space > start)
+            words.push_back(text.substr(start, space - start));
+        start = space + 1;
+    }
+    return words;
+}
+
 /** Split on tabs (fields themselves are escapeField-escaped). */
 std::vector<std::string_view>
 splitTabs(std::string_view line)
@@ -410,18 +427,8 @@ SweepRequest::decode(std::string_view body)
             req.mcSeed = parseU64(value, "mc_seed");
         } else if (key == "t_useful") {
             sawUseful = true;
-            std::size_t start = 0;
-            const std::string text(value);
-            while (start < text.size()) {
-                auto space = text.find(' ', start);
-                if (space == std::string::npos)
-                    space = text.size();
-                if (space > start) {
-                    req.tUseful.push_back(parseHexDouble(
-                        text.substr(start, space - start), "t_useful"));
-                }
-                start = space + 1;
-            }
+            for (const auto word : splitSpaces(value))
+                req.tUseful.push_back(parseHexDouble(word, "t_useful"));
         } else if (key == "job") {
             const auto fields = splitTabs(value);
             if (fields.size() < 4)
@@ -613,19 +620,9 @@ StatsSnapshot::decode(std::string_view body)
         else if (key == "cache_entries")
             s.cacheEntries = parseU64(value, "cache_entries");
         else if (key == "latency_buckets") {
-            std::size_t start = 0;
-            const std::string text(value);
-            while (start < text.size()) {
-                auto space = text.find(' ', start);
-                if (space == std::string::npos)
-                    space = text.size();
-                if (space > start) {
-                    s.latencyBuckets.push_back(
-                        parseU64(text.substr(start, space - start),
-                                 "latency_buckets"));
-                }
-                start = space + 1;
-            }
+            for (const auto word : splitSpaces(value))
+                s.latencyBuckets.push_back(
+                    parseU64(word, "latency_buckets"));
         } else if (key == "latency_samples")
             s.latencySamples = parseU64(value, "latency_samples");
         else if (key == "latency_mean_ms")
@@ -978,25 +975,13 @@ decodeError(std::string_view body)
 std::string
 encodeId(std::uint64_t id)
 {
-    return util::strprintf("id=%llu\n",
-                           static_cast<unsigned long long>(id));
+    return encodeOneU64("id", id);
 }
 
 std::uint64_t
 decodeId(std::string_view body)
 {
-    std::optional<std::uint64_t> id;
-    for (const auto line : splitLines(body)) {
-        if (line.empty())
-            continue;
-        const auto [key, value] = splitKeyValue(line);
-        if (key != "id")
-            throwProtocol("unknown id field '" + std::string(key) + "'");
-        id = parseU64(value, "id");
-    }
-    if (!id)
-        throwProtocol("request body has no id");
-    return *id;
+    return decodeOneU64(body, "id");
 }
 
 std::string

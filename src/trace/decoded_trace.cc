@@ -69,26 +69,16 @@ DecodedTraceRegistry::viewFor(
         util::MetricsRegistry::global().counter("trace.decoded.hits");
     static auto &misses =
         util::MetricsRegistry::global().counter("trace.decoded.misses");
-    {
-        std::lock_guard<std::mutex> guard(lock);
-        const auto it = traces.find(key);
-        if (it != traces.end()) {
-            hits.inc();
-            return std::make_unique<DecodedTraceView>(it->second);
-        }
-    }
-    // Construct outside the lock: building a source may read a file or
-    // throw, and neither should stall other benchmarks' lookups.  A
-    // failure propagates uncached; a racing duplicate build loses the
-    // insert and is discarded.
-    auto trace = std::make_shared<DecodedTrace>(make(), key);
-    std::lock_guard<std::mutex> guard(lock);
-    const auto [it, inserted] = traces.emplace(key, std::move(trace));
-    if (inserted)
+    bool built = false;
+    auto trace = traces.get(key, [&] {
+        auto made = std::make_shared<DecodedTrace>(make(), key);
+        built = true;
         misses.inc();
-    else
+        return made;
+    });
+    if (!built)
         hits.inc();
-    return std::make_unique<DecodedTraceView>(it->second);
+    return std::make_unique<DecodedTraceView>(std::move(trace));
 }
 
 std::unique_ptr<DecodedTraceView>
@@ -110,14 +100,12 @@ DecodedTraceRegistry::viewForFile(const std::string &path)
 std::size_t
 DecodedTraceRegistry::size() const
 {
-    std::lock_guard<std::mutex> guard(lock);
     return traces.size();
 }
 
 void
 DecodedTraceRegistry::clear()
 {
-    std::lock_guard<std::mutex> guard(lock);
     traces.clear();
 }
 

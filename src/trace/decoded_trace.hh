@@ -13,10 +13,12 @@
  * simulation path cannot change bytes by construction.
  *
  * The process-wide DecodedTraceRegistry keys caches by the profile's
- * identityKey() (or by trace file path) and *never* caches a failed
- * load: a trace file that is missing on one attempt may reappear on a
- * retry (RetryPolicy treats TraceIo as transient), and a cached failure
- * would turn that transient into a permanent verdict.
+ * identityKey() (or by trace file path) in a util::OnceMap: each trace
+ * is built once, concurrent first lookups wait for that build, and a
+ * failed load is *never* cached — a trace file that is missing on one
+ * attempt may reappear on a retry (RetryPolicy treats TraceIo as
+ * transient), and a cached failure would turn that transient into a
+ * permanent verdict.
  */
 
 #ifndef FO4_TRACE_DECODED_TRACE_HH
@@ -25,7 +27,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -33,6 +34,7 @@
 #include "trace/profile.hh"
 #include "trace/trace.hh"
 #include "trace/trace_codec.hh"
+#include "util/once_map.hh"
 
 namespace fo4::trace
 {
@@ -114,8 +116,8 @@ class DecodedTraceView final : public TraceSource
 
 /**
  * Process-wide cache of decoded traces, one per distinct benchmark
- * identity.  Lookups that miss construct the base source (and rethrow
- * its errors uncached); hits share the existing stream.
+ * identity.  The first lookup of an identity constructs the base source
+ * (and rethrows its errors uncached); later lookups share the stream.
  */
 class DecodedTraceRegistry
 {
@@ -144,8 +146,7 @@ class DecodedTraceRegistry
     viewFor(const std::string &key,
             const std::function<std::unique_ptr<TraceSource>()> &make);
 
-    mutable std::mutex lock;
-    std::map<std::string, std::shared_ptr<DecodedTrace>> traces;
+    util::OnceMap<std::string, std::shared_ptr<DecodedTrace>> traces;
 };
 
 } // namespace fo4::trace

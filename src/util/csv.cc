@@ -6,24 +6,35 @@
 namespace fo4::util
 {
 
-namespace
-{
-
-/** Render one row exactly as CsvWriter would stream it. */
 std::string
-renderRow(const std::vector<std::string> &cells)
+csvEscape(const std::string &field)
+{
+    const bool needs_quotes =
+        field.find_first_of(",\"\n") != std::string::npos;
+    if (!needs_quotes)
+        return field;
+    std::string out = "\"";
+    for (char c : field) {
+        if (c == '"')
+            out += '"';
+        out += c;
+    }
+    out += '"';
+    return out;
+}
+
+std::string
+csvRow(const std::vector<std::string> &cells)
 {
     std::string row;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (i)
             row += ',';
-        row += CsvWriter::escape(cells[i]);
+        row += csvEscape(cells[i]);
     }
     row += '\n';
     return row;
 }
-
-} // namespace
 
 AtomicCsvFile::AtomicCsvFile(const std::string &path)
 {
@@ -42,7 +53,7 @@ Status
 AtomicCsvFile::tryWriteRow(const std::vector<std::string> &cells)
 {
     FO4_ASSERT(!done, "writeRow after commit()");
-    return file.write(renderRow(cells));
+    return file.write(csvRow(cells));
 }
 
 void
@@ -64,34 +75,6 @@ AtomicCsvFile::tryCommit()
         return Status(st.code(), "csv " + st.message());
     done = true;
     return Status::ok();
-}
-
-std::string
-CsvWriter::escape(const std::string &field)
-{
-    const bool needs_quotes =
-        field.find_first_of(",\"\n") != std::string::npos;
-    if (!needs_quotes)
-        return field;
-    std::string out = "\"";
-    for (char c : field) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
-void
-CsvWriter::writeRow(const std::vector<std::string> &cells)
-{
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            out << ",";
-        out << escape(cells[i]);
-    }
-    out << "\n";
 }
 
 } // namespace fo4::util

@@ -1,15 +1,14 @@
 /**
  * @file
- * Minimal CSV writer so bench binaries can optionally emit machine-readable
+ * CSV rendering so bench binaries can optionally emit machine-readable
  * series (for replotting figures) alongside the human-readable tables,
- * plus a crash-safe file-backed variant (AtomicCsvFile) whose output
- * becomes visible all-at-once or not at all.
+ * and a crash-safe output file (AtomicCsvFile) whose content becomes
+ * visible all-at-once or not at all.
  */
 
 #ifndef FO4_UTIL_CSV_HH
 #define FO4_UTIL_CSV_HH
 
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -19,20 +18,12 @@
 namespace fo4::util
 {
 
-/** Streams rows to an ostream in RFC-4180-ish CSV (quotes when needed). */
-class CsvWriter
-{
-  public:
-    explicit CsvWriter(std::ostream &os) : out(os) {}
+/** Quote and escape a single field if it contains , " or newline. */
+std::string csvEscape(const std::string &field);
 
-    void writeRow(const std::vector<std::string> &cells);
-
-    /** Quote and escape a single field if it contains , " or newline. */
-    static std::string escape(const std::string &field);
-
-  private:
-    std::ostream &out;
-};
+/** One RFC-4180-ish CSV line: the escaped cells joined by commas and a
+ *  trailing newline — exactly what AtomicCsvFile::writeRow writes. */
+std::string csvRow(const std::vector<std::string> &cells);
 
 /**
  * Crash-safe CSV output file over util::AtomicFile.  Rows accumulate in

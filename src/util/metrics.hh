@@ -19,9 +19,8 @@
  *    atomic load and a predictable branch per increment site — the
  *    "near-zero when off" contract benchmarked by bench_sim_throughput.
  *    Their *sums* are deterministic when the instrumented work is, but
- *    interleaving-dependent splits (e.g. concurrent-miss inserts in the
- *    latency cache) are not, so engineering metrics are never written
- *    into byte-identity artifacts.
+ *    timings and the order of increments are not, so engineering
+ *    metrics are never written into byte-identity artifacts.
  *
  * Thread safety: counter/histogram increments are wait-free after the
  * first lookup; name registration takes a mutex but returns stable

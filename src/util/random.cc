@@ -2,11 +2,10 @@
 
 #include <bit>
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/once_map.hh"
 
 namespace fo4::util
 {
@@ -244,19 +243,11 @@ ZipfSampler::ZipfSampler(std::size_t n, double s)
     FO4_ASSERT(n > 0, "ZipfSampler requires n > 0");
     // One table per (n, bit pattern of s), kept for the life of the
     // process: the keys in play are the profiles' sizes and exponents,
-    // which BenchmarkProfile::validate bounds.  A build that throws
-    // leaves its once_flag unset, so nothing is cached.
-    struct Entry
-    {
-        std::once_flag once;
-        std::shared_ptr<const std::vector<double>> cdf;
-    };
-    static std::mutex lock;
-    static std::map<std::pair<std::size_t, std::uint64_t>, Entry> memo;
-    std::unique_lock<std::mutex> guard(lock);
-    Entry &entry = memo[{n, std::bit_cast<std::uint64_t>(s)}];
-    guard.unlock();
-    std::call_once(entry.once, [&] {
+    // which BenchmarkProfile::validate bounds.
+    static OnceMap<std::pair<std::size_t, std::uint64_t>,
+                   std::shared_ptr<const std::vector<double>>>
+        memo;
+    cdf = memo.get({n, std::bit_cast<std::uint64_t>(s)}, [n, s] {
         static auto &built =
             MetricsRegistry::global().counter("util.zipf_table.built");
         auto table = std::make_shared<std::vector<double>>(n);
@@ -267,10 +258,9 @@ ZipfSampler::ZipfSampler(std::size_t n, double s)
         }
         for (double &v : *table)
             v /= total;
-        entry.cdf = std::move(table);
         built.inc();
+        return std::shared_ptr<const std::vector<double>>(std::move(table));
     });
-    cdf = entry.cdf;
 }
 
 std::size_t

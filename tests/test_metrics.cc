@@ -9,9 +9,10 @@
  *    of the Chrome trace_event JSON it renders.
  *  - Determinism: the stats CSV rows derived from a suite — including
  *    one with injected faults — are byte-identical at jobs=1/2/8 and
- *    across a checkpoint/replay cycle.  Engineering metrics stay *out*
- *    of those artifacts; this file also pins their sums where the
- *    instrumented work is deterministic.
+ *    across a checkpoint/replay cycle, and every SimResult counter is
+ *    a stats CSV column unless listed as left out.  Engineering
+ *    metrics stay *out* of those artifacts; this file also pins their
+ *    sums where the instrumented work is deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -378,6 +380,56 @@ TEST(StatsDeterminism, CheckpointReplayReproducesStatsByteForByte)
 
     std::remove(journal.c_str());
     std::remove(corrupt.c_str());
+}
+
+TEST(StatsCsv, EveryCounterIsAColumnOrOnTheExclusionList)
+{
+    // Today's header line, byte for byte.
+    EXPECT_EQ(util::csvRow(bench::statsHeader()),
+              "t_useful,benchmark,class,status,instructions,cycles,"
+              "stall_cycles,stall_branch-mispredict,stall_icache-miss,"
+              "stall_dcache-miss,stall_window-full,stall_raw-load-use,"
+              "stall_execute,stall_front-end,stall_other,"
+              "dispatch_window_full,dispatch_rob_full,dispatch_lsq_full,"
+              "occ_front,occ_window,occ_rob,occ_lsq\n");
+
+    // Each counter in turn moves from 1 to 3; a stats= column shows it
+    // in exactly one cell of the row.
+    study::SuiteResult suite;
+    suite.benchmarks.resize(1);
+    core::SimResult &sim = suite.benchmarks[0].sim;
+    core::forEachCounter([](std::uint64_t &v) { v = 1; }, sim);
+    const auto rowOf = [&suite] {
+        return bench::statsRows("6", suite).front();
+    };
+    const auto base = rowOf();
+    ASSERT_EQ(base.size(), bench::statsHeader().size());
+
+    // The counters stats= leaves out.
+    const std::set<const std::uint64_t *> excluded{
+        &sim.branches, &sim.mispredicts, &sim.loads, &sim.stores,
+        &sim.dl1Misses, &sim.l2Misses, &sim.occupancy.cycles};
+    std::size_t index = 0;
+    std::size_t columns = 0;
+    core::forEachCounter(
+        [&](std::uint64_t &v) {
+            v = 3;
+            const auto row = rowOf();
+            v = 1;
+            std::size_t changed = 0;
+            for (std::size_t c = 0; c < row.size(); ++c)
+                changed += row[c] != base[c];
+            if (!excluded.count(&v)) {
+                EXPECT_EQ(changed, 1u)
+                    << "counter " << index
+                    << " of core::forEachCounter is in no stats= column";
+                ++columns;
+            }
+            ++index;
+        },
+        sim);
+    EXPECT_EQ(columns, 18u);
+    EXPECT_EQ(index - columns, excluded.size());
 }
 
 TEST(StatsDeterminism, EngineeringMetricsStayOutOfSuiteArtifacts)

@@ -249,20 +249,16 @@ TEST(ParallelRunner, LatencyCacheServesRepeatSweepsFromMemory)
     const auto first = cache.stats();
     EXPECT_GT(first.misses, 0u);
     EXPECT_GT(first.hits, 0u); // repeated structures within one sweep
-    // Single-threaded, every miss inserts exactly once.
-    EXPECT_EQ(first.inserts, first.misses);
 
     (void)runner.sweepScaling(ts, {}, profiles, smallSpec());
     const auto second = cache.stats();
     EXPECT_EQ(second.misses, first.misses) << "rerun recomputed latencies";
-    EXPECT_EQ(second.inserts, first.inserts);
     EXPECT_GT(second.hits, first.hits);
 
     // clear() must forget entries *and* counters.
     cache.clear();
     const auto cleared = cache.stats();
     EXPECT_EQ(cleared.lookups(), 0u);
-    EXPECT_EQ(cleared.inserts, 0u);
 }
 
 TEST(ParallelRunner, SuiteLevelMisconfigurationThrowsBeforeFanout)
