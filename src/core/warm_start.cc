@@ -7,26 +7,6 @@
 namespace fo4::core
 {
 
-namespace
-{
-
-/** prewarmState's source over a decoded trace, read in stream order. */
-struct RecordCursor
-{
-    trace::DecodedTrace &records;
-    std::uint64_t pos = 0;
-
-    isa::MicroOp
-    next()
-    {
-        return trace::unpackTraceRecord(records.record(pos++));
-    }
-
-    void reset() { pos = 0; }
-};
-
-} // namespace
-
 WarmStartCache &
 WarmStartCache::global()
 {
@@ -58,8 +38,8 @@ WarmStartCache::acquire(trace::DecodedTrace &trace, std::uint64_t prewarm,
                                            params.memoryMode),
                       prototype.clone()});
         warm->bpred->reset();
-        RecordCursor cursor{trace};
-        prewarmState(cursor, prewarm, warm->memory, *warm->bpred);
+        const auto source = trace.freshSource();
+        prewarmState(*source, prewarm, warm->memory, *warm->bpred);
         built.inc();
         return std::shared_ptr<const WarmState>(std::move(warm));
     });

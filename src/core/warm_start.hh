@@ -9,6 +9,11 @@
  * geometry, predictor) key and hands each cell a copy, replacing an
  * O(prewarm) replay per cell with an O(cache size) copy.
  *
+ * The prefix streams from a fresh source of the trace
+ * (DecodedTrace::freshSource), not from its decoded records, so the
+ * decoded trace keeps only what the timed runs replay and a long
+ * prewarm costs no memory.
+ *
  * The states live in a util::OnceMap: each key's state is computed
  * exactly once, cells wanting it meanwhile wait for that one
  * computation, and one that throws caches nothing.
@@ -50,11 +55,12 @@ class WarmStartCache
     static WarmStartCache &global();
 
     /**
-     * The warm state after streaming `prewarm` records of `trace`
-     * through a cold hierarchy with `params`' cache geometry and a
-     * reset clone of `prototype`.  `predictorKey` names the prototype's
-     * configuration (factory name); states are shared only between
-     * cores whose predictors are interchangeable under that key.
+     * The warm state after streaming `prewarm` records of a fresh
+     * source of `trace` through a cold hierarchy with `params`' cache
+     * geometry and a reset clone of `prototype`.  `predictorKey` names
+     * the prototype's configuration (factory name); states are shared
+     * only between cores whose predictors are interchangeable under
+     * that key.
      */
     std::shared_ptr<const WarmState>
     acquire(trace::DecodedTrace &trace, std::uint64_t prewarm,

@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace fo4::mem
@@ -43,48 +46,34 @@ Cache::Cache(const CacheParams &params)
 {
     if (const auto st = prm.validate(); !st.isOk())
         throw util::ConfigError("cache geometry: " + st.message());
+    lineShift = std::countr_zero(prm.lineBytes);
+    setMask = prm.sets() - 1;
     lines.resize(prm.sets() * prm.associativity);
 }
 
-std::uint64_t
-Cache::lineAddr(std::uint64_t addr) const
-{
-    return addr / prm.lineBytes;
-}
-
-std::uint64_t
-Cache::setIndex(std::uint64_t addr) const
-{
-    return lineAddr(addr) & (prm.sets() - 1);
-}
-
 bool
-Cache::access(std::uint64_t addr, bool write)
+Cache::access(std::uint64_t addr)
 {
     ++useClock;
-    const std::uint64_t tag = lineAddr(addr);
-    Line *base = &lines[setIndex(addr) * prm.associativity];
+    const std::uint64_t tag = addr >> lineShift;
+    Line *base = &lines[(tag & setMask) * prm.associativity];
 
+    // An empty line (lastUse 0) is the least recently used of all; the
+    // last empty way is filled first.
     Line *victim = base;
     for (std::uint32_t way = 0; way < prm.associativity; ++way) {
         Line &line = base[way];
-        if (line.valid && line.tag == tag) {
+        if (line.lastUse != 0 && line.tag == tag) {
             line.lastUse = useClock;
-            line.dirty |= write;
             ++hits_;
             return true;
         }
-        if (!line.valid) {
+        if (line.lastUse <= victim->lastUse)
             victim = &line;
-        } else if (victim->valid && line.lastUse < victim->lastUse) {
-            victim = &line;
-        }
     }
 
     ++misses_;
-    victim->valid = true;
     victim->tag = tag;
-    victim->dirty = write;
     victim->lastUse = useClock;
     return false;
 }
@@ -92,10 +81,10 @@ Cache::access(std::uint64_t addr, bool write)
 bool
 Cache::probe(std::uint64_t addr) const
 {
-    const std::uint64_t tag = lineAddr(addr);
-    const Line *base = &lines[setIndex(addr) * prm.associativity];
+    const std::uint64_t tag = addr >> lineShift;
+    const Line *base = &lines[(tag & setMask) * prm.associativity];
     for (std::uint32_t way = 0; way < prm.associativity; ++way) {
-        if (base[way].valid && base[way].tag == tag)
+        if (base[way].lastUse != 0 && base[way].tag == tag)
             return true;
     }
     return false;
@@ -104,8 +93,7 @@ Cache::probe(std::uint64_t addr) const
 void
 Cache::flush()
 {
-    for (auto &line : lines)
-        line = Line{};
+    std::fill(lines.begin(), lines.end(), Line{});
 }
 
 } // namespace fo4::mem

@@ -40,10 +40,9 @@ class Cache
 
     /**
      * Look up an address; on miss, allocate the line (evicting LRU).
-     * @param write marks the line dirty on hit/allocate
      * @return true on hit
      */
-    bool access(std::uint64_t addr, bool write);
+    bool access(std::uint64_t addr);
 
     /** Look up without any state change (for tests/inspection). */
     bool probe(std::uint64_t addr) const;
@@ -66,16 +65,15 @@ class Cache
     struct Line
     {
         std::uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0; // LRU timestamp
+        /** LRU timestamp; 0 marks an empty line, because useClock
+         *  counts from 1. */
+        std::uint64_t lastUse = 0;
     };
 
-    std::uint64_t lineAddr(std::uint64_t addr) const;
-    std::uint64_t setIndex(std::uint64_t addr) const;
-
     CacheParams prm;
-    std::vector<Line> lines; // sets * associativity, set-major
+    int lineShift = 0;         // log2(lineBytes): line address = addr >> it
+    std::uint64_t setMask = 0; // sets - 1: set = line address & it
+    std::vector<Line> lines;   // sets * associativity, set-major
     std::uint64_t useClock = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

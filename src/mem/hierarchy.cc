@@ -23,13 +23,12 @@ MemoryHierarchy::MemoryHierarchy(const CacheParams &dl1Params,
 }
 
 int
-MemoryHierarchy::accessLatency(std::uint64_t addr, bool write,
-                               std::int64_t now)
+MemoryHierarchy::loadLatency(std::uint64_t addr, std::int64_t now)
 {
     if (mode_ == MemoryMode::Flat)
         return lat.flat;
 
-    if (dl1_.access(addr, write))
+    if (dl1_.access(addr))
         return lat.dl1;
 
     // DL1 miss: the line fill occupies the L1<->L2 bus; misses queue.
@@ -37,7 +36,7 @@ MemoryHierarchy::accessLatency(std::uint64_t addr, bool write,
     l2BusFreeAt = busStart + lat.l2BusCycles;
     const int queueing = static_cast<int>(busStart - now);
 
-    if (l2_.access(addr, write))
+    if (l2_.access(addr))
         return lat.dl1 + lat.l2 + queueing + lat.l2BusCycles;
 
     // L2 miss: additionally occupy the memory channel.
@@ -49,15 +48,10 @@ MemoryHierarchy::accessLatency(std::uint64_t addr, bool write,
 }
 
 int
-MemoryHierarchy::loadLatency(std::uint64_t addr, std::int64_t now)
-{
-    return accessLatency(addr, false, now);
-}
-
-int
 MemoryHierarchy::storeLatency(std::uint64_t addr, std::int64_t now)
 {
-    return accessLatency(addr, true, now);
+    // Tag-only caches: a store looks up and allocates as a load does.
+    return loadLatency(addr, now);
 }
 
 void

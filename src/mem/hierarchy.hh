@@ -89,8 +89,6 @@ class MemoryHierarchy
     MemoryMode mode() const { return mode_; }
 
   private:
-    int accessLatency(std::uint64_t addr, bool write, std::int64_t now);
-
     Cache dl1_;
     Cache l2_;
     HierarchyLatencies lat;

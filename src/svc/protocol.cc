@@ -995,8 +995,8 @@ encodeSubmitOk(std::uint64_t id, std::uint64_t cellsTotal)
 std::pair<std::uint64_t, std::uint64_t>
 decodeSubmitOk(std::string_view body)
 {
-    std::uint64_t id = 0;
-    std::uint64_t cells = 0;
+    std::optional<std::uint64_t> id;
+    std::optional<std::uint64_t> cells;
     for (const auto line : splitLines(body)) {
         if (line.empty())
             continue;
@@ -1009,7 +1009,11 @@ decodeSubmitOk(std::string_view body)
             throwProtocol("unknown submit-ok field '" +
                           std::string(key) + "'");
     }
-    return {id, cells};
+    if (!id)
+        throwProtocol("body has no id");
+    if (!cells)
+        throwProtocol("body has no cells_total");
+    return {*id, *cells};
 }
 
 } // namespace fo4::svc

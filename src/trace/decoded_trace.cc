@@ -9,13 +9,11 @@
 namespace fo4::trace
 {
 
-DecodedTrace::DecodedTrace(std::unique_ptr<TraceSource> source,
-                           std::string key)
-    : name(std::move(key)), base(std::move(source)),
+DecodedTrace::DecodedTrace(SourceFactory make, std::string key)
+    : name(std::move(key)), factory(std::move(make)), base(factory()),
       chunks(std::make_unique<std::unique_ptr<TraceRecord[]>[]>(maxChunks))
 {
     FO4_ASSERT(base != nullptr, "decoded trace needs a base source");
-    base->reset();
 }
 
 const TraceRecord &
@@ -61,9 +59,8 @@ DecodedTraceRegistry::global()
 }
 
 std::unique_ptr<DecodedTraceView>
-DecodedTraceRegistry::viewFor(
-    const std::string &key,
-    const std::function<std::unique_ptr<TraceSource>()> &make)
+DecodedTraceRegistry::viewFor(const std::string &key,
+                              const std::function<SourceFactory()> &load)
 {
     static auto &hits =
         util::MetricsRegistry::global().counter("trace.decoded.hits");
@@ -71,7 +68,7 @@ DecodedTraceRegistry::viewFor(
         util::MetricsRegistry::global().counter("trace.decoded.misses");
     bool built = false;
     auto trace = traces.get(key, [&] {
-        auto made = std::make_shared<DecodedTrace>(make(), key);
+        auto made = std::make_shared<DecodedTrace>(load(), key);
         built = true;
         misses.inc();
         return made;
@@ -85,16 +82,24 @@ std::unique_ptr<DecodedTraceView>
 DecodedTraceRegistry::viewForProfile(const BenchmarkProfile &profile)
 {
     return viewFor("profile:" + profile.identityKey(), [&profile] {
-        return std::unique_ptr<TraceSource>(
-            std::make_unique<SyntheticTraceGenerator>(profile));
+        return SourceFactory([profile] {
+            return std::unique_ptr<TraceSource>(
+                std::make_unique<SyntheticTraceGenerator>(profile));
+        });
     });
 }
 
 std::unique_ptr<DecodedTraceView>
 DecodedTraceRegistry::viewForFile(const std::string &path)
 {
-    return viewFor("file:" + path,
-                   [&path] { return openTraceFile(path); });
+    return viewFor("file:" + path, [&path] {
+        // Sources copy this one load, sharing its records.
+        auto loaded = std::make_shared<const RecordedTrace>(path);
+        return SourceFactory([loaded] {
+            return std::unique_ptr<TraceSource>(
+                std::make_unique<RecordedTrace>(*loaded));
+        });
+    });
 }
 
 std::size_t

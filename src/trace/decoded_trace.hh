@@ -1,11 +1,16 @@
 /**
  * @file
  * One-pass trace materialization.  A DecodedTrace pulls a TraceSource's
- * MicroOp stream exactly once and stores it as packed TraceRecords (the
- * capture record layout), so every grid cell of a sweep column can replay
- * the same benchmark without regenerating it.  Cells at different clock
+ * MicroOp stream once and stores it as packed TraceRecords (the capture
+ * record layout), so every grid cell of a sweep column can replay the
+ * same benchmark without regenerating it.  Cells at different clock
  * periods walk different distances into the stream; the cache grows on
  * demand and is safe to read from many simulation threads at once.
+ *
+ * Only what the timed runs replay is decoded.  A trace keeps the
+ * factory it was built from and hands out fresh sources of the same
+ * stream, so the shared prewarm (core::WarmStartCache) streams its
+ * prefix from one of those and a long prewarm costs no memory here.
  *
  * Identity: both SyntheticTraceGenerator and RecordedTrace number the ops
  * they emit by stream position (op.seq == index), so a record replayed
@@ -18,7 +23,10 @@
  * failed load is *never* cached — a trace file that is missing on one
  * attempt may reappear on a retry (RetryPolicy treats TraceIo as
  * transient), and a cached failure would turn that transient into a
- * permanent verdict.
+ * permanent verdict.  A trace file is read once per registry entry:
+ * every source of that entry replays the records of that one load, so
+ * a file replaced on disk never gives one cell a prewarm from one
+ * capture and a replay from another.
  */
 
 #ifndef FO4_TRACE_DECODED_TRACE_HH
@@ -39,6 +47,10 @@
 namespace fo4::trace
 {
 
+/** Makes a new source of one stream, positioned at record 0.  It owns
+ *  what it captures and may be called from several threads at once. */
+using SourceFactory = std::function<std::unique_ptr<TraceSource>()>;
+
 /**
  * An append-only, chunked store of one benchmark's decoded instruction
  * stream.  record(i) materializes through index i on first demand
@@ -48,9 +60,9 @@ namespace fo4::trace
 class DecodedTrace
 {
   public:
-    /** Takes ownership of the base stream; `key` names this trace in
-     *  the registry (and in warm-state cache keys). */
-    DecodedTrace(std::unique_ptr<TraceSource> base, std::string key);
+    /** Decodes from a source made by `factory`, which it keeps; `key`
+     *  names this trace in the registry (and in warm-state cache keys). */
+    DecodedTrace(SourceFactory factory, std::string key);
 
     /** The record at stream index i, materializing it if needed. */
     const TraceRecord &record(std::uint64_t i)
@@ -61,6 +73,10 @@ class DecodedTrace
     }
 
     const std::string &key() const { return name; }
+
+    /** A new source of this stream from record 0, decoding nothing into
+     *  this trace. */
+    std::unique_ptr<TraceSource> freshSource() const { return factory(); }
 
     /** Records decoded so far (monotone; for tests and metrics). */
     std::uint64_t materializedRecords() const
@@ -79,6 +95,7 @@ class DecodedTrace
     static constexpr std::uint64_t maxChunks = 1ull << 14;
 
     std::string name;
+    SourceFactory factory;
     std::unique_ptr<TraceSource> base;
     std::unique_ptr<std::unique_ptr<TraceRecord[]>[]> chunks;
     /** Published record count: stores before the release here are
@@ -129,9 +146,9 @@ class DecodedTraceRegistry
     std::unique_ptr<DecodedTraceView>
     viewForProfile(const BenchmarkProfile &profile);
 
-    /** View over the decoded stream of a recorded trace file.  Throws
-     *  the openTraceFile load errors (every failing call — never
-     *  cached). */
+    /** View over the decoded stream of a recorded trace file, read
+     *  once per entry.  Throws RecordedTrace's load errors (every
+     *  failing call — never cached). */
     std::unique_ptr<DecodedTraceView> viewForFile(const std::string &path);
 
     /** Cached trace count (tests). */
@@ -142,9 +159,10 @@ class DecodedTraceRegistry
     void clear();
 
   private:
+    /** `load` runs only when `key` is not cached, and returns the
+     *  factory of the new trace. */
     std::unique_ptr<DecodedTraceView>
-    viewFor(const std::string &key,
-            const std::function<std::unique_ptr<TraceSource>()> &make);
+    viewFor(const std::string &key, const std::function<SourceFactory()> &load);
 
     util::OnceMap<std::string, std::shared_ptr<DecodedTrace>> traces;
 };

@@ -27,7 +27,8 @@ RecordedTrace::RecordedTrace(const std::string &path)
                             path.c_str()));
     }
     metaKv = std::move(contents.meta);
-    ops = std::move(contents.ops);
+    ops = std::make_shared<const std::vector<isa::MicroOp>>(
+        std::move(contents.ops));
 }
 
 util::Expected<RecordedTrace>
@@ -43,8 +44,8 @@ RecordedTrace::load(const std::string &path)
 isa::MicroOp
 RecordedTrace::next()
 {
-    isa::MicroOp op = ops[pos];
-    pos = (pos + 1) % ops.size();
+    isa::MicroOp op = (*ops)[pos];
+    pos = (pos + 1) % ops->size();
     op.seq = seq++;
     return op;
 }

@@ -4,7 +4,7 @@
 /**
  * @file
  * trace::RecordedTrace — replays a capture file as a TraceSource, and
- * openTraceFile() — the one place a trace path is opened.
+ * openTraceFile() — how runJob and the CLIs open a trace path.
  */
 
 #include <cstdint>
@@ -22,6 +22,9 @@ namespace fo4::trace
 /**
  * Replays the ops of a finalized capture, cycling when exhausted and
  * renumbering seq by stream position, like VectorTrace.
+ *
+ * Copies share the loaded ops, so a copy is a second cursor over the
+ * same load: it never reads the file again.
  *
  * Refuses unfinalized captures: readCapture() will happily salvage the
  * valid prefix of a torn file for inspection tooling, but *replaying*
@@ -42,7 +45,7 @@ class RecordedTrace final : public TraceSource
     void reset() override;
 
     /** Number of distinct recorded instructions before cycling. */
-    std::size_t recordedInstructions() const { return ops.size(); }
+    std::size_t recordedInstructions() const { return ops->size(); }
 
     /** The capture's key=value metadata, in file order. */
     const CaptureMeta &meta() const { return metaKv; }
@@ -53,7 +56,7 @@ class RecordedTrace final : public TraceSource
 
   private:
     CaptureMeta metaKv;
-    std::vector<isa::MicroOp> ops;
+    std::shared_ptr<const std::vector<isa::MicroOp>> ops;
     std::size_t pos = 0;
     std::uint64_t seq = 0;
 };
@@ -62,8 +65,9 @@ class RecordedTrace final : public TraceSource
  * Opens an on-disk trace.  Captures are the one trace file format: a
  * capture yields a RecordedTrace, anything else fails with the typed
  * readCapture() errors (TraceFormat for a non-capture, TraceIo for a
- * missing file).  Every consumer of trace paths — runJob, the
- * decoded-trace registry, the CLIs — goes through here.
+ * missing file).  Every consumer of trace paths — runJob and the CLIs —
+ * goes through here; the decoded-trace registry loads a RecordedTrace
+ * itself, so its sources can share that one load.
  */
 std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "core/warm_start.hh"
+#include "scratch_dir.hh"
 #include "study/checkpoint.hh"
 #include "study/goldengen.hh"
 #include "study/runner.hh"
@@ -258,6 +260,65 @@ TEST(CoreDifferential, ClockPeriodSweepColumnIsByteIdentical)
     // Guard against the batched path silently degrading to reference:
     // a batched run must have materialized its stream in the registry.
     EXPECT_GE(trace::DecodedTraceRegistry::global().size(), 1u);
+}
+
+TEST(CoreDifferential, DecodedTraceHoldsOnlyTheReplayedRecords)
+{
+    // The shared prewarm streams a fresh source of the stream, so the
+    // decoded trace holds what the timed run replays, not the prewarm.
+    trace::DecodedTraceRegistry::global().clear();
+    core::WarmStartCache::global().clear();
+    const auto profile = trace::spec2000Profile("164.gzip");
+    const auto job = study::BenchJob::fromProfile(profile);
+    auto spec = baseSpec();
+    spec.model = study::CoreModel::OutOfOrder;
+    spec.prewarm = 20000;
+    spec.warmup = 500;
+    spec.instructions = 2000;
+    const auto params = study::scaledCoreParams(6.0, {});
+    const auto clock = study::scaledClock(6.0);
+    const auto batched =
+        runOne(params, clock, job, spec, study::SimImpl::Batched);
+    EXPECT_LT(trace::DecodedTraceRegistry::global()
+                  .viewForProfile(profile)
+                  ->trace()
+                  .materializedRecords(),
+              spec.prewarm);
+    EXPECT_EQ(batched,
+              runOne(params, clock, job, spec, study::SimImpl::Reference));
+}
+
+TEST(CoreDifferential, PrewarmAndReplayComeFromOneLoad)
+{
+    // A capture replaced on disk after the registry loaded it: a new
+    // warm state must stream the loaded records, not a second read of
+    // the file, so one cell never mixes two captures.
+    const tests::ScratchDir dir("differential_one_load");
+    const std::string path = dir.file("live.fo4cap");
+    const std::string gzipCopy = dir.file("gzip.fo4cap");
+    for (const std::string &file : {path, gzipCopy}) {
+        trace::SyntheticTraceGenerator gzip(
+            trace::spec2000Profile("164.gzip"));
+        trace::recordTrace(file, gzip, 8192);
+    }
+    const auto params = study::scaledCoreParams(6.0, {});
+    const auto clock = study::scaledClock(6.0);
+    const auto job = study::BenchJob::fromTraceFile(
+        "164.gzip", trace::BenchClass::Integer, path);
+    auto spec = baseSpec();
+    ASSERT_NE(runOne(params, clock, job, spec, study::SimImpl::Batched)
+                  .find("|Ok|"),
+              std::string::npos);
+
+    trace::SyntheticTraceGenerator mcf(trace::spec2000Profile("181.mcf"));
+    trace::recordTrace(path, mcf, 8192); // renamed over the loaded file
+
+    spec.prewarm = 7000; // a new warm-state key
+    const auto copyJob = study::BenchJob::fromTraceFile(
+        "164.gzip", trace::BenchClass::Integer, gzipCopy);
+    EXPECT_EQ(runOne(params, clock, job, spec, study::SimImpl::Batched),
+              runOne(params, clock, copyJob, spec,
+                     study::SimImpl::Reference));
 }
 
 TEST(CoreDifferential, SegmentedWindowColumnIsByteIdentical)

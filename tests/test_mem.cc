@@ -41,18 +41,18 @@ testLatencies()
 TEST(Cache, MissThenHit)
 {
     Cache c(smallCache());
-    EXPECT_FALSE(c.access(0x1000, false));
-    EXPECT_TRUE(c.access(0x1000, false));
-    EXPECT_TRUE(c.access(0x103F, false)); // same 64B line
-    EXPECT_FALSE(c.access(0x1040, false)); // next line
+    EXPECT_FALSE(c.access(0x1000));
+    EXPECT_TRUE(c.access(0x1000));
+    EXPECT_TRUE(c.access(0x103F)); // same 64B line
+    EXPECT_FALSE(c.access(0x1040)); // next line
 }
 
 TEST(Cache, CountsHitsAndMisses)
 {
     Cache c(smallCache());
-    c.access(0x0, false);
-    c.access(0x0, false);
-    c.access(0x40, false);
+    c.access(0x0);
+    c.access(0x0);
+    c.access(0x40);
     EXPECT_EQ(c.hits(), 1u);
     EXPECT_EQ(c.misses(), 2u);
     EXPECT_NEAR(c.missRate(), 2.0 / 3.0, 1e-12);
@@ -64,10 +64,10 @@ TEST(Cache, LruEvictsOldest)
     // recently used.
     Cache c(smallCache());
     const std::uint64_t setStride = 8 * 64; // lines mapping to set 0
-    c.access(0 * setStride, false);
-    c.access(1 * setStride, false);
-    c.access(0 * setStride, false); // touch way 0 again
-    c.access(2 * setStride, false); // evicts line 1
+    c.access(0 * setStride);
+    c.access(1 * setStride);
+    c.access(0 * setStride); // touch way 0 again
+    c.access(2 * setStride); // evicts line 1
     EXPECT_TRUE(c.probe(0 * setStride));
     EXPECT_FALSE(c.probe(1 * setStride));
     EXPECT_TRUE(c.probe(2 * setStride));
@@ -76,7 +76,7 @@ TEST(Cache, LruEvictsOldest)
 TEST(Cache, ProbeDoesNotDisturbState)
 {
     Cache c(smallCache());
-    c.access(0x0, false);
+    c.access(0x0);
     const auto misses = c.misses();
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_EQ(c.misses(), misses);
@@ -85,7 +85,7 @@ TEST(Cache, ProbeDoesNotDisturbState)
 TEST(Cache, FlushInvalidatesEverything)
 {
     Cache c(smallCache());
-    c.access(0x0, false);
+    c.access(0x0);
     c.flush();
     EXPECT_FALSE(c.probe(0x0));
 }
@@ -95,7 +95,7 @@ TEST(Cache, FullyUsesCapacity)
     // Touch exactly capacity worth of distinct lines; all must fit.
     Cache c(smallCache());
     for (std::uint64_t a = 0; a < 1024; a += 64)
-        c.access(a, false);
+        c.access(a);
     for (std::uint64_t a = 0; a < 1024; a += 64)
         EXPECT_TRUE(c.probe(a)) << "line " << a;
 }

@@ -415,6 +415,26 @@ TEST(SvcBodies, ErrorAndIdBodiesRoundTrip)
     EXPECT_EQ(util::errorCodeFromName("Deadlock"), ErrorCode::Deadlock);
 }
 
+TEST(SvcBodies, SubmitOkWithoutAFieldIsProtocolError)
+{
+    // A reply that lost its id line must not read as job 0.
+    const std::pair<const char *, const char *> broken[] = {
+        {"cells_total=84\n", "body has no id"},
+        {"id=7\n", "body has no cells_total"},
+    };
+    for (const auto &[body, message] : broken) {
+        try {
+            svc::decodeSubmitOk(body);
+            ADD_FAILURE() << "accepted: " << body;
+        } catch (const util::SvcError &e) {
+            EXPECT_EQ(e.code(), ErrorCode::Protocol) << body;
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(SvcBodies, JobStateNamesRoundTrip)
 {
     for (const svc::JobState s :
